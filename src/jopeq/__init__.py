@@ -8,8 +8,8 @@ a deterministic FL simulator, and the statistical tests that verify the
 distortion laws.
 """
 
-from .codec import (CorruptPayloadError, EncodedUpdate, ModelUpdate, decode,
-                    encode, scale_coefficient, snr)
+from .codec import (CorruptPayloadError, EncodedUpdate, decode, encode,
+                    scale_coefficient, snr)
 from .dither import SharedRandomness, dither_block, dither_for, dq, sdq
 from .flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
                     RoundMetrics, Task, TaskSpec, build_task, calibrate_xi,

@@ -231,10 +231,8 @@ def cmd_verify(seed: int) -> int:
     reports.append(rep)
 
     # End-to-end whitened distortion matches the multivariate-t mechanism.
-    tspec = privacy.t_spec(3.0, 2, 3.0)
-    gam = 1.5 * (1.0 + tspec.s2 * tspec.nu / (tspec.nu - 2.0))
-    from .lattice import square_lattice
-    lat2 = square_lattice(gam, 6)
+    lat2, tspec = flsim.CodecSpec(family="square", rate=6, epsilon=3.0,
+                                  mechanism="t", nu=3.0).build()
     samp2 = privacy.build_ppn_sampler(tspec, lat2)
     n2 = 4000
     h2 = np.random.default_rng([seed, 3]).normal(0.0, 1.0, 2 * n2)
@@ -276,15 +274,9 @@ def cmd_verify(seed: int) -> int:
     return 1 if failed else 0
 
 
-def _build_codec(cfg: dict):
-    cspec = _codec_spec(cfg)
-    lat, spec = cspec.build()
-    sampler = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
-    return lat, sampler
-
-
 def cmd_codec_encode(cfg: dict, inp: str, out_path: Path, seed: int) -> int:
-    lat, sampler = _build_codec(cfg)
+    lat, spec = _codec_spec(cfg).build()
+    sampler = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
     h = np.loadtxt(inp, ndmin=1)
     sr = SharedRandomness(seed=seed)
     enc = codec.encode(h, lat, sampler, sr, noise_seed=seed + 1)
@@ -295,7 +287,8 @@ def cmd_codec_encode(cfg: dict, inp: str, out_path: Path, seed: int) -> int:
 
 
 def cmd_codec_decode(cfg: dict, inp: str, out_path: Path, seed: int) -> int:
-    lat, _ = _build_codec(cfg)
+    # Decoding needs only the lattice; the PPN is encoder-side.
+    lat, _ = _codec_spec(cfg).build()
     enc = codec.EncodedUpdate.from_bytes(Path(inp).read_bytes(), lat)
     sr = SharedRandomness(seed=seed)
     h = codec.decode(enc, lat, sr)

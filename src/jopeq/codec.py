@@ -21,7 +21,6 @@ from .lattice import Lattice, quantize_clipped
 from .privacy import PpnSampler
 
 __all__ = [
-    "ModelUpdate",
     "EncodedUpdate",
     "CorruptPayloadError",
     "scale_coefficient",
@@ -39,15 +38,6 @@ _HEADER = struct.Struct(">HBBdI")
 
 class CorruptPayloadError(ValueError):
     """Raised when a payload's indices do not fit the configured codebook."""
-
-
-@dataclass(frozen=True)
-class ModelUpdate:
-    """A user's model update h = w_local - w_global for one round."""
-
-    vector: np.ndarray
-    user: int = 0
-    round_index: int = 0
 
 
 @dataclass
@@ -153,8 +143,6 @@ def encode(h, lat: Lattice, sampler: PpnSampler | None,
     or from a Philox stream keyed by `noise_seed` (never from the shared
     seed); with neither given it uses fresh OS entropy.
     """
-    if isinstance(h, ModelUpdate):
-        h = h.vector
     h = np.asarray(h, dtype=float).ravel()
     if sampler is not None and sampler.lattice.dimension != lat.dimension:
         raise ValueError("sampler lattice dimension mismatch")

@@ -8,13 +8,14 @@ gamma. The basic cell P0 is the set of points whose nearest lattice point
 is the origin; it is the support of the subtractive-dither error.
 
 Supported families: scalar uniform (L=1), square (L=2, scaled identity)
-and hexagonal (L=2).
+and hexagonal (L=2). Each has a closed-form nearest-point rule (per-axis
+rounding; for the hexagon, rounding in its two rectangular cosets) and a
+closed-form cell: variance, vertices and characteristic function.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Voronoi
 
 __all__ = [
     "Lattice",
@@ -25,6 +26,7 @@ __all__ = [
     "quantize_clipped",
     "sample_cell_uniform",
     "cell_cf",
+    "cell_variance_per_coord",
 ]
 
 
@@ -67,8 +69,6 @@ class Lattice:
     nominal_rate: int
     family: str
     delta_q: float
-    coords: np.ndarray = field(repr=False)
-    _ginv: np.ndarray = field(repr=False)
     _lookup: np.ndarray = field(repr=False)
     _lmax: int = field(repr=False)
 
@@ -133,8 +133,6 @@ def _build(generator: np.ndarray, gamma: float, rate: int, family: str,
         nominal_rate=int(rate),
         family=family,
         delta_q=float(delta_q),
-        coords=coords,
-        _ginv=np.linalg.inv(generator),
         _lookup=lookup,
         _lmax=lmax,
     )
@@ -178,32 +176,31 @@ def hexagonal_lattice(gamma: float, rate: int) -> Lattice:
 
 
 def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
-    """Integer coordinates of the nearest (unrestricted) lattice point."""
+    """
+    Integer coordinates of the nearest (unrestricted) lattice point.
+
+    Scalar and square: per-axis mid-tread rounding floor(x/delta + 1/2), so
+    ties round half up on each axis. Hexagonal (Conway & Sloane 1982): the
+    lattice is the union of the rectangular lattice delta*(Z x sqrt(3)Z)
+    and its shift by delta*(1/2, sqrt(3)/2); round half up per axis in each
+    and keep the nearer point, the unshifted one on a tie.
+    """
     x = np.asarray(x, dtype=float)
-    if lat.dimension == 1:
-        # Mid-tread convention: floor(x/delta + 1/2) rounds half-ties up.
+    if lat.family != "hexagonal":
         return np.floor(x / lat.delta_q + 0.5).astype(np.int64)
-    batch_shape = x.shape[:-1]
-    flat = x.reshape(-1, lat.dimension)
-    # Babai rounding can be off by a small offset for skewed generators;
-    # search a lexicographically ordered neighborhood so ties resolve to
-    # the lexicographically smallest integer vector. Chunked to bound the
-    # (chunk, candidates, L) temporary.
-    offs = np.stack(np.meshgrid(*([np.arange(-2, 3)] * lat.dimension),
-                                indexing="ij"), axis=-1).reshape(-1, lat.dimension)
-    out = np.empty_like(flat, dtype=np.int64)
-    chunk = 1 << 16
-    for lo in range(0, len(flat), chunk):
-        xs = flat[lo:lo + chunk]
-        l0 = np.floor(xs @ lat._ginv.T + 0.5).astype(np.int64)
-        cand = l0[:, None, :] + offs
-        diff = cand @ lat.generator.T - xs[:, None, :]
-        d2 = np.einsum("nci,nci->nc", diff, diff)
-        # argmin returns the first minimizer; candidates are sorted so
-        # exact ties resolve to the lexicographically smallest vector.
-        best = np.argmin(d2, axis=1)
-        out[lo:lo + chunk] = cand[np.arange(len(xs)), best]
-    return out.reshape(batch_shape + (lat.dimension,))
+    # Rectangular frame: u in units of delta, v in units of delta*sqrt(3);
+    # the shifted coset's nearest point is (floor(u), floor(v)) + 1/2.
+    u = x[..., 0] / lat.delta_q
+    v = x[..., 1] / (lat.delta_q * np.sqrt(3.0))
+    a0, k0 = np.floor(u + 0.5), np.floor(v + 0.5)
+    a1, k1 = np.floor(u), np.floor(v)
+    d0 = (u - a0) ** 2 + 3.0 * (v - k0) ** 2
+    d1 = (u - a1 - 0.5) ** 2 + 3.0 * (v - k1 - 0.5) ** 2
+    shifted = d1 < d0
+    a = np.where(shifted, a1, a0)
+    k = np.where(shifted, k1, k0)
+    # delta*(a, sqrt(3) k) = G (a - k, 2k); its shift is G (a - k, 2k + 1).
+    return np.stack([a - k, 2.0 * k + shifted], axis=-1).astype(np.int64)
 
 
 def nearest_point(lat: Lattice, x: np.ndarray) -> np.ndarray:
@@ -278,17 +275,15 @@ def sample_cell_uniform(lat: Lattice, rng: np.random.Generator,
     return e[:, 0] if lat.dimension == 1 else e
 
 
-def _cell_polygon(lat: Lattice) -> np.ndarray:
-    """Vertices (counter-clockwise) of the Voronoi cell of the origin."""
-    rng_pts = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3),
-                                   indexing="ij"), axis=-1).reshape(-1, 2)
-    pts = rng_pts @ lat.generator.T
-    vor = Voronoi(pts)
-    origin = int(np.argmin(np.linalg.norm(pts, axis=1)))
-    region = vor.regions[vor.point_region[origin]]
-    verts = vor.vertices[region]
-    ang = np.arctan2(verts[:, 1], verts[:, 0])
-    return verts[np.argsort(ang)]
+def cell_variance_per_coord(lat: Lattice) -> float:
+    """
+    Per-coordinate variance of the cell-uniform error: delta^2/12 for the
+    scaled-identity families; 5 delta^2/72 for the hexagonal cell, its
+    normalized second moment 5/(36 sqrt(3)) times its area sqrt(3) delta^2/2.
+    """
+    if lat.family == "hexagonal":
+        return 5.0 * lat.delta_q ** 2 / 72.0
+    return lat.delta_q ** 2 / 12.0
 
 
 def cell_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
@@ -298,8 +293,9 @@ def cell_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
 
     Closed-form sinc for scaled-identity families; for the hexagonal cell
     the integral is evaluated exactly edge-by-edge via the divergence
-    theorem (with Gauss-Legendre quadrature over the triangulated cell as
-    the small-|t| fallback). Accepts t of shape (L,) or (..., L); for L=1
+    theorem, and by its second-order series 1 - |t|^2 var / 2 (var the
+    per-coordinate cell variance) where (|t| delta)^2 < 1e-6, below which
+    the edge sum cancels. Accepts t of shape (L,) or (..., L); for L=1
     scalars/arrays of scalars are also accepted.
     """
     t = np.asarray(t, dtype=float)
@@ -309,36 +305,37 @@ def cell_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
     if lat.family == "square":
         return (np.sinc(t[..., 0] * lat.delta_q / (2.0 * np.pi))
                 * np.sinc(t[..., 1] * lat.delta_q / (2.0 * np.pi)))
-    return _polygon_cf(_cell_polygon(lat), t)
+    return _hexagon_cf(lat, t)
 
 
-def _polygon_cf(verts: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _hexagon_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
     """
-    CF of the uniform distribution over a convex polygon.
+    CF of the uniform distribution over the hexagonal cell.
 
     Divergence theorem: integral over P of e^{i k.x} dA equals
     sum over edges of (k . n_j) / (i |k|^2) * integral of e^{i k.x} ds,
     and each edge integral is |e_j| * e^{i k.m_j} * sinc(k.u_j |e_j|/2/pi)
-    with m_j the edge midpoint. Exact up to roundoff for |k| away from 0;
-    near k=0 falls back to quadrature over the fan triangulation.
+    with m_j the edge midpoint. The cell's vertices lie at radius
+    delta/sqrt(3), angles pi/6 + j pi/3, counter-clockwise.
     """
-    t = np.asarray(t, dtype=float)
     single = t.ndim == 1
     tk = t[None, :] if single else t
     shape = tk.shape[:-1]
     tk = tk.reshape(-1, 2)
-    area = 0.5 * abs(np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
-                            - np.roll(verts[:, 0], -1) * verts[:, 1]))
+    delta = lat.delta_q
+    area = np.sqrt(3.0) / 2.0 * delta ** 2
+    ang = np.pi / 6.0 + np.arange(6) * np.pi / 3.0
+    verts = delta / np.sqrt(3.0) * np.stack([np.cos(ang), np.sin(ang)],
+                                            axis=1)
     knorm2 = np.sum(tk ** 2, axis=1)
-    out = np.ones(len(tk))
+    out = 1.0 - 0.5 * cell_variance_per_coord(lat) * knorm2
 
-    big = knorm2 > 1e-6
+    big = knorm2 * delta ** 2 >= 1e-6
     if np.any(big):
         k = tk[big]
         acc = np.zeros(len(k), dtype=complex)
-        nv = len(verts)
-        for j in range(nv):
-            a, b = verts[j], verts[(j + 1) % nv]
+        for j in range(6):
+            a, b = verts[j], verts[(j + 1) % 6]
             edge = b - a
             elen = np.linalg.norm(edge)
             u = edge / elen
@@ -348,25 +345,6 @@ def _polygon_cf(verts: np.ndarray, t: np.ndarray) -> np.ndarray:
                                                           / (2.0 * np.pi))
             acc += (k @ n) / (1j * knorm2[big]) * seg
         out[big] = np.real(acc) / area
-
-    small = ~big
-    if np.any(small):
-        # Gauss-Legendre over the fan triangulation; the integrand is
-        # smooth so a modest rule is exact to roundoff at small |k|.
-        gl_x, gl_w = np.polynomial.legendre.leggauss(12)
-        aq = 0.5 * (gl_x + 1.0)
-        wq = 0.5 * gl_w
-        k = tk[small]
-        total = np.zeros(len(k))
-        nv = len(verts)
-        for j in range(nv):
-            v1, v2 = verts[j], verts[(j + 1) % nv]
-            jac = abs(v1[0] * v2[1] - v1[1] * v2[0])
-            for ia, wa in zip(aq, wq):
-                pts = ia * ((1 - aq)[:, None] * v1 + aq[:, None] * v2)
-                w = wa * wq * ia * jac
-                total += np.cos(k @ pts.T) @ w
-        out[small] = total / area
 
     out = out.reshape(shape)
     return out[0] if single else out

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize, special, stats
 
-from .lattice import Lattice, cell_cf
+from .lattice import Lattice, cell_cf, cell_variance_per_coord
 
 __all__ = [
     "MechanismSpec",
@@ -37,7 +37,6 @@ __all__ = [
     "t_ppn_cf",
     "build_ppn_sampler",
     "mechanism_reference_sample",
-    "cell_variance_per_coord",
 ]
 
 # The privacy-budget formula for the multivariate-t mechanism is
@@ -271,29 +270,6 @@ def mechanism_reference_sample(spec: MechanismSpec, count: int,
     z = rng.normal(0.0, math.sqrt(spec.s2), size=(count, spec.dimension))
     q = rng.chisquare(spec.nu, size=count)
     return z * np.sqrt(spec.nu / q)[:, None]
-
-
-def cell_variance_per_coord(lat: Lattice) -> float:
-    """Per-coordinate variance of the cell-uniform error."""
-    if lat.family in ("scalar", "square"):
-        return lat.delta_q ** 2 / 12.0
-    # Hexagonal: exact second moment by quadrature over the fan
-    # triangulation of the Voronoi cell.
-    from .lattice import _cell_polygon
-    verts = _cell_polygon(lat)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    aq, wq = 0.5 * (gl_x + 1.0), 0.5 * gl_w
-    total = 0.0
-    area = 0.0
-    nv = len(verts)
-    for j in range(nv):
-        v1, v2 = verts[j], verts[(j + 1) % nv]
-        jac = abs(v1[0] * v2[1] - v1[1] * v2[0])
-        area += 0.5 * jac
-        for ia, wa in zip(aq, wq):
-            pts = ia * ((1 - aq)[:, None] * v1 + aq[:, None] * v2)
-            total += wa * jac * float((wq * ia) @ np.sum(pts * pts, axis=1))
-    return total / area / lat.dimension
 
 
 @dataclass

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from jopeq import privacy
 from jopeq.cli import CSV_VERSION, load_config, main, snr_sweep_point
 
 SMALL_SWEEP = """
@@ -132,6 +133,11 @@ class TestCodecCommands:
         assert rc == 0
         payload = out / "payload.bin"
         assert payload.exists()
+
+        def no_sampler(*args, **kwargs):
+            raise AssertionError("decoding must not build a PPN sampler")
+
+        clean_env.setattr(privacy, "build_ppn_sampler", no_sampler)
         rc = main(["codec-decode", str(payload), "--config", str(cfgp),
                    "--out", str(out), "--seed", "3"])
         assert rc == 0

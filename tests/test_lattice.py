@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jopeq.lattice import (ConfigurationError, cell_cf, hexagonal_lattice,
+from jopeq.flsim import CodecSpec
+from jopeq.lattice import (ConfigurationError, cell_cf,
+                           cell_variance_per_coord, hexagonal_lattice,
                            nearest_point, quantize_clipped,
                            sample_cell_uniform, scalar_uniform, square_lattice)
 
@@ -22,6 +24,26 @@ def all_lattices():
         square_lattice(3.0, 3),
         hexagonal_lattice(3.0, 3),
     ]
+
+
+def lattice_at(family, scale):
+    """A 2-D lattice with spacing 1 ("unit") or as in the benchmark."""
+    if scale == "benchmark":
+        return CodecSpec(family=family, rate=4, epsilon=3.0,
+                         mechanism="t").build()[0]
+    if family == "square":
+        return square_lattice(4.0, 3)
+    return hexagonal_lattice(HEX_UNIT_GAMMA, 3)
+
+
+def nearest_at_min_distance(lat, x):
+    """nearest_point(lat, x), checked against a brute-force distance."""
+    got = nearest_point(lat, x)
+    grid = np.stack(np.meshgrid(np.arange(-6, 7), np.arange(-6, 7),
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    best = np.min(np.linalg.norm(grid @ lat.generator.T - x, axis=1))
+    assert np.linalg.norm(got - x) == pytest.approx(best, rel=1e-12)
+    return got
 
 
 class TestConstruction:
@@ -72,17 +94,58 @@ class TestNearestPoint:
         assert nearest_point(lat, 0.0) == 0.0
         assert nearest_point(lat, 0.6) == 1.0
 
-    def test_hexagonal_matches_bruteforce(self):
-        lat = hexagonal_lattice(HEX_UNIT_GAMMA, 3)
+    @pytest.mark.parametrize("scale", ["unit", "benchmark"])
+    @pytest.mark.parametrize("family", ["square", "hexagonal"])
+    def test_matches_bruteforce(self, family, scale):
+        lat = lattice_at(family, scale)
         grid = np.stack(np.meshgrid(np.arange(-3, 4), np.arange(-3, 4),
                                     indexing="ij"), axis=-1).reshape(-1, 2)
-        cand = grid @ lat.generator.T
         rng = np.random.default_rng(3)
-        xs = rng.uniform(-1.5, 1.5, (200, 2))
-        xs = np.vstack([xs, [[0.9, 0.1]]])
-        for x in xs:
-            best = cand[np.argmin(np.linalg.norm(cand - x, axis=1))]
-            assert np.allclose(nearest_point(lat, x), best, atol=1e-9)
+        xs = np.vstack([rng.uniform(-1.5, 1.5, (2000, 2)), [[0.9, 0.1]]])
+        xs = xs * lat.delta_q
+        # Offsets of up to 1.5 spacings from random lattice points, some
+        # beyond the support: the nearest point is among the 7x7 integer
+        # vectors around the lattice point an offset starts from.
+        base = rng.integers(-20, 21, (len(xs), 2))
+        xs = xs + base @ lat.generator.T
+        cand = (base[:, None, :] + grid) @ lat.generator.T
+        d2 = np.sum((cand - xs[:, None, :]) ** 2, axis=-1)
+        best = cand[np.arange(len(xs)), np.argmin(d2, axis=1)]
+        assert np.allclose(nearest_point(lat, xs), best,
+                           rtol=0, atol=1e-9 * lat.delta_q)
+
+    @pytest.mark.parametrize("scale", ["unit", "benchmark"])
+    def test_square_ties_round_half_up(self, scale):
+        lat = lattice_at("square", scale)
+        # Edge midpoints and cell vertices, exact in floating point.
+        ties = np.array([[0.5, 0.0], [0.0, -0.5], [0.5, 0.5], [-0.5, -0.5],
+                         [2.5, -3.5]])
+        expect = np.array([[1, 0], [0, 0], [1, 1], [0, 0], [3, -3]])
+        for x, l in zip(ties * lat.delta_q, expect):
+            assert np.array_equal(nearest_at_min_distance(lat, x),
+                                  lat.generator @ l)
+
+    @pytest.mark.parametrize("scale", ["unit", "benchmark"])
+    def test_hexagonal_ties(self, scale):
+        lat = lattice_at("hexagonal", scale)
+        g = lat.generator
+        height = lat.delta_q * np.sqrt(3.0)  # row spacing of each coset
+        # Midpoint of the edge shared with G(1, 0): inside one coset, so
+        # the per-axis rule rounds half up.
+        got = nearest_at_min_distance(lat, np.array([0.5 * lat.delta_q, 0]))
+        assert np.array_equal(got, g @ [1, 0])
+        # Midpoint of the edge shared with G(0, 1), the nearest point of the
+        # shifted coset, written so both cosets are exactly as near: the
+        # unshifted coset's point, the origin, wins.
+        x = np.array([0.25 * lat.delta_q, 0.25 * height])
+        assert np.array_equal(nearest_at_min_distance(lat, x), [0.0, 0.0])
+        # Cell vertices at angles pi/6 and -pi/6, each shared by the origin,
+        # G(1, 0) and one shifted-coset point: the unshifted coset rounds
+        # u = 1/2 up, so the origin is never the answer.
+        for sign, shifted in ((1, [0, 1]), (-1, [1, -1])):
+            x = np.array([0.5 * lat.delta_q, sign * height / 6.0])
+            got = nearest_at_min_distance(lat, x)
+            assert any(np.array_equal(got, g @ l) for l in ([1, 0], shifted))
 
     def test_idempotent_on_codebook(self):
         for lat in all_lattices():
@@ -158,6 +221,14 @@ class TestCellSampling:
         e = sample_cell_uniform(lat, rng, size=20_000)
         assert np.allclose(nearest_point(lat, e), 0.0, atol=1e-9)
 
+    def test_variance_matches_sampling(self):
+        rng = np.random.default_rng(4)
+        for lat in all_lattices():
+            e = sample_cell_uniform(lat, rng, size=400_000)
+            emp = float(np.mean(np.var(e.reshape(len(e), -1), axis=0)))
+            assert emp == pytest.approx(cell_variance_per_coord(lat),
+                                        rel=0.01)
+
     def test_single_sample_shape(self):
         rng = np.random.default_rng(2)
         assert np.isscalar(sample_cell_uniform(scalar_uniform(2.0, 2), rng))
@@ -202,3 +273,16 @@ class TestCellCf:
         for t in (np.array([0.5, 0.2]), np.array([1.5, -0.8])):
             mc = float(np.mean(np.cos(e @ t)))
             assert float(cell_cf(lat, t)) == pytest.approx(mc, abs=5e-3)
+
+    @pytest.mark.parametrize("scale", ["unit", "benchmark"])
+    def test_hexagonal_continuous_at_series_switch(self, scale):
+        # Below (|t| delta)^2 = 1e-6 the CF is its second-order series; just
+        # above it the edge sum must agree with that series.
+        lat = lattice_at("hexagonal", scale)
+        ang = np.linspace(0.0, np.pi, 13)
+        var = cell_variance_per_coord(lat)
+        for s2 in (0.99e-6, 1.01e-6):
+            t = (np.sqrt(s2) / lat.delta_q
+                 * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+            series = 1.0 - 0.5 * var * s2 / lat.delta_q ** 2
+            assert np.allclose(cell_cf(lat, t), series, rtol=0, atol=1e-12)

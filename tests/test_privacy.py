@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from jopeq.lattice import cell_cf, scalar_uniform, square_lattice
+from jopeq.lattice import (cell_cf, cell_variance_per_coord, scalar_uniform,
+                           square_lattice)
 from jopeq.privacy import (InfeasibleParametersError, MechanismInfeasibleError,
-                           build_ppn_sampler, cell_variance_per_coord,
-                           laplace_epsilon_for_budget, laplace_ppn_cf,
-                           laplace_spec, mechanism_reference_sample,
+                           build_ppn_sampler, laplace_epsilon_for_budget,
+                           laplace_ppn_cf, laplace_spec,
+                           mechanism_reference_sample,
                            pq_tradeoff_check, required_ppn_variance,
                            solve_t_params, t_mech_epsilon, t_ppn_cf, t_spec)
 
