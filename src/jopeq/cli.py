@@ -3,8 +3,9 @@ Experiment runner: configure, run, verify, and emit plot-ready CSV data.
 
 Commands
 --------
-verify              run the statistical invariant suite; nonzero exit on
-                    any failure.
+verify              run acceptance criteria 1-6 (`jopeq.checks`) with every
+                    pinned seed shifted by --seed; one line per report,
+                    nonzero exit on any failure.
 sweep               run the SNR-versus-rate and learning-curve studies
                     described by the config file; writes versioned CSVs.
 codec-encode/-decode  stand-alone codec on the documented byte layout.
@@ -22,11 +23,9 @@ from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
-from . import codec, flsim, privacy, stattests
+from . import checks, codec, flsim, privacy
 from .dither import SharedRandomness
-from .lattice import scalar_uniform
 
 CSV_VERSION = "# jopeq-csv v1"
 
@@ -130,22 +129,17 @@ def snr_sweep_point(args) -> tuple:
     rng = np.random.default_rng([seed, 7001])
     h = rng.normal(0.0, 1.0, dim)
     sr = SharedRandomness(seed=seed, user=0, round_index=0)
-    sampler = None
-    x = h
-    if baseline == "jopeq":
-        sampler = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
-    elif baseline == "separate":
-        # Privacy noise first, then quantization of the noisy vector.
-        m = -(-dim // lat.dimension)
-        zeta = codec.scale_coefficient(h, m)
-        noise = privacy.mechanism_reference_sample(
-            spec, m, np.random.default_rng([seed, 7002]))
-        x = h + noise.reshape(-1)[:dim] / zeta
-    elif baseline != "sdq":
+    if baseline == "separate":
+        ht, _ = flsim.separate_uplink(h, lat, spec, sr,
+                                      np.random.default_rng([seed, 7002]))
+    elif baseline in ("jopeq", "sdq"):
+        sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
+                   if baseline == "jopeq" else None)
+        enc = codec.encode(h, lat, sampler, sr, noise_seed=seed + 1)
+        ht = codec.decode(enc, lat, sr)
+    else:
         raise ValueError(f"snr sweep supports jopeq/separate/sdq, "
                          f"not {baseline!r}")
-    enc = codec.encode(x, lat, sampler, sr, noise_seed=seed + 1)
-    ht = codec.decode(enc, lat, sr)
     value = codec.snr([h], [ht])
     return rate, epsilon, baseline, value
 
@@ -196,81 +190,12 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, jobs: int) -> int:
 
 
 def cmd_verify(seed: int) -> int:
-    """Run the invariant suite; prints one report line per check."""
-    reports = []
-
-    # Distortion of subtractive dithered quantization is cell-uniform and
-    # uncorrelated with the input.
-    lat = scalar_uniform(8.0, 4)
-    from .dither import dither_block, sdq
-    rng = np.random.default_rng([seed, 1])
-    x = rng.normal(0.0, 1.0, 100_000)
-    d = dither_block(SharedRandomness(seed + 1), lat, len(x))[:, 0]
-    val, _, ov = sdq(lat, x, d)
-    err = (val - x)[~ov]
-    reports.append(stattests.ks_test(
-        err, lambda z: np.clip(z + 0.5, 0.0, 1.0), "sdq-distortion-uniform"))
-    reports.append(stattests.correlation_test(
-        x[~ov], err, "sdq-distortion-independence"))
-
-    # End-to-end scaled distortion matches the Laplace mechanism. The
-    # margin at this configuration is thin, so a failed draw is retried
-    # once with a second fixed seed before being reported.
-    lat5 = scalar_uniform(9.0, 4)
-    samp = privacy.build_ppn_sampler(privacy.laplace_spec(1.0, 1), lat5)
-    for attempt, s in enumerate([seed, seed + 17]):
-        h = np.random.default_rng([s, 2]).normal(0.0, 1.0, 110_000)
-        sr = SharedRandomness(seed=s + 2)
-        enc = codec.encode(h, lat5, samp, sr, noise_seed=s + 3)
-        ht = codec.decode(enc, lat5, sr)
-        dist = ((ht - h) * enc.zeta)[~enc.overload_mask][:100_000]
-        rep = stattests.ks_test(dist, lambda v: stats.laplace.cdf(v, scale=2.0),
-                                "laplace-total-law")
-        if rep.passed:
-            break
-    reports.append(rep)
-
-    # End-to-end whitened distortion matches the multivariate-t mechanism.
-    lat2, tspec = flsim.CodecSpec(family="square", rate=6, epsilon=3.0,
-                                  mechanism="t", nu=3.0).build()
-    samp2 = privacy.build_ppn_sampler(tspec, lat2)
-    n2 = 4000
-    h2 = np.random.default_rng([seed, 3]).normal(0.0, 1.0, 2 * n2)
-    sr2 = SharedRandomness(seed=seed + 4)
-    enc2 = codec.encode(h2, lat2, samp2, sr2, noise_seed=seed + 5)
-    ht2 = codec.decode(enc2, lat2, sr2)
-    dist2 = ((ht2 - h2) * enc2.zeta).reshape(-1, 2)[~enc2.overload_mask]
-    ref = privacy.mechanism_reference_sample(
-        tspec, len(dist2), np.random.default_rng([seed, 4]))
-    reports.append(stattests.energy_distance_test(
-        dist2, ref, seed=seed, name="t-total-law"))
-
-    # Privacy-for-free threshold.
-    eps, rate = 4.0, 2
-    gamma_eq = np.sqrt(24.0) * 2 ** rate / eps
-    ok = (privacy.pq_tradeoff_check(gamma_eq, eps, rate)
-          and abs(privacy.required_ppn_variance(gamma_eq, eps, rate)) < 1e-10
-          and not privacy.pq_tradeoff_check(gamma_eq * 0.99, eps, rate))
-    reports.append(stattests.TestReport("pq-threshold", 0.0 if ok else 1.0,
-                                        0.5, 1, ok))
-
-    # Theorem bounds on a short run.
-    fcfg = flsim.FlConfig(baseline="jopeq", rounds=60, schedule="decay",
-                          seed=seed)
-    metrics = flsim.run_experiment(fcfg)
-    ok6 = all(m.weights_distortion <= m.thm6_rhs for m in metrics)
-    ok7 = all(m.loss_gap <= m.thm7_rhs for m in metrics)
-    worst6 = max(m.weights_distortion / m.thm6_rhs for m in metrics)
-    worst7 = max(m.loss_gap / m.thm7_rhs for m in metrics)
-    reports.append(stattests.TestReport("thm6-bound", worst6, 1.0,
-                                        len(metrics), ok6))
-    reports.append(stattests.TestReport("thm7-bound", worst7, 1.0,
-                                        len(metrics), ok7))
-
-    failed = 0
-    for rep in reports:
-        print(rep)
-        failed += 0 if rep.passed else 1
+    """Run every check in `checks.CHECKS`; one line per report."""
+    failed = False
+    for check in checks.CHECKS.values():
+        for rep in check(seed):
+            print(rep)
+            failed |= not rep.passed
     return 1 if failed else 0
 
 

@@ -46,10 +46,10 @@ class EncodedUpdate:
     One encoded model update.
 
     `indices` are codebook indices for the M sub-vectors; `zeta` is the
-    scaling coefficient, transmitted uncompressed; `overload_mask` flags
-    sub-vectors whose unclipped quantization fell outside the codebook
-    (in-memory only, like `original_dim` which is needed to strip the
-    zero-padded tail and is carried out of band).
+    scaling coefficient, transmitted uncompressed; `overloads` counts the
+    sub-vectors whose unclipped quantization fell outside the codebook, and
+    `overload_mask` flags them (in-memory only, like `original_dim` which is
+    needed to strip the zero-padded tail and is carried out of band).
     """
 
     indices: np.ndarray
@@ -58,18 +58,12 @@ class EncodedUpdate:
     nominal_rate: int
     index_bits: int
     original_dim: int
+    overloads: int = 0
     overload_mask: np.ndarray | None = field(repr=False, default=None)
-    overload_count: int = 0
 
     @property
     def m_subvectors(self) -> int:
         return len(self.indices)
-
-    @property
-    def overloads(self) -> int:
-        if self.overload_mask is not None:
-            return int(self.overload_mask.sum())
-        return self.overload_count
 
     @property
     def payload_bits(self) -> int:
@@ -109,7 +103,7 @@ class EncodedUpdate:
         idx = idx.astype(np.int64)
         if np.any(idx >= len(lat.codebook)):
             raise CorruptPayloadError("index out of codebook range")
-        return cls(idx, zeta, dim, rate, w, m * dim, None, overloads)
+        return cls(idx, zeta, dim, rate, w, m * dim, overloads)
 
 
 def scale_coefficient(h: np.ndarray, m_subvectors: int) -> float:
@@ -155,8 +149,8 @@ def encode(h, lat: Lattice, sampler: PpnSampler | None,
         # at unit scale.
         zero_idx = int(lat._lookup[(lat._lmax,) * dim])
         return EncodedUpdate(np.full(m, zero_idx, dtype=np.int64), 1.0, dim,
-                             lat.nominal_rate, lat.index_bits, d,
-                             np.zeros(m, dtype=bool), 0)
+                             lat.nominal_rate, lat.index_bits, d, 0,
+                             np.zeros(m, dtype=bool))
 
     zeta = scale_coefficient(h, m)
     subs = np.zeros((m, dim))
@@ -173,7 +167,7 @@ def encode(h, lat: Lattice, sampler: PpnSampler | None,
 
     _, idx, overloaded = quantize_clipped(lat, subs + dith + noise)
     return EncodedUpdate(idx, zeta, dim, lat.nominal_rate, lat.index_bits,
-                         d, overloaded, int(overloaded.sum()))
+                         d, int(overloaded.sum()), overloaded)
 
 
 def decode(enc: EncodedUpdate, lat: Lattice,

@@ -36,6 +36,7 @@ __all__ = [
     "heterogeneity_gap",
     "calibrate_xi",
     "run_experiment",
+    "separate_uplink",
     "DivergenceError",
 ]
 
@@ -356,6 +357,27 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     return 1.1 * best
 
 
+def _add_mechanism_noise(h: np.ndarray, lat: Lattice, spec,
+                         rng: np.random.Generator) -> np.ndarray:
+    """h plus direct mechanism noise on its zeta-scaled sub-vectors."""
+    m = -(-len(h) // lat.dimension)
+    zeta = codec.scale_coefficient(h, m)
+    noise = privacy.mechanism_reference_sample(spec, m, rng)
+    return h + noise.reshape(-1)[:len(h)] / zeta
+
+
+def separate_uplink(h: np.ndarray, lat: Lattice, spec, sr: SharedRandomness,
+                    noise_rng: np.random.Generator):
+    """
+    Separate baseline, returning (h_tilde, overloads): privacy noise from
+    `noise_rng` first, then quantization of the noisy vector as an opaque
+    second stage (its own scaling), which spends range on the noise.
+    """
+    noisy = _add_mechanism_noise(h, lat, spec, noise_rng)
+    enc = codec.encode(noisy, lat, None, sr)
+    return codec.decode(enc, lat, sr), enc.overloads
+
+
 def _uplink(cfg: FlConfig, lat: Lattice, spec, sampler, h: np.ndarray,
             k: int, r: int):
     """Apply the configured uplink transform; returns (h_tilde, overloads)."""
@@ -364,24 +386,14 @@ def _uplink(cfg: FlConfig, lat: Lattice, spec, sampler, h: np.ndarray,
         return h, 0
     sr = SharedRandomness(seed=cfg.seed, user=k, round_index=r)
     if mode in ("ppn", "separate"):
-        m = -(-len(h) // lat.dimension)
-        zeta = codec.scale_coefficient(h, m)
         rng = np.random.default_rng([cfg.seed, _TAG_PPN_ONLY, k, r])
-        noise = privacy.mechanism_reference_sample(spec, m, rng)
-        h = h + noise.reshape(-1)[:len(h)] / zeta
         if mode == "ppn":
-            return h, 0
-        # Separate baseline: privacy noise first, then quantization of the
-        # noisy vector as an opaque second stage (its own scaling), which
-        # spends dynamic range on the noise.
-        use = None
-    elif mode == "sdq":
-        use = None
-    elif mode == "jopeq":
-        use = sampler
-    else:
+            return _add_mechanism_noise(h, lat, spec, rng), 0
+        return separate_uplink(h, lat, spec, sr, rng)
+    if mode not in ("sdq", "jopeq"):
         raise ValueError(f"unknown baseline {mode!r}")
-    enc = codec.encode(h, lat, use, sr, noise_seed=cfg.seed + 1)
+    enc = codec.encode(h, lat, sampler if mode == "jopeq" else None, sr,
+                       noise_seed=cfg.seed + 1)
     return codec.decode(enc, lat, sr), enc.overloads
 
 

@@ -78,11 +78,6 @@ class Lattice:
         return abs(float(np.linalg.det(self.generator)))
 
     @property
-    def levels(self) -> float:
-        """Number of quantization cells along the support, 2*gamma/delta_q."""
-        return 2.0 * self.support_radius / self.delta_q
-
-    @property
     def index_bits(self) -> int:
         """Fixed index width used for transport, ceil(log2(|codebook|))."""
         return max(1, int(np.ceil(np.log2(len(self.codebook)))))

@@ -4,13 +4,13 @@ Local-differential-privacy mechanism algebra and privacy-preserving-noise
 
 The PPN n is designed so that n plus the cell-uniform quantization error e
 realizes a target LDP mechanism: its characteristic function is the target
-mechanism CF divided by the cell CF. That ratio is inverted numerically on
-a symmetric grid; because the cell CF has isolated zeros, the raw inverse
-carries negative ripple, so the density table is refined by multiplicative
-nonnegative (Richardson-Lucy style) iterations that drive the convolution
-residual down while keeping the table a valid density. The raw-inversion
-diagnostics and the final residual are kept on the sampler's validity
-report.
+mechanism CF divided by the cell CF. Because the cell CF has isolated
+zeros, dividing and inverting directly would give a table with negative
+ripple; instead the density is tabulated on a symmetric grid by
+multiplicative nonnegative (Richardson-Lucy style) deconvolution
+iterations, which drive the convolution residual down while keeping the
+table a valid density. The sampler's `validity` dict records the final
+residual, the clipped and truncated mass, and whether it is degenerate.
 """
 
 import math
@@ -279,8 +279,9 @@ class PpnSampler:
 
     The table holds the deconvolved density on a symmetric grid; sampling
     draws a grid cell (inverse CDF for L=1, alias method for L=2) plus a
-    uniform jitter within the cell. `validity` records the raw-inversion
-    diagnostics and the achieved convolution residual.
+    uniform jitter within the cell. `validity` records the achieved
+    convolution residual, the clipped and truncated mass, and whether the
+    sampler is degenerate.
     """
 
     lattice: Lattice
@@ -334,15 +335,6 @@ class PpnSampler:
                          self.origin[1] + self.step[1] * (i1 + jit[:, 1])],
                         axis=1)
 
-    def validity_report(self) -> str:
-        """Human-readable validity summary."""
-        lines = [f"ppn sampler: {self.spec.kind} eps={self.spec.epsilon} "
-                 f"L={self.lattice.dimension} degenerate={self.degenerate}"]
-        for key, val in sorted(self.validity.items()):
-            lines.append(f"  {key} = {val:.6g}" if isinstance(val, float)
-                         else f"  {key} = {val}")
-        return "\n".join(lines)
-
 
 def _build_alias(prob: np.ndarray):
     """Vose alias tables for a probability vector."""
@@ -369,31 +361,6 @@ def _fft_freqs(n: int, dx: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
 
 
-def _raw_inversion_diagnostics(target: np.ndarray, cell_fft: np.ndarray,
-                               fft: callable, ifft: callable,
-                               cell_measure: float) -> dict:
-    """
-    Spec-recipe inversion of the CF ratio (divide, patch nodes near cell-CF
-    zeros by neighbor interpolation, transform back): kept as a diagnostic;
-    its negative ripple is why the table is refined instead.
-    """
-    tf = fft(target)
-    guard = np.abs(cell_fft) < 1e-6
-    ratio = np.where(guard, 0.0, tf / np.where(guard, 1.0, cell_fft))
-    if np.any(guard):
-        flat = ratio.ravel()
-        bad = np.flatnonzero(guard.ravel())
-        good = np.flatnonzero(~guard.ravel())
-        flat[bad] = np.interp(bad, good, flat[good].real)
-        ratio = flat.reshape(ratio.shape)
-    raw = np.real(ifft(ratio))
-    neg = raw < 0
-    return {
-        "raw_min_density": float(raw.min()),
-        "raw_negative_mass": float(-raw[neg].sum() * cell_measure),
-    }
-
-
 def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
                       allow_degenerate: bool = False,
                       grid_points: int | None = None,
@@ -406,7 +373,7 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
     When the quantization noise alone meets or exceeds the target noise
     (the privacy-for-free regime) the deconvolution has no valid density;
     with allow_degenerate=True a near-zero-variance sampler is returned
-    (validity report flags it), otherwise MechanismInfeasibleError is
+    (its `validity` flags it), otherwise MechanismInfeasibleError is
     raised. A density table whose negative mass before final clipping
     exceeds 1e-3 also raises.
     """
@@ -458,10 +425,6 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
     target_mass = float(target.sum() * cell_measure)
     cell_fft = cell_cf(lat, tgrid)
 
-    validity = _raw_inversion_diagnostics(target / target.sum() /
-                                          cell_measure, cell_fft, fft, ifft,
-                                          cell_measure)
-
     # Multiplicative nonnegative refinement: f <- f * K^T(target / K f)
     # with K the cell-uniform convolution applied in the Fourier domain.
     f = target.copy()
@@ -483,12 +446,12 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
                       cell_measure)
     else:
         resid = float(0.5 * np.abs(achieved - target).sum() * cell_measure)
-    validity.update({
+    validity = {
         "degenerate": False,
         "clipped_mass": clipped_mass,
         "conv_residual": resid,
         "truncated_target_mass": float(1.0 - target_mass),
-    })
+    }
 
     prob = (f * cell_measure).ravel()
     prob /= prob.sum()

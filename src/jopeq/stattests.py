@@ -81,21 +81,6 @@ def correlation_test(x: np.ndarray, y: np.ndarray,
     return TestReport(name, abs(r), crit, n, abs(r) < crit)
 
 
-def _pairwise_distances(z: np.ndarray) -> np.ndarray:
-    """Dense float32 Euclidean distance matrix, built in row chunks."""
-    z = np.ascontiguousarray(z, dtype=np.float32)
-    n = len(z)
-    sq = np.sum(z * z, axis=1)
-    d = np.empty((n, n), dtype=np.float32)
-    chunk = max(1, (1 << 25) // max(n, 1))
-    for lo in range(0, n, chunk):
-        g = z[lo:lo + chunk] @ z.T
-        block = sq[lo:lo + chunk, None] + sq[None, :] - 2.0 * g
-        np.maximum(block, 0.0, out=block)
-        d[lo:lo + chunk] = np.sqrt(block)
-    return d
-
-
 def energy_distance_test(a: np.ndarray, b: np.ndarray, seed: int = 0,
                          n_permutations: int = 200,
                          name: str = "energy") -> TestReport:
@@ -105,36 +90,44 @@ def energy_distance_test(a: np.ndarray, b: np.ndarray, seed: int = 0,
     Statistic: 2 E|A-B| - E|A-A'| - E|B-B'| over the pooled sample; the
     critical value is the 0.99 quantile of the statistic over
     `n_permutations` random relabelings (level 0.01).
+
+    The pooled distance matrix is never held whole: float32 row blocks of
+    it are formed once and multiplied against all labelings at once, so
+    memory grows with n times the number of labelings, not with n^2.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[0] == 1 and a.size > a.shape[1]:
-        a = a.T
-    if b.shape[0] == 1 and b.size > b.shape[1]:
-        b = b.T
+    # rows are sample points; a 1-D array is n scalar samples
+    a = np.asarray(a, dtype=float).reshape(len(a), -1)
+    b = np.asarray(b, dtype=float).reshape(len(b), -1)
     n, m = len(a), len(b)
     tot = n + m
-    dist = _pairwise_distances(np.vstack([a, b]))
-    row_sums = dist.sum(axis=1, dtype=np.float64)
-    grand = float(row_sums.sum())
 
-    def stat_for(indicator: np.ndarray) -> float:
-        da = dist @ indicator
-        s_aa = float(indicator @ da)
-        s_a = float(row_sums @ indicator)
-        s_ab = s_a - s_aa
-        s_bb = grand - 2.0 * s_a + s_aa
-        return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
-
-    base = np.zeros(tot, dtype=np.float32)
-    base[:n] = 1.0
-    observed = stat_for(base)
-
+    # Column 0 is the observed labeling (first n pooled rows are A),
+    # column i > 0 the i-th random relabeling.
     rng = np.random.default_rng(seed)
-    null = np.empty(n_permutations)
-    for i in range(n_permutations):
-        ind = np.zeros(tot, dtype=np.float32)
-        ind[rng.permutation(tot)[:n]] = 1.0
-        null[i] = stat_for(ind)
-    crit = float(np.quantile(null, 0.99))
+    ind = np.zeros((tot, n_permutations + 1), dtype=np.float32)
+    ind[:n, 0] = 1.0
+    for i in range(1, n_permutations + 1):
+        ind[rng.permutation(tot)[:n], i] = 1.0
+
+    z = np.ascontiguousarray(np.vstack([a, b]), dtype=np.float32)
+    sq = np.sum(z * z, axis=1)
+    row_sums = np.empty(tot)
+    dist_ind = np.empty_like(ind)  # (distance matrix) @ ind
+    chunk = max(1, (1 << 23) // tot)
+    for lo in range(0, tot, chunk):
+        g = z[lo:lo + chunk] @ z.T
+        block = sq[lo:lo + chunk, None] + sq[None, :] - 2.0 * g
+        np.maximum(block, 0.0, out=block)
+        np.sqrt(block, out=block)
+        row_sums[lo:lo + chunk] = block.sum(axis=1, dtype=np.float64)
+        dist_ind[lo:lo + chunk] = block @ ind
+
+    # Per labeling: s_aa sums distances within A, s_a all distances from A.
+    s_aa = (ind * dist_ind).sum(axis=0, dtype=np.float64)
+    s_a = row_sums @ ind
+    s_ab = s_a - s_aa
+    s_bb = row_sums.sum() - 2.0 * s_a + s_aa
+    stat = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
+    observed = float(stat[0])
+    crit = float(np.quantile(stat[1:], 0.99))
     return TestReport(name, observed, crit, tot, observed < crit)

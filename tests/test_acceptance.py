@@ -1,26 +1,19 @@
 """
 Acceptance suite: one test per release criterion, each printing a single
 PASS/FAIL line. Tolerances are the contractual ones; configurations are
-pinned so every run is deterministic.
+pinned so every run is deterministic. Criteria 1-6 run the checks in
+`jopeq.checks` at seed 0, the same checks `jopeq verify` runs.
 """
 
 import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
-from scipy import stats
 
+from jopeq import checks
 from jopeq.cli import CSV_VERSION, load_config, main, snr_sweep_point
-from jopeq.codec import decode, encode
-from jopeq.dither import SharedRandomness, dither_block, sdq
 from jopeq.flsim import (CodecSpec, FlConfig, TaskSpec, build_task,
                          calibrate_xi, run_experiment)
-from jopeq.lattice import scalar_uniform, square_lattice
-from jopeq.privacy import (MechanismInfeasibleError, build_ppn_sampler,
-                           laplace_spec, mechanism_reference_sample,
-                           pq_tradeoff_check, required_ppn_variance, t_spec)
-from jopeq.stattests import energy_distance_test, ks_test
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -30,54 +23,19 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_sdq_distortion_law():
     t0 = time.monotonic()
-    lat = scalar_uniform(8.0, 4)  # L=1, Delta_Q = 1
-    n = 100_000
-    rng = np.random.default_rng(100)
-    inputs = {
-        "gaussian": np.clip(rng.normal(0.0, 1.0, n), -3.0, 3.0),
-        "uniform": rng.uniform(-3.0, 3.0, n),
-        "constant": np.full(n, 0.25),
-    }
-    details, ok = [], True
-    for i, (name, x) in enumerate(inputs.items()):
-        d = dither_block(SharedRandomness(seed=300 + i), lat, n)[:, 0]
-        val, _, over = sdq(lat, x, d)
-        assert not np.any(over)
-        err = val - x
-        rep = ks_test(err, lambda v: np.clip(v + 0.5, 0.0, 1.0),
-                      f"sdq-{name}")
-        if np.ptp(x) == 0.0:
-            # a constant input is trivially uncorrelated with anything
-            corr = 0.0
-        else:
-            corr = abs(float(np.corrcoef(x, err)[0, 1]))
-        ok &= rep.passed and corr < 0.01
-        details.append(f"{name} ks={rep.statistic:.4f}"
-                       f"(<{rep.critical:.4f}) |corr|={corr:.4f}")
+    reps = checks.sdq_distortion_law(0)
+    details = [f"{ks.name.removeprefix('sdq-')} ks={ks.statistic:.4f}"
+               f"(<{ks.critical:.4f}) |corr|={corr.statistic:.4f}"
+               for ks, corr in zip(reps[0::2], reps[1::2])]
     elapsed = time.monotonic() - t0
-    ok &= elapsed < 10.0
+    ok = all(r.passed for r in reps) and elapsed < 10.0
     _report(1, ok, "; ".join(details) + f"; {elapsed:.1f}s")
 
 
 def test_criterion_2_scalar_total_law():
     t0 = time.monotonic()
-    lat = scalar_uniform(9.0, 4)  # gamma = 2R + 1/eps
-    samp = build_ppn_sampler(laplace_spec(1.0, 1), lat)
-    # The margin of this configuration is thin (the KS statistic sits near
-    # 0.9x critical from the overload-conditioning bias alone), so a failed
-    # first draw is retried once with a second pinned seed.
-    for h_seed in (7, 1):
-        h = np.random.default_rng(h_seed).normal(0.0, 1.0, 110_000)
-        sr = SharedRandomness(seed=1000 + h_seed)
-        enc = encode(h, lat, samp, sr, noise_seed=2000 + h_seed)
-        ht = decode(enc, lat, sr)
-        dist = ((ht - h) * enc.zeta)[~enc.overload_mask]
-        assert len(dist) >= 100_000
-        rep = ks_test(dist[:100_000],
-                      lambda v: stats.laplace.cdf(v, scale=2.0),
-                      "laplace-total-law")
-        if rep.passed:
-            break
+    [rep] = checks.scalar_total_law(0)
+    assert rep.sample_size == 100_000
     elapsed = time.monotonic() - t0
     ok = rep.passed and elapsed < 30.0
     _report(2, ok, f"scaled distortion vs Lap(0,2): ks={rep.statistic:.5f}"
@@ -87,19 +45,8 @@ def test_criterion_2_scalar_total_law():
 
 def test_criterion_3_vector_total_law():
     t0 = time.monotonic()
-    spec = t_spec(3.0, 2, 3.0)
-    gamma = 1.5 * (1.0 + spec.s2 * spec.nu / (spec.nu - 2.0))
-    lat = square_lattice(gamma, 6)
-    samp = build_ppn_sampler(spec, lat)
-    n = 10_000
-    h = np.random.default_rng(301).normal(0.0, 1.0, 2 * n + 400)
-    sr = SharedRandomness(seed=302)
-    enc = encode(h, lat, samp, sr, noise_seed=303)
-    ht = decode(enc, lat, sr)
-    dist = ((ht - h) * enc.zeta).reshape(-1, 2)[~enc.overload_mask][:n]
-    assert len(dist) == n
-    ref = mechanism_reference_sample(spec, n, np.random.default_rng(304))
-    rep = energy_distance_test(dist, ref, seed=305, name="t-total-law")
+    [rep] = checks.vector_total_law(0)
+    assert rep.sample_size == 2 * 10_000
     elapsed = time.monotonic() - t0
     ok = rep.passed and elapsed < 120.0
     _report(3, ok, f"whitened distortion vs t3(0, s^2 I): "
@@ -109,83 +56,32 @@ def test_criterion_3_vector_total_law():
 
 def test_criterion_4_privacy_for_free_threshold():
     t0 = time.monotonic()
-    eps, rate = 4.0, 2
-    gamma_eq = float(np.sqrt(24.0)) * 2 ** rate / eps
-    boundary = abs(required_ppn_variance(gamma_eq, eps, rate)) < 1e-10
-
-    # at/above the threshold the strict path is infeasible and the
-    # degenerate path succeeds with a zero-noise sampler
-    lat_at = scalar_uniform(gamma_eq, rate)
-    spec = laplace_spec(eps, 1)
-    with pytest.raises(MechanismInfeasibleError):
-        build_ppn_sampler(spec, lat_at)
-    degenerate_ok = build_ppn_sampler(spec, lat_at,
-                                      allow_degenerate=True).degenerate
-    above_ok = build_ppn_sampler(
-        spec, scalar_uniform(1.5 * gamma_eq, rate),
-        allow_degenerate=True).degenerate
-
-    # below it the strict deconvolution succeeds
-    below = build_ppn_sampler(spec, scalar_uniform(0.5 * gamma_eq, rate))
-    below_ok = (not below.degenerate) and below.variance_per_coord > 0.0
-    threshold_ok = (pq_tradeoff_check(gamma_eq, eps, rate)
-                    and not pq_tradeoff_check(0.99 * gamma_eq, eps, rate))
-
+    reps = checks.privacy_for_free_threshold(0)
     elapsed = time.monotonic() - t0
-    ok = (boundary and degenerate_ok and above_ok and below_ok
-          and threshold_ok and elapsed < 1.0)
+    ok = all(r.passed for r in reps) and elapsed < 1.0
     _report(4, ok, "required PPN variance 0 at gamma*eps/2^R=sqrt(24); "
             "degenerate path succeeds at/above, strict path succeeds below; "
             f"{elapsed:.2f}s")
 
 
-_TASK_LINEAR = TaskSpec(kind="linear", model_dim=10, samples_per_user=50,
-                        heterogeneity=1.0, reg_lambda=0.1)
-
-
 def test_criterion_5_weights_distortion_bound():
     t0 = time.monotonic()
-    cfg = FlConfig(task=_TASK_LINEAR,
-                   codec=CodecSpec(family="scalar", rate=4, epsilon=2.0),
-                   baseline="jopeq", users=10, tau=4, rounds=200,
-                   eta=0.05, schedule="fixed", seed=0)
-    ms = run_experiment(cfg)
-    ratios = [m.weights_distortion / m.thm6_rhs for m in ms]
-    per_round = max(ratios)
-    mean_ratio = (np.mean([m.weights_distortion for m in ms])
-                  / np.mean([m.thm6_rhs for m in ms]))
+    per_round, mean_ratio = checks.weights_distortion_bound(0)
     elapsed = time.monotonic() - t0
-    ok = per_round <= 1.0 and mean_ratio <= 1.0 and elapsed < 120.0
+    ok = per_round.passed and mean_ratio.passed and elapsed < 120.0
     _report(5, ok, f"||w_tilde - w||^2 <= bound every round "
-            f"(worst ratio {per_round:.3f}, mean ratio {mean_ratio:.3f}, "
-            f"200 rounds, {elapsed:.1f}s)")
+            f"(worst ratio {per_round.statistic:.3f}, mean ratio "
+            f"{mean_ratio.statistic:.3f}, 200 rounds, {elapsed:.1f}s)")
 
 
 def test_criterion_6_convergence_bound_and_rate():
     t0 = time.monotonic()
-    seeds = [5, 6, 7, 8, 9]
-    rounds = 2000
-    curves, worst = [], 0.0
-    for s in seeds:
-        cfg = FlConfig(task=_TASK_LINEAR,
-                       codec=CodecSpec(family="scalar", rate=4, epsilon=2.0),
-                       baseline="jopeq", users=10, tau=4, rounds=rounds,
-                       schedule="decay", seed=s)
-        ms = run_experiment(cfg)
-        worst = max(worst, max(m.loss_gap / m.thm7_rhs for m in ms))
-        curves.append([m.loss_gap for m in ms])
-    bound_ok = worst <= 1.0
-
-    mean_gap = np.mean(curves, axis=0)
-    t = np.arange(1, rounds + 1, dtype=float)
-    last_decade = t >= rounds / 10.0
-    slope = np.polyfit(np.log(t[last_decade]),
-                       np.log(mean_gap[last_decade]), 1)[0]
-    slope_ok = -1.3 <= slope <= -0.7
+    bound, slope = checks.convergence_bound_and_rate(0)
     elapsed = time.monotonic() - t0
-    ok = bound_ok and slope_ok and elapsed < 300.0
-    _report(6, ok, f"loss gap <= bound at all t (worst ratio {worst:.4f}); "
-            f"log-log slope {slope:.2f} in [-1.3,-0.7]; {elapsed:.1f}s")
+    ok = bound.passed and slope.passed and elapsed < 300.0
+    _report(6, ok, f"loss gap <= bound at all t (worst ratio "
+            f"{bound.statistic:.4f}); log-log slope {slope.statistic:.2f} "
+            f"in [-1.3,-0.7]; {elapsed:.1f}s")
 
 
 def test_criterion_7_snr_figure_shape():

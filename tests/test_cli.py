@@ -1,12 +1,13 @@
-"""Command-line interface: config parsing, sweep outputs, codec commands."""
+"""Command-line interface: config parsing, sweeps, codec commands, verify."""
 
 import os
 
 import numpy as np
 import pytest
 
-from jopeq import privacy
+from jopeq import checks, privacy
 from jopeq.cli import CSV_VERSION, load_config, main, snr_sweep_point
+from jopeq.stattests import TestReport as Report
 
 SMALL_SWEEP = """
 # minimal sweep configuration for tests
@@ -152,3 +153,22 @@ class TestCodecCommands:
     def test_missing_input_errors(self, clean_env, capsys):
         with pytest.raises(SystemExit):
             main(["codec-encode"])
+
+
+class TestVerify:
+    def test_runs_every_registered_check(self, clean_env, capsys):
+        def good(seed):
+            return [Report(f"good-{seed}", 0.1, 1.0, 10, True)]
+
+        def bad(seed):
+            return [Report(f"bad-{seed}", 2.0, 1.0, 10, False),
+                    Report(f"after-bad-{seed}", 0.1, 1.0, 10, True)]
+
+        clean_env.setattr(checks, "CHECKS", {"g": good, "b": bad})
+        assert main(["verify", "--seed", "3"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            str(r) for r in good(3) + bad(3)]
+
+        clean_env.setattr(checks, "CHECKS", {"g": good})
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(good(0)[0])]

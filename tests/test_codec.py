@@ -116,8 +116,12 @@ class TestDistortion:
         h = np.random.default_rng(5).normal(0.0, 1.0, 50_000)
         counts = []
         for gamma in (0.5, 1.0, 9.0):
-            enc, _ = _roundtrip(h, scalar_uniform(gamma, 4), seed=7)
-            counts.append(enc.overload_count)
+            lat = scalar_uniform(gamma, 4)
+            enc, _ = _roundtrip(h, lat, seed=7)
+            assert enc.overloads == int(enc.overload_mask.sum())
+            wired = EncodedUpdate.from_bytes(enc.to_bytes(), lat)
+            assert wired.overloads == enc.overloads
+            counts.append(enc.overloads)
         assert counts[0] > counts[1] > counts[2] == 0
 
 

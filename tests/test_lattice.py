@@ -52,7 +52,6 @@ class TestConstruction:
         assert scalar_uniform(1.0, 1).delta_q == 1.0
         lat = scalar_uniform(4.0, 3)
         assert lat.delta_q == 1.0
-        assert lat.levels == 8
 
     def test_scalar_codebook_is_symmetric_midtread(self):
         lat = scalar_uniform(2.0, 2)

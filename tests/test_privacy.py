@@ -138,7 +138,7 @@ class TestSamplerConstruction:
         assert samp.variance_per_coord == 0.0
         assert np.array_equal(samp.sample(4, np.random.default_rng(0)),
                               np.zeros((4, 1)))
-        assert "degenerate" in samp.validity_report()
+        assert samp.validity["degenerate"] is True
 
     def test_density_table_is_valid(self):
         lat = scalar_uniform(9.0, 4)
@@ -212,12 +212,6 @@ class TestSamplerConstruction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_ppn_sampler(laplace_spec(1.0, 1), square_lattice(5.0, 4))
-
-    def test_raw_inversion_diagnostics_reported(self):
-        lat = scalar_uniform(9.0, 4)
-        samp = build_ppn_sampler(laplace_spec(1.0, 1), lat)
-        assert samp.validity["raw_min_density"] < 0.0
-        assert samp.validity["raw_negative_mass"] > 1e-3
 
 
 class TestReferenceSampler:

@@ -60,11 +60,44 @@ class TestCorrelation:
             correlation_test(np.ones(5), np.ones(6))
 
 
+def _dense_energy(a, b, seed, n_permutations=200):
+    """
+    Reference (statistic, critical value) from the dense float64 distance
+    matrix, relabeling in `energy_distance_test`'s order. Small n only.
+    """
+    n, m = len(a), len(b)
+    z = np.vstack([a, b])
+    dist = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
+
+    def stat(in_a):
+        s_aa = dist[np.ix_(in_a, in_a)].sum()
+        s_bb = dist[np.ix_(~in_a, ~in_a)].sum()
+        s_ab = dist[np.ix_(in_a, ~in_a)].sum()
+        return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
+
+    rng = np.random.default_rng(seed)
+    null = [stat(np.isin(np.arange(n + m), rng.permutation(n + m)[:n]))
+            for _ in range(n_permutations)]
+    return stat(np.arange(n + m) < n), float(np.quantile(null, 0.99))
+
+
 class TestEnergyDistance:
     def _t_samples(self, rng, n, nu=3.0):
         z = rng.normal(0.0, 1.0, (n, 2))
         q = rng.chisquare(nu, size=n)
         return z * np.sqrt(nu / q)[:, None]
+
+    @pytest.mark.parametrize("same_law", [True, False])
+    def test_matches_dense_reference(self, same_law):
+        rng = np.random.default_rng(10)
+        a = self._t_samples(rng, 700)
+        b = (self._t_samples(rng, 500) if same_law
+             else rng.normal(0.0, np.sqrt(3.0), (500, 2)))
+        rep = energy_distance_test(a, b, seed=11)
+        stat, crit = _dense_energy(a, b, seed=11)
+        assert rep.statistic == pytest.approx(stat, rel=1e-3)
+        assert rep.critical == pytest.approx(crit, rel=1e-3)
+        assert rep.passed == (stat < crit)
 
     def test_two_halves_pass(self):
         rng = np.random.default_rng(5)
@@ -79,6 +112,13 @@ class TestEnergyDistance:
         b = rng.normal(0.0, np.sqrt(3.0), (10_000, 2))
         rep = energy_distance_test(a, b, seed=6)
         assert not rep.passed, str(rep)
+
+    def test_one_dimensional_samples_are_scalar_points(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=500), rng.normal(size=400)
+        rep = energy_distance_test(a, b, seed=13)
+        assert rep == energy_distance_test(a[:, None], b[:, None], seed=13)
+        assert rep.sample_size == 900 and rep.passed
 
     def test_identical_arrays_zero_statistic(self):
         x = np.random.default_rng(7).normal(size=(500, 2))
