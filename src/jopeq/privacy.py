@@ -9,14 +9,19 @@ zeros, dividing and inverting directly would give a table with negative
 ripple; instead the density is tabulated on a symmetric grid by
 multiplicative nonnegative (Richardson-Lucy style) deconvolution
 iterations, which drive the convolution residual down while keeping the
-table a valid density. The sampler's `validity` dict records the final
-residual, the clipped and truncated mass, and whether it is degenerate.
+table a valid density. The iteration count is fixed: 300 for L=1 and 150
+for L=2. The convolutions are real FFTs on the half-spectrum (nonnegative
+last-axis frequencies): the table is real and the cell CF is real and
+even, so the full complex spectrum holds nothing more. The sampler's
+`validity` dict records the final residual, the clipped and truncated
+mass, and whether it is degenerate.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import optimize, special, stats
 
 from .lattice import Lattice, cell_cf, cell_variance_per_coord
@@ -339,12 +344,13 @@ class PpnSampler:
 def _build_alias(prob: np.ndarray):
     """Vose alias tables for a probability vector."""
     n = len(prob)
-    scaled = prob * n
-    alias = np.zeros(n, dtype=np.int64)
-    cut = np.ones(n)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
+    # The loop runs on Python lists: scalar indexing of numpy arrays costs
+    # several times more per step, and the float arithmetic is the same.
+    scaled = (prob * n).tolist()
+    alias = [0] * n
+    cut = [1.0] * n
+    small = [i for i, p in enumerate(scaled) if p < 1.0]
+    large = [i for i, p in enumerate(scaled) if p >= 1.0]
     while small and large:
         s = small.pop()
         g = large.pop()
@@ -352,13 +358,12 @@ def _build_alias(prob: np.ndarray):
         alias[s] = g
         scaled[g] += scaled[s] - 1.0
         (large if scaled[g] >= 1.0 else small).append(g)
-    for i in small + large:
-        cut[i] = 1.0
-    return cut, alias
+    return np.array(cut), np.array(alias, dtype=np.int64)
 
 
-def _fft_freqs(n: int, dx: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+def _rfft_freqs(n: int, dx: float) -> np.ndarray:
+    """Angular frequencies of the nonnegative half of an n-point spectrum."""
+    return 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
 
 
 def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
@@ -374,8 +379,15 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
     (the privacy-for-free regime) the deconvolution has no valid density;
     with allow_degenerate=True a near-zero-variance sampler is returned
     (its `validity` flags it), otherwise MechanismInfeasibleError is
-    raised. A density table whose negative mass before final clipping
-    exceeds 1e-3 also raises.
+    raised.
+
+    The table is refined for `refine_iters` iterations (default 300 for
+    L=1 on 2^14 points, 150 for L=2 on 512^2) of f <- f * K(target / K f),
+    where K convolves with the cell-uniform density through `rfftn`, the
+    cell CF evaluated on the half-spectrum only. The update multiplies
+    f >= 0 by a clipped-to-nonnegative correction, so the table cannot go
+    negative: the final clip, the reported `clipped_mass` (0.0) and the
+    raise when that mass exceeds 1e-3 only guard this invariant.
     """
     if spec.dimension != lat.dimension:
         raise ValueError("mechanism dimension must equal lattice dimension")
@@ -400,47 +412,55 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
                           np.zeros((0,) * d), validity)
 
     sigma = math.sqrt(target_var)
+    half = span * sigma
     if d == 1:
         n = grid_points or 1 << 14
         iters = refine_iters or 300
-        half = span * sigma
         dx = 2.0 * half / n
         x = (-half + dx * (np.arange(n) + 0.5))[:, None]
-        tgrid = _fft_freqs(n, dx)[:, None]
-        fft, ifft = np.fft.fft, np.fft.ifft
+        tgrid = _rfft_freqs(n, dx)[:, None]
         cell_measure = dx
     else:
         n = grid_points or 1 << 9
         iters = refine_iters or 150
-        half = span * sigma
         dx = 2.0 * half / n
         ax = -half + dx * (np.arange(n) + 0.5)
         x = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-        f1 = _fft_freqs(n, dx)
-        tgrid = np.stack(np.meshgrid(f1, f1, indexing="ij"), axis=-1)
-        fft, ifft = np.fft.fft2, np.fft.ifft2
+        tgrid = np.stack(np.meshgrid(2.0 * np.pi * np.fft.fftfreq(n, d=dx),
+                                     _rfft_freqs(n, dx), indexing="ij"),
+                         axis=-1)
         cell_measure = dx * dx
+    shape = x.shape[:-1]
 
     target = _target_pdf(spec, x)
     target_mass = float(target.sum() * cell_measure)
-    cell_fft = cell_cf(lat, tgrid)
+    cell_half = cell_cf(lat, tgrid)
 
-    # Multiplicative nonnegative refinement: f <- f * K^T(target / K f)
-    # with K the cell-uniform convolution applied in the Fourier domain.
+    def convolve(v: np.ndarray) -> np.ndarray:
+        """K v: circular convolution with the cell-uniform density."""
+        spectrum = sp_fft.rfftn(v)
+        spectrum *= cell_half
+        return sp_fft.irfftn(spectrum, s=shape)
+
+    # Multiplicative nonnegative refinement: f <- f * K^T(target / K f),
+    # with K = K^T because the cell CF is real and even.
     f = target.copy()
     for _ in range(iters):
-        denom = np.maximum(np.real(ifft(fft(f) * cell_fft)), 1e-300)
-        corr = np.real(ifft(fft(target / denom) * cell_fft))
-        f *= np.maximum(corr, 0.0)
+        ratio = convolve(f)
+        np.maximum(ratio, 1e-300, out=ratio)
+        np.divide(target, ratio, out=ratio)
+        corr = convolve(ratio)
+        np.maximum(corr, 0.0, out=corr)
+        f *= corr
 
-    clipped_mass = float(-np.minimum(f, 0.0).sum() * cell_measure)
+    clipped_mass = float(abs(np.minimum(f, 0.0).sum()) * cell_measure)
     if clipped_mass > 1e-3:
         raise MechanismInfeasibleError(
             f"deconvolved density clipped mass {clipped_mass:.3g} > 1e-3")
     f = np.clip(f, 0.0, None)
     f /= f.sum() * cell_measure
 
-    achieved = np.real(ifft(fft(f) * cell_fft))
+    achieved = convolve(f)
     if d == 1:
         resid = float(np.max(np.abs(np.cumsum(achieved - target))) *
                       cell_measure)

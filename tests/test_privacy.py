@@ -1,11 +1,14 @@
 """Mechanism parameter algebra and the PPN deconvolution samplers."""
 
+import math
+
 import numpy as np
 import pytest
 
-from jopeq.lattice import (cell_cf, cell_variance_per_coord, scalar_uniform,
-                           square_lattice)
+from jopeq.lattice import (cell_cf, cell_variance_per_coord,
+                           hexagonal_lattice, scalar_uniform, square_lattice)
 from jopeq.privacy import (InfeasibleParametersError, MechanismInfeasibleError,
+                           PpnSampler, _build_alias, _target_pdf,
                            build_ppn_sampler, laplace_epsilon_for_budget,
                            laplace_ppn_cf, laplace_spec,
                            mechanism_reference_sample,
@@ -148,6 +151,9 @@ class TestSamplerConstruction:
         assert float(samp.density.sum() * dx) == pytest.approx(1.0, abs=1e-6)
         assert samp.validity["conv_residual"] < 1e-3
         assert samp.validity["clipped_mass"] <= 1e-3
+        # The refinement keeps the table nonnegative, so nothing is clipped,
+        # and the mass reads +0.0, not the -0.0 of a negated sum of zeros.
+        assert math.copysign(1.0, samp.validity["clipped_mass"]) == 1.0
 
     def test_variance_additivity(self):
         lat = scalar_uniform(9.0, 4)
@@ -212,6 +218,129 @@ class TestSamplerConstruction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_ppn_sampler(laplace_spec(1.0, 1), square_lattice(5.0, 4))
+
+
+def _complex_fft_density(spec, lat, n, iters, span=8.0):
+    """
+    The refinement on the full complex spectrum, as build_ppn_sampler ran it
+    before it moved to real transforms: the reference for its density.
+    """
+    half = span * math.sqrt(spec.variance_per_coord)
+    dx = 2.0 * half / n
+    ax = -half + dx * (np.arange(n) + 0.5)
+    w = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    if lat.dimension == 1:
+        x, t = ax[:, None], w[:, None]
+        fft, ifft = np.fft.fft, np.fft.ifft
+    else:
+        x = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+        t = np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1)
+        fft, ifft = np.fft.fft2, np.fft.ifft2
+    target = _target_pdf(spec, x)
+    cf = cell_cf(lat, t)
+    f = target.copy()
+    for _ in range(iters):
+        denom = np.maximum(np.real(ifft(fft(f) * cf)), 1e-300)
+        f *= np.maximum(np.real(ifft(fft(target / denom) * cf)), 0.0)
+    f = np.clip(f, 0.0, None)
+    return f / (f.sum() * dx ** lat.dimension)
+
+
+def _vose_reference(prob):
+    """The Vose loop on numpy scalars that _build_alias must reproduce."""
+    n = len(prob)
+    scaled = prob * n
+    alias = np.zeros(n, dtype=np.int64)
+    cut = np.ones(n)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        cut[s] = scaled[s]
+        alias[s] = g
+        scaled[g] += scaled[s] - 1.0
+        (large if scaled[g] >= 1.0 else small).append(g)
+    for i in small + large:
+        cut[i] = 1.0
+    return cut, alias
+
+
+def _oracle_case(family):
+    if family == "scalar":
+        return laplace_spec(1.0, 1), scalar_uniform(9.0, 4)
+    spec = t_spec(3.0, 2, 3.0)
+    gamma = 1.5 * (1.0 + spec.s2 * spec.nu / (spec.nu - 2.0))
+    maker = square_lattice if family == "square" else hexagonal_lattice
+    return spec, maker(gamma, 4)
+
+
+class TestRealFftRefinement:
+    @pytest.mark.parametrize("family,n", [
+        ("scalar", 1024), ("scalar", 1023), ("square", 64), ("square", 63),
+        ("hexagonal", 64), ("hexagonal", 63)])
+    def test_matches_complex_fft_reference(self, family, n):
+        spec, lat = _oracle_case(family)
+        samp = build_ppn_sampler(spec, lat, grid_points=n, refine_iters=20)
+        ref = _complex_fft_density(spec, lat, n, 20)
+        assert samp.density.shape == ref.shape
+        assert (np.max(np.abs(samp.density - ref))
+                <= 1e-12 * np.max(ref))
+
+        prob = (ref * np.prod(samp.step)).ravel()
+        prob /= prob.sum()
+        if lat.dimension == 1:
+            tables = {"_cdf": np.cumsum(prob)}
+            flipped = []
+        else:
+            cut, alias = _vose_reference(prob)
+            tables = {"_alias_prob": cut, "_alias_idx": alias}
+            # Both targets and cells are symmetric under x -> -x, so mirror
+            # cells have equal mass in exact arithmetic. A rounding change
+            # of 1e-15 can reorder the last Vose pairing of such a tie: one
+            # alias then names the mirror cell, at the same cell odds.
+            flipped = np.nonzero(samp._alias_idx != alias)[0]
+            assert len(flipped) <= 1
+            assert np.array_equal(samp._alias_idx[flipped],
+                                  prob.size - 1 - alias[flipped])
+        if len(flipped) == 0:
+            oracle = PpnSampler(lat, spec, False, samp.origin, samp.step,
+                                ref, {}, **tables)
+            assert np.array_equal(
+                samp.sample(10_000, np.random.default_rng(8)),
+                oracle.sample(10_000, np.random.default_rng(8)))
+
+
+class TestAliasTable:
+    @staticmethod
+    def _check(prob, cut, alias):
+        n = len(prob)
+        implied = (cut + np.bincount(alias, weights=1.0 - cut,
+                                     minlength=n)) / n
+        assert np.max(np.abs(implied - prob)) <= 1e-12
+        ref_cut, ref_alias = _vose_reference(prob)
+        assert alias.dtype == np.int64
+        assert np.array_equal(cut, ref_cut)
+        assert np.array_equal(alias, ref_alias)
+
+    def test_random_vector(self):
+        prob = np.random.default_rng(9).random(5000)
+        prob[::7] = 0.0
+        prob /= prob.sum()
+        self._check(prob, *_build_alias(prob))
+
+    def test_exact_unit_ties(self):
+        # Dyadic masses make n * prob hit exactly 1.0 inside the loop.
+        prob = np.array([0.5, 1.5, 0.5, 1.5, 1.0, 0.0, 2.0, 1.0]) / 8.0
+        self._check(prob, *_build_alias(prob))
+
+    def test_built_2d_table(self):
+        spec, lat = _oracle_case("hexagonal")
+        samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=20)
+        prob = (samp.density * np.prod(samp.step)).ravel()
+        prob /= prob.sum()
+        self._check(prob, samp._alias_prob, samp._alias_idx)
 
 
 class TestReferenceSampler:
