@@ -10,7 +10,7 @@ distortion laws.
 
 from .codec import (CorruptPayloadError, EncodedUpdate, decode, encode,
                     scale_coefficient, snr)
-from .dither import SharedRandomness, dither_block, dither_for, dq, sdq
+from .dither import SharedRandomness, dither_block, sdq
 from .flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
                     RoundMetrics, Task, TaskSpec, build_task, calibrate_xi,
                     fedavg_round, heterogeneity_gap, local_sgd,
@@ -20,10 +20,9 @@ from .lattice import (ConfigurationError, Lattice, cell_cf, hexagonal_lattice,
                       scalar_uniform, square_lattice)
 from .privacy import (InfeasibleParametersError, MechanismInfeasibleError,
                       MechanismSpec, PpnSampler, build_ppn_sampler,
-                      laplace_epsilon_for_budget, laplace_ppn_cf,
                       laplace_spec, mechanism_reference_sample,
                       pq_tradeoff_check, required_ppn_variance,
-                      solve_t_params, t_mech_epsilon, t_ppn_cf, t_spec)
+                      solve_t_params, t_mech_epsilon, t_spec)
 from .stattests import (TestReport, correlation_test, energy_distance_test,
                         ks_test)
 

@@ -204,7 +204,9 @@ def cmd_codec_encode(cfg: dict, inp: str, out_path: Path, seed: int) -> int:
     sampler = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
     h = np.loadtxt(inp, ndmin=1)
     sr = SharedRandomness(seed=seed)
-    enc = codec.encode(h, lat, sampler, sr, noise_seed=seed + 1)
+    # The PPN comes from OS entropy: keyed on anything the decoder knows,
+    # the decoder could regenerate and subtract it.
+    enc = codec.encode(h, lat, sampler, sr)
     out_path.write_bytes(enc.to_bytes())
     print(f"wrote {out_path} ({enc.payload_bits} index bits, "
           f"{enc.overloads} overloads)")

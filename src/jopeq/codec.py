@@ -110,11 +110,12 @@ def scale_coefficient(h: np.ndarray, m_subvectors: int) -> float:
     """
     Scaling coefficient zeta = sqrt(M) / (3 ||h||), which keeps the scaled
     sub-vectors inside the unit ball with probability over 88% for zero-mean
-    coordinates (Chebyshev). Undefined for a zero-norm update.
+    coordinates (Chebyshev). Undefined for a zero-norm update, and refused
+    for a non-finite one, whose decoded values would all be non-finite.
     """
     norm = float(np.linalg.norm(np.asarray(h, dtype=float)))
-    if norm == 0.0:
-        raise ValueError("zeta undefined for a zero-norm update")
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ValueError(f"zeta undefined for an update of norm {norm}")
     return math.sqrt(m_subvectors) / (3.0 * norm)
 
 
@@ -127,15 +128,15 @@ def _noise_stream(noise_seed: int, sr: SharedRandomness) -> np.random.Generator:
 
 
 def encode(h, lat: Lattice, sampler: PpnSampler | None,
-           sr: SharedRandomness, noise_seed: int | None = None,
-           noise_rng: np.random.Generator | None = None) -> EncodedUpdate:
+           sr: SharedRandomness,
+           noise_seed: int | None = None) -> EncodedUpdate:
     """
     Encode a model update to codebook indices plus the scaling coefficient.
 
     `sampler` may be None to disable the PPN (quantization-only encode).
-    The PPN stream is private to the encoder: it is drawn from `noise_rng`
-    or from a Philox stream keyed by `noise_seed` (never from the shared
-    seed); with neither given it uses fresh OS entropy.
+    The PPN stream is private to the encoder: it is drawn from a Philox
+    stream keyed by `noise_seed` (never from the shared seed), or from
+    fresh OS entropy when `noise_seed` is None.
     """
     h = np.asarray(h, dtype=float).ravel()
     if sampler is not None and sampler.lattice.dimension != lat.dimension:
@@ -156,12 +157,11 @@ def encode(h, lat: Lattice, sampler: PpnSampler | None,
     subs = np.zeros((m, dim))
     subs.reshape(-1)[:d] = zeta * h
 
-    dith = dither_block(sr.at(0), lat, m)
+    dith = dither_block(sr, lat, m)
     if sampler is not None:
-        if noise_rng is None:
-            noise_rng = (_noise_stream(noise_seed, sr) if noise_seed is not None
-                         else np.random.default_rng())
-        noise = sampler.sample(m, noise_rng)
+        rng = (_noise_stream(noise_seed, sr) if noise_seed is not None
+               else np.random.default_rng())
+        noise = sampler.sample(m, rng)
     else:
         noise = 0.0
 
@@ -179,7 +179,7 @@ def decode(enc: EncodedUpdate, lat: Lattice,
     idx = np.asarray(enc.indices)
     if np.any(idx < 0) or np.any(idx >= len(lat.codebook)):
         raise CorruptPayloadError("index out of codebook range")
-    dith = dither_block(sr.at(0), lat, enc.m_subvectors)
+    dith = dither_block(sr, lat, enc.m_subvectors)
     sub = (lat.codebook[idx] - dith) / enc.zeta
     return sub.reshape(-1)[:enc.original_dim]
 

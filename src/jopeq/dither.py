@@ -1,5 +1,5 @@
 """
-Shared-seed dither streams and the dithered-quantization transforms.
+Shared-seed dither streams and subtractive dithered quantization.
 
 Encoder and decoder regenerate identical dither vectors from a shared
 seed and the stream coordinates (user, round, sub-vector index) without
@@ -8,13 +8,13 @@ dithered quantization (SDQ) quantizes x + d and subtracts d again, which
 makes the quantization error cell-uniform and independent of the input.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import Lattice, nearest_point, quantize_clipped
 
-__all__ = ["SharedRandomness", "dither_for", "dither_block", "dq", "sdq"]
+__all__ = ["SharedRandomness", "dither_block", "sdq"]
 
 # Domain-separation tag for the dither stream within the Philox counter
 # space (other streams derived from the same seed must use other tags).
@@ -34,18 +34,11 @@ class SharedRandomness:
         User index k.
     round_index : int
         FL round t.
-    subvector : int
-        Sub-vector index i within the round's update.
     """
 
     seed: int
     user: int = 0
     round_index: int = 0
-    subvector: int = 0
-
-    def at(self, subvector: int) -> "SharedRandomness":
-        """Same stream addressed at another sub-vector index."""
-        return replace(self, subvector=int(subvector))
 
 
 def _stream(sr: SharedRandomness) -> np.random.Generator:
@@ -58,31 +51,14 @@ def _stream(sr: SharedRandomness) -> np.random.Generator:
 
 def dither_block(sr: SharedRandomness, lat: Lattice, count: int) -> np.ndarray:
     """
-    Dither vectors for sub-vector indices [sr.subvector, sr.subvector+count).
+    Dither vectors for sub-vector indices 0, ..., count-1.
 
-    Returns a (count, L) array; row j is the dither for sub-vector index
-    sr.subvector + j, a deterministic function of (seed, user, round, index)
-    and marginally uniform over the basic cell.
+    Returns a (count, L) array; row i is the dither for sub-vector i, a
+    deterministic function of (seed, user, round, i) and marginally
+    uniform over the basic cell.
     """
-    total = sr.subvector + int(count)
-    u = _stream(sr).random((total, lat.dimension)) @ lat.generator.T
-    d = u - nearest_point(lat, u)
-    return d[sr.subvector:]
-
-
-def dither_for(sr: SharedRandomness, lat: Lattice) -> np.ndarray:
-    """Dither vector (shape (L,); scalar for L=1) at sr's coordinates."""
-    d = dither_block(sr, lat, 1)[0]
-    return float(d[0]) if lat.dimension == 1 else d
-
-
-def dq(lat: Lattice, x: np.ndarray, d: np.ndarray):
-    """
-    Non-subtractive dithered quantization: quantize x + d.
-
-    Returns (point, index, overloaded) from the clipped codebook quantizer.
-    """
-    return quantize_clipped(lat, np.asarray(x, dtype=float) + d)
+    u = _stream(sr).random((int(count), lat.dimension)) @ lat.generator.T
+    return u - nearest_point(lat, u)
 
 
 def sdq(lat: Lattice, x: np.ndarray, d: np.ndarray):
@@ -94,5 +70,6 @@ def sdq(lat: Lattice, x: np.ndarray, d: np.ndarray):
     non-overloaded inputs the distortion value - x is uniform over the
     basic cell and independent of x.
     """
-    point, idx, overloaded = dq(lat, x, d)
+    x = np.asarray(x, dtype=float)
+    point, idx, overloaded = quantize_clipped(lat, x + d)
     return point - d, idx, overloaded

@@ -117,15 +117,10 @@ class FlConfig:
     eta: float = 0.05
     schedule: str = "fixed"  # "fixed" | "decay" (eta_t = tau/(rho_c (t+phi)))
     seed: int = 0
-    alphas: tuple | None = None
 
     def alpha_vector(self) -> np.ndarray:
-        if self.alphas is None:
-            return np.full(self.users, 1.0 / self.users)
-        a = np.asarray(self.alphas, dtype=float)
-        if len(a) != self.users or np.any(a < 0) or abs(a.sum() - 1.0) > 1e-9:
-            raise ValueError("alphas must be nonnegative and sum to 1")
-        return a
+        """Uniform aggregation weights 1/K."""
+        return np.full(self.users, 1.0 / self.users)
 
 
 @dataclass
@@ -367,13 +362,13 @@ def _add_mechanism_noise(h: np.ndarray, lat: Lattice, spec,
 
 
 def separate_uplink(h: np.ndarray, lat: Lattice, spec, sr: SharedRandomness,
-                    noise_rng: np.random.Generator):
+                    rng: np.random.Generator):
     """
     Separate baseline, returning (h_tilde, overloads): privacy noise from
-    `noise_rng` first, then quantization of the noisy vector as an opaque
-    second stage (its own scaling), which spends range on the noise.
+    `rng` first, then quantization of the noisy vector as an opaque second
+    stage (its own scaling), which spends range on the noise.
     """
-    noisy = _add_mechanism_noise(h, lat, spec, noise_rng)
+    noisy = _add_mechanism_noise(h, lat, spec, rng)
     enc = codec.encode(noisy, lat, None, sr)
     return codec.decode(enc, lat, sr), enc.overloads
 

@@ -50,8 +50,6 @@ class Lattice:
     codebook : np.ndarray
         (n, L) array of codebook points, ordered lexicographically by their
         integer coordinate vectors.
-    rate : float
-        Achieved rate log2(|codebook|) / L in bits per sample.
     nominal_rate : int
         The requested rate R used to size the lattice spacing.
     family : str
@@ -65,7 +63,6 @@ class Lattice:
     generator: np.ndarray
     support_radius: float
     codebook: np.ndarray
-    rate: float
     nominal_rate: int
     family: str
     delta_q: float
@@ -73,23 +70,9 @@ class Lattice:
     _lmax: int = field(repr=False)
 
     @property
-    def cell_volume(self) -> float:
-        """Volume of the basic cell, |det G|."""
-        return abs(float(np.linalg.det(self.generator)))
-
-    @property
     def index_bits(self) -> int:
         """Fixed index width used for transport, ceil(log2(|codebook|))."""
         return max(1, int(np.ceil(np.log2(len(self.codebook)))))
-
-    def to_record(self) -> dict:
-        """Serializable key-value description of the lattice."""
-        return {
-            "dimension": self.dimension,
-            "family": self.family,
-            "gamma": self.support_radius,
-            "R": self.nominal_rate,
-        }
 
 
 def _build(generator: np.ndarray, gamma: float, rate: int, family: str,
@@ -124,7 +107,6 @@ def _build(generator: np.ndarray, gamma: float, rate: int, family: str,
         generator=generator,
         support_radius=float(gamma),
         codebook=points,
-        rate=float(np.log2(len(points)) / dim),
         nominal_rate=int(rate),
         family=family,
         delta_q=float(delta_q),
@@ -159,8 +141,8 @@ def hexagonal_lattice(gamma: float, rate: int) -> Lattice:
     L=2 hexagonal lattice, generator delta * [[1, 0.5], [0, sqrt(3)/2]].
 
     The scale delta is sized so the codebook holds about 2**(2*rate) points
-    (point count ~= disc area / cell volume); the achieved fractional rate
-    is reported on the result.
+    (point count ~= disc area / cell volume), so the achieved rate
+    log2(|codebook|) / 2 is close to `rate` but fractional.
     """
     if gamma <= 0 or rate < 1 or rate != int(rate):
         raise ConfigurationError("need gamma > 0 and integer rate >= 1")

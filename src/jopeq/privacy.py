@@ -13,8 +13,8 @@ table a valid density. The iteration count is fixed: 300 for L=1 and 150
 for L=2. The convolutions are real FFTs on the half-spectrum (nonnegative
 last-axis frequencies): the table is real and the cell CF is real and
 even, so the full complex spectrum holds nothing more. The sampler's
-`validity` dict records the final residual, the clipped and truncated
-mass, and whether it is degenerate.
+`validity` dict records the final residual and the clipped and truncated
+mass.
 """
 
 import math
@@ -36,10 +36,7 @@ __all__ = [
     "t_spec",
     "t_mech_epsilon",
     "solve_t_params",
-    "laplace_epsilon_for_budget",
     "pq_tradeoff_check",
-    "laplace_ppn_cf",
-    "t_ppn_cf",
     "build_ppn_sampler",
     "mechanism_reference_sample",
 ]
@@ -52,6 +49,9 @@ __all__ = [
 T_MECH_EXPONENT_VERBATIM = "verbatim"
 
 DEFAULT_SENSITIVITY = math.sqrt(2.0)
+
+# Half-width of the PPN table grid, in standard deviations of the target.
+TABLE_HALF_WIDTH_SD = 8.0
 
 
 class MechanismInfeasibleError(RuntimeError):
@@ -96,13 +96,6 @@ class MechanismSpec:
     def variance(self) -> float:
         """Total per-sub-vector noise variance sigma^2 (Thm. 6 bookkeeping)."""
         return self.variance_per_coord * self.dimension
-
-    def to_record(self) -> dict:
-        rec = {"kind": self.kind, "epsilon": self.epsilon,
-               "dimension": self.dimension, "sensitivity": self.sensitivity}
-        if self.kind == "t":
-            rec.update(nu=self.nu, s2=self.s2)
-        return rec
 
 
 def laplace_spec(epsilon: float, dimension: int = 1) -> MechanismSpec:
@@ -178,13 +171,6 @@ def solve_t_params(epsilon: float, d: int, delta: float, nu: float,
     return s * s
 
 
-def laplace_epsilon_for_budget(delta_f: float, b: float) -> float:
-    """Budget of the Laplace mechanism with sensitivity delta_f, scale b."""
-    if b <= 0:
-        raise InfeasibleParametersError("scale b must be positive")
-    return delta_f / b
-
-
 def pq_tradeoff_check(gamma: float, epsilon: float, rate: int) -> bool:
     """
     Privacy-quantization threshold for the scalar-lattice configuration:
@@ -200,30 +186,6 @@ def required_ppn_variance(gamma: float, epsilon: float, rate: int) -> float:
     return 2.0 * (2.0 / epsilon) ** 2 - delta_q ** 2 / 12.0
 
 
-def _t_cf_radial(z: np.ndarray, nu: float) -> np.ndarray:
-    """CF of standard t_nu at radius z = ||sqrt(nu) Sigma^(1/2) t||."""
-    z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
-    nz = z > 1e-290
-    zz = z[nz]
-    # Evaluate in log space with the exponentially scaled Bessel function:
-    # the unscaled z^(nu/2) K_{nu/2}(z) overflows for large nu.
-    log_val = ((nu / 2.0) * np.log(zz) + np.log(special.kve(nu / 2.0, zz))
-               - zz - (nu / 2.0 - 1.0) * math.log(2.0)
-               - special.gammaln(nu / 2.0))
-    out[nz] = np.exp(log_val)
-    return out
-
-
-def _target_cf(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
-    """Target mechanism CF at frequency rows t (..., d)."""
-    t = np.asarray(t, dtype=float)
-    if spec.kind == "laplace":
-        return np.prod(1.0 / (1.0 + (2.0 * t / spec.epsilon) ** 2), axis=-1)
-    z = math.sqrt(spec.nu * spec.s2) * np.linalg.norm(t, axis=-1)
-    return _t_cf_radial(z, spec.nu)
-
-
 def _target_pdf(spec: MechanismSpec, x: np.ndarray) -> np.ndarray:
     """Target mechanism density at rows x (..., d)."""
     x = np.asarray(x, dtype=float)
@@ -235,30 +197,6 @@ def _target_pdf(spec: MechanismSpec, x: np.ndarray) -> np.ndarray:
                * s2 ** (d / 2.0)))
     q = np.sum(x * x, axis=-1) / s2
     return norm * (1.0 + q / nu) ** (-(nu + d) / 2.0)
-
-
-def laplace_ppn_cf(t: np.ndarray, epsilon: float, lat: Lattice) -> np.ndarray:
-    """
-    PPN characteristic function for the Laplace target:
-    Phi_n(t) = prod_l (1 + (2 t_l / eps)^2)^-1 / Phi_e(t).
-    Evaluation nodes must avoid the isolated zeros of the cell CF.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0 or t.shape[-1] != lat.dimension:
-        t = t[..., None]
-    spec = laplace_spec(epsilon, lat.dimension)
-    return _target_cf(spec, t) / cell_cf(lat, t)
-
-
-def t_ppn_cf(t: np.ndarray, spec: MechanismSpec, lat: Lattice) -> np.ndarray:
-    """
-    PPN characteristic function for the multivariate-t target:
-    Phi_n(t) = Phi_t(t) / Phi_e(t) with the Bessel-form t CF.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0 or t.shape[-1] != lat.dimension:
-        t = t[..., None]
-    return _target_cf(spec, t) / cell_cf(lat, t)
 
 
 def mechanism_reference_sample(spec: MechanismSpec, count: int,
@@ -285,8 +223,7 @@ class PpnSampler:
     The table holds the deconvolved density on a symmetric grid; sampling
     draws a grid cell (inverse CDF for L=1, alias method for L=2) plus a
     uniform jitter within the cell. `validity` records the achieved
-    convolution residual, the clipped and truncated mass, and whether the
-    sampler is degenerate.
+    convolution residual and the clipped and truncated mass.
     """
 
     lattice: Lattice
@@ -369,7 +306,6 @@ def _rfft_freqs(n: int, dx: float) -> np.ndarray:
 def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
                       allow_degenerate: bool = False,
                       grid_points: int | None = None,
-                      span: float = 8.0,
                       refine_iters: int | None = None) -> PpnSampler:
     """
     Build the PPN sampler whose output n satisfies: n + e ~ target
@@ -377,8 +313,8 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
 
     When the quantization noise alone meets or exceeds the target noise
     (the privacy-for-free regime) the deconvolution has no valid density;
-    with allow_degenerate=True a near-zero-variance sampler is returned
-    (its `validity` flags it), otherwise MechanismInfeasibleError is
+    with allow_degenerate=True a sampler with `degenerate` set, which draws
+    zeros, is returned, otherwise MechanismInfeasibleError is
     raised.
 
     The table is refined for `refine_iters` iterations (default 300 for
@@ -404,7 +340,6 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
                 f"({target_var:.6g}); pass allow_degenerate=True to accept "
                 "the quantization-only regime")
         validity = {
-            "degenerate": True,
             "required_variance": float(max(shortfall, 0.0)),
             "clipped_mass": 0.0,
         }
@@ -412,7 +347,7 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
                           np.zeros((0,) * d), validity)
 
     sigma = math.sqrt(target_var)
-    half = span * sigma
+    half = TABLE_HALF_WIDTH_SD * sigma
     if d == 1:
         n = grid_points or 1 << 14
         iters = refine_iters or 300
@@ -467,7 +402,6 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
     else:
         resid = float(0.5 * np.abs(achieved - target).sum() * cell_measure)
     validity = {
-        "degenerate": False,
         "clipped_mass": clipped_mass,
         "conv_residual": resid,
         "truncated_target_mass": float(1.0 - target_mass),

@@ -34,15 +34,6 @@ class TestReport:
         return (f"{tag} {self.name}: statistic={self.statistic:.6g} "
                 f"critical={self.critical:.6g} n={self.sample_size}")
 
-    def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "critical": self.critical,
-            "sample_size": self.sample_size,
-            "passed": self.passed,
-        }
-
 
 def ks_test(samples: np.ndarray, cdf, name: str = "ks") -> TestReport:
     """

@@ -121,18 +121,22 @@ class TestSweep:
 
 
 class TestCodecCommands:
-    def test_round_trip(self, tmp_path, clean_env):
+    @staticmethod
+    def _encode(tmp_path, h, out):
+        """`jopeq codec-encode` of h at seed 3; (config, payload) paths."""
         cfgp = tmp_path / "cfg"
         cfgp.write_text("codec.rate = 4\ncodec.epsilon = 2.0\n")
-        rng = np.random.default_rng(0)
-        h = rng.normal(0.0, 1.0, 200)
         inp = tmp_path / "h.txt"
         np.savetxt(inp, h)
-        out = tmp_path / "io"
         rc = main(["codec-encode", str(inp), "--config", str(cfgp),
-                   "--out", str(out), "--seed", "3"])
+                   "--out", str(tmp_path / out), "--seed", "3"])
         assert rc == 0
-        payload = out / "payload.bin"
+        return cfgp, tmp_path / out / "payload.bin"
+
+    def test_round_trip(self, tmp_path, clean_env):
+        h = np.random.default_rng(0).normal(0.0, 1.0, 5000)
+        cfgp, payload = self._encode(tmp_path, h, "io")
+        out = payload.parent
         assert payload.exists()
 
         def no_sampler(*args, **kwargs):
@@ -145,10 +149,20 @@ class TestCodecCommands:
         ht = np.loadtxt(out / "decoded.txt")
         assert ht.shape == h.shape
         # Same shared seed: the scaled error is the epsilon=2 Laplace
-        # mechanism (variance 2 b^2 = 2), not garbage.
+        # mechanism (variance 2 b^2 = 2), not garbage. The PPN is fresh on
+        # every run, and over 5,000 coordinates the mean square has SD
+        # sqrt(20 / 5000) = 0.063: the +-1.0 tolerance is 16 SD.
         zeta = np.sqrt(len(h)) / (3.0 * np.linalg.norm(h))
         scaled = np.mean(((ht - h) * zeta) ** 2)
         assert scaled == pytest.approx(2.0, rel=0.5)
+
+    def test_payloads_differ_between_runs(self, tmp_path, clean_env):
+        # The decoder holds the seed, so a PPN keyed on it could be
+        # regenerated and subtracted; the encoder draws it afresh instead.
+        h = np.random.default_rng(0).normal(0.0, 1.0, 200)
+        _, a = self._encode(tmp_path, h, "a")
+        _, b = self._encode(tmp_path, h, "b")
+        assert a.read_bytes() != b.read_bytes()
 
     def test_missing_input_errors(self, clean_env, capsys):
         with pytest.raises(SystemExit):

@@ -26,6 +26,18 @@ class TestScaleCoefficient:
         with pytest.raises(ValueError):
             scale_coefficient(np.zeros(4), 2)
 
+    def test_non_finite_rejected(self):
+        # One inf gives zeta = 0, a NaN gives zeta = NaN; either way every
+        # decoded value would be non-finite.
+        lat = scalar_uniform(9.0, 4)
+        for bad in (np.inf, -np.inf, np.nan):
+            h = np.random.default_rng(1).normal(0.0, 1.0, 1000)
+            h[500] = bad
+            with pytest.raises(ValueError):
+                scale_coefficient(h, 1000)
+            with pytest.raises(ValueError):
+                encode(h, lat, None, SharedRandomness(0))
+
     def test_scaled_subvectors_rarely_exceed_unit_norm(self):
         # zeta = sqrt(M) / (3 ||h||) puts each scaled sub-vector at an
         # expected squared norm of 1/9; Chebyshev keeps overshoot rare.

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from jopeq.dither import SharedRandomness, dither_block, dither_for, dq, sdq
-from jopeq.lattice import hexagonal_lattice, nearest_point, scalar_uniform
+from jopeq.dither import SharedRandomness, dither_block, sdq
+from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
+                           scalar_uniform)
 from jopeq.stattests import correlation_test, ks_test
 
 
 class TestSharedStream:
     def test_deterministic(self):
-        sr = SharedRandomness(seed=123, user=4, round_index=9, subvector=2)
+        sr = SharedRandomness(seed=123, user=4, round_index=9)
         lat = scalar_uniform(4.0, 3)
-        assert dither_for(sr, lat) == dither_for(sr, lat)
         block = dither_block(sr, lat, 5)
         assert np.array_equal(block, dither_block(sr, lat, 5))
 
@@ -20,16 +20,17 @@ class TestSharedStream:
         sr = SharedRandomness(seed=11, user=1, round_index=3)
         lat = hexagonal_lattice(3.0, 3)
         block = dither_block(sr, lat, 4)
+        # Row i, the dither of sub-vector i, does not depend on the count.
         for i in range(4):
-            assert np.array_equal(block[i], dither_block(sr.at(i), lat, 1)[0])
+            assert np.array_equal(block[i], dither_block(sr, lat, i + 1)[i])
 
     def test_coordinates_change_stream(self):
         lat = scalar_uniform(4.0, 3)
-        base = SharedRandomness(seed=5, user=0, round_index=0, subvector=0)
-        d0 = dither_for(base, lat)
-        for other in (SharedRandomness(6, 0, 0, 0), SharedRandomness(5, 1, 0, 0),
-                      SharedRandomness(5, 0, 1, 0), SharedRandomness(5, 0, 0, 1)):
-            assert dither_for(other, lat) != d0
+        base = dither_block(SharedRandomness(seed=5), lat, 2)[:, 0]
+        assert base[1] != base[0]
+        for other in (SharedRandomness(6, 0, 0), SharedRandomness(5, 1, 0),
+                      SharedRandomness(5, 0, 1)):
+            assert dither_block(other, lat, 1)[0, 0] != base[0]
 
     def test_adjacent_indices_uncorrelated(self):
         lat = scalar_uniform(4.0, 3)
@@ -61,7 +62,7 @@ class TestSdq:
         rng = np.random.default_rng(4)
         x = rng.normal(0.0, 1.0, (300, 2))
         d = dither_block(SharedRandomness(seed=4), lat, 300)
-        pv, pi, po = dq(lat, x, d)
+        pv, pi, po = quantize_clipped(lat, x + d)
         sv, si, so = sdq(lat, x, d)
         assert np.array_equal(sv, pv - d)
         assert np.array_equal(si, pi)
@@ -82,24 +83,6 @@ class TestSdq:
         assert rep.passed, str(rep)
         rep = correlation_test(x, e, "sdq-independence")
         assert rep.passed, str(rep)
-
-    def test_distortion_invariant_to_input_distribution(self):
-        lat = scalar_uniform(4.0, 3)
-        rng = np.random.default_rng(10)
-        inputs = {
-            "gaussian": np.clip(rng.normal(0.0, 1.0, 50_000), -3.0, 3.0),
-            "uniform": rng.uniform(-3.0, 3.0, 50_000),
-            "constant": np.full(50_000, 0.25),
-        }
-        cdfs = {}
-        for seed, (name, x) in enumerate(inputs.items()):
-            cdfs[name] = np.sort(self._distortion(lat, x, seed=400 + seed))
-        grid = np.linspace(-0.5, 0.5, 501)
-        curves = {k: np.searchsorted(v, grid) / len(v)
-                  for k, v in cdfs.items()}
-        for a in curves:
-            for b in curves:
-                assert np.max(np.abs(curves[a] - curves[b])) < 0.02
 
     def test_overload_flagged_not_silent(self):
         lat = scalar_uniform(2.0, 2)

@@ -199,12 +199,6 @@ class TestRunExperiment:
                 for b, c in cfgs.items()}
         assert snrs["jopeq"] > snrs["separate"]
 
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            run_experiment(self._cfg(alphas=(0.9, 0.3, -0.1, -0.1)))
-        with pytest.raises(ValueError):
-            run_experiment(self._cfg(alphas=(0.5, 0.5)))
-
     def test_divergence_detected(self):
         # the oversized step overflows on purpose; silence the warnings
         with np.errstate(over="ignore", invalid="ignore"):

@@ -70,21 +70,11 @@ class TestConstruction:
             neg = {tuple(np.round(-p, 9)) for p in pts}
             assert neg == {tuple(np.round(p, 9)) for p in pts}
 
-    def test_cell_volume_is_det(self):
-        for lat in all_lattices():
-            assert lat.cell_volume == pytest.approx(
-                abs(np.linalg.det(lat.generator)))
-
     def test_singular_generator_rejected(self):
         with pytest.raises(ConfigurationError):
             scalar_uniform(-1.0, 2)
         with pytest.raises(ConfigurationError):
             scalar_uniform(2.0, 0)
-
-    def test_record_roundtrip(self):
-        rec = square_lattice(3.0, 2).to_record()
-        assert rec == {"dimension": 2, "family": "square", "gamma": 3.0,
-                       "R": 2}
 
 
 class TestNearestPoint:
@@ -200,10 +190,12 @@ class TestQuantizeClipped:
         assert np.linalg.norm(point) <= lat.support_radius + 1e-9
 
     def test_achieved_rate_reported(self):
+        # The achieved rate log2(|codebook|) / L is near the nominal rate,
+        # and the index width is the least that holds every index.
         for lat in all_lattices():
-            assert lat.rate == pytest.approx(
-                np.log2(len(lat.codebook)) / lat.dimension)
-            assert 2 ** (lat.index_bits) >= len(lat.codebook)
+            n = len(lat.codebook)
+            assert abs(np.log2(n) / lat.dimension - lat.nominal_rate) < 0.25
+            assert 2 ** (lat.index_bits - 1) < n <= 2 ** lat.index_bits
 
 
 class TestCellSampling:

@@ -7,13 +7,12 @@ import pytest
 
 from jopeq.lattice import (cell_cf, cell_variance_per_coord,
                            hexagonal_lattice, scalar_uniform, square_lattice)
-from jopeq.privacy import (InfeasibleParametersError, MechanismInfeasibleError,
-                           PpnSampler, _build_alias, _target_pdf,
-                           build_ppn_sampler, laplace_epsilon_for_budget,
-                           laplace_ppn_cf, laplace_spec,
-                           mechanism_reference_sample,
-                           pq_tradeoff_check, required_ppn_variance,
-                           solve_t_params, t_mech_epsilon, t_ppn_cf, t_spec)
+from jopeq.privacy import (TABLE_HALF_WIDTH_SD, InfeasibleParametersError,
+                           MechanismInfeasibleError, PpnSampler, _build_alias,
+                           _target_pdf, build_ppn_sampler, laplace_spec,
+                           mechanism_reference_sample, pq_tradeoff_check,
+                           required_ppn_variance, solve_t_params,
+                           t_mech_epsilon, t_spec)
 
 # High-precision evaluations (40-digit arithmetic) of the t-mechanism
 # budget at nu=3, d=2, whitened sensitivity sqrt(2), for both exponent
@@ -54,12 +53,6 @@ class TestBudgetAlgebra:
         assert (solve_t_params(2.0, 2, np.sqrt(2.0), 3.0)
                 > solve_t_params(3.0, 2, np.sqrt(2.0), 3.0))
 
-    def test_laplace_budget_examples(self):
-        assert laplace_epsilon_for_budget(2.0, 1.0) == 2.0
-        assert laplace_epsilon_for_budget(2.0, 2.0 / 3.0) == pytest.approx(3.0)
-        eps = 1.7
-        assert laplace_epsilon_for_budget(2.0, 2.0 / eps) == pytest.approx(eps)
-
     def test_spec_variance_bookkeeping(self):
         lap = laplace_spec(2.0, 2)
         assert lap.b == 1.0
@@ -88,48 +81,6 @@ class TestThreshold:
             8.0 - (18.0 / 16.0) ** 2 / 12.0)
 
 
-class TestPpnCf:
-    def test_normalization_at_origin(self):
-        lat = scalar_uniform(9.0, 4)
-        assert laplace_ppn_cf(np.array([0.0]), 1.0, lat) == pytest.approx(1.0)
-        lat2 = square_lattice(10.0, 5)
-        spec = t_spec(3.0, 2, 3.0)
-        assert t_ppn_cf(np.zeros(2), spec, lat2) == pytest.approx(1.0)
-
-    def test_laplace_product_identity(self):
-        lat = scalar_uniform(9.0, 4)
-        eps = 1.0
-        t = np.linspace(0.3, 4.0, 11)[:, None]
-        lhs = laplace_ppn_cf(t, eps, lat) * cell_cf(lat, t)
-        rhs = 1.0 / (1.0 + (2.0 * t[:, 0] / eps) ** 2)
-        assert np.allclose(lhs, rhs, rtol=1e-12)
-
-    def test_laplace_cf_limit_small_cell(self):
-        lat = scalar_uniform(9.0, 12)  # delta ~ 0.004
-        t = np.array([[0.5], [1.0], [2.0]])
-        assert np.allclose(laplace_ppn_cf(t, 1.0, lat),
-                           1.0 / (1.0 + (2.0 * t[:, 0]) ** 2), atol=1e-5)
-
-    def test_t_cf_against_monte_carlo(self):
-        spec = t_spec(3.0, 2, 3.0)
-        lat = square_lattice(10.0, 5)
-        rng = np.random.default_rng(0)
-        x = mechanism_reference_sample(spec, 10_000_000, rng)
-        for t in (np.array([0.05, 0.02]), np.array([0.1, -0.07])):
-            mc = float(np.mean(np.cos(x @ t)))
-            cf = float(t_ppn_cf(t, spec, lat) * cell_cf(lat, t))
-            assert cf == pytest.approx(mc, abs=1e-3)
-
-    def test_large_nu_approaches_gaussian(self):
-        spec = t_spec(3.0, 2, 1000.0)
-        lat = square_lattice(50.0, 6)
-        var = spec.variance_per_coord
-        for t in (np.array([0.02, 0.01]), np.array([0.05, -0.03])):
-            cf = float(t_ppn_cf(t, spec, lat) * cell_cf(lat, t))
-            gauss = float(np.exp(-0.5 * var * np.sum(t * t)))
-            assert cf == pytest.approx(gauss, abs=1e-2)
-
-
 class TestSamplerConstruction:
     def test_infeasible_raises_without_flag(self):
         lat = scalar_uniform(10.0, 1)  # delta 10, cell var ~8.3
@@ -141,7 +92,6 @@ class TestSamplerConstruction:
         assert samp.variance_per_coord == 0.0
         assert np.array_equal(samp.sample(4, np.random.default_rng(0)),
                               np.zeros((4, 1)))
-        assert samp.validity["degenerate"] is True
 
     def test_density_table_is_valid(self):
         lat = scalar_uniform(9.0, 4)
@@ -208,7 +158,7 @@ class TestSamplerConstruction:
         assert draws.shape == (200_000, 2)
         got = np.mean(np.sum(draws ** 2, axis=1)) / 2.0
         expect = spec.variance_per_coord - cell_variance_per_coord(lat)
-        # The table lives on a finite span, so the heavy t_3 tails (slowly
+        # The table lives on a finite grid, so the heavy t_3 tails (slowly
         # converging second moment) are partly truncated; the empirical
         # variance sits below the analytic target but within the mass
         # accounted for by the truncation diagnostic.
@@ -220,12 +170,12 @@ class TestSamplerConstruction:
             build_ppn_sampler(laplace_spec(1.0, 1), square_lattice(5.0, 4))
 
 
-def _complex_fft_density(spec, lat, n, iters, span=8.0):
+def _complex_fft_density(spec, lat, n, iters):
     """
     The refinement on the full complex spectrum, as build_ppn_sampler ran it
     before it moved to real transforms: the reference for its density.
     """
-    half = span * math.sqrt(spec.variance_per_coord)
+    half = TABLE_HALF_WIDTH_SD * math.sqrt(spec.variance_per_coord)
     dx = 2.0 * half / n
     ax = -half + dx * (np.arange(n) + 0.5)
     w = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
