@@ -4,10 +4,12 @@ baseline and print the loss-gap trajectories.
 
 At rate R=1 and budget eps=4 with the support radius set to the
 privacy-for-free point (gamma = sqrt(24) 2^R / eps), the quantization
-distortion alone realizes the privacy mechanism: the joint pipeline then
-matches the better of the quantization-only and privacy-only baselines
-while satisfying both constraints, and clearly beats the separate
-privacy-then-compress scheme.
+distortion alone reaches the mechanism's noise variance and the PPN is
+zero. It matches the variance only: a uniform distortion bounds no
+finite epsilon. The joint pipeline then matches the better of the
+quantization-only and privacy-only baselines at the same bit budget and
+noise variance, and clearly beats the separate privacy-then-compress
+scheme.
 
 Run:  python3 demos/learning_curves.py
 """

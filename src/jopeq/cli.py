@@ -123,23 +123,17 @@ def _fl_config(cfg: dict, baseline: str, seed: int,
 def snr_sweep_point(args) -> tuple:
     """One (rate, epsilon, baseline) SNR measurement on synthetic updates."""
     cfg, rate, epsilon, baseline, seed = args
-    cspec = _codec_spec(cfg, rate, epsilon)
-    lat, spec = cspec.build()
-    dim = int(cfg["sweep.snr_dim"])
-    rng = np.random.default_rng([seed, 7001])
-    h = rng.normal(0.0, 1.0, dim)
-    sr = SharedRandomness(seed=seed, user=0, round_index=0)
-    if baseline == "separate":
-        ht, _ = flsim.separate_uplink(h, lat, spec, sr,
-                                      np.random.default_rng([seed, 7002]))
-    elif baseline in ("jopeq", "sdq"):
-        sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
-                   if baseline == "jopeq" else None)
-        enc = codec.encode(h, lat, sampler, sr, noise_seed=seed + 1)
-        ht = codec.decode(enc, lat, sr)
-    else:
+    if baseline not in ("jopeq", "separate", "sdq"):
         raise ValueError(f"snr sweep supports jopeq/separate/sdq, "
                          f"not {baseline!r}")
+    lat, spec = _codec_spec(cfg, rate, epsilon).build()
+    sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
+               if baseline == "jopeq" else None)
+    rng = np.random.default_rng([seed, 7001])
+    h = rng.normal(0.0, 1.0, int(cfg["sweep.snr_dim"]))
+    ht, _ = flsim.uplink(baseline, h, lat, spec, sampler,
+                         SharedRandomness(seed=seed, user=0, round_index=0),
+                         [seed, 7002], seed + 1)
     value = codec.snr([h], [ht])
     return rate, epsilon, baseline, value
 
@@ -168,10 +162,9 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, jobs: int) -> int:
             fh.write(f"{rate},{eps:g},{base},{value:.6f}\n")
 
     # Learning curves at the configured (rate, epsilon) for every baseline.
-    task = flsim.build_task(_task_spec(cfg), int(cfg["fl.users"]),
-                            np.full(int(cfg["fl.users"]),
-                                    1.0 / int(cfg["fl.users"])), seed)
     base_cfg = _fl_config(cfg, "plain", seed)
+    task = flsim.build_task(base_cfg.task, base_cfg.users,
+                            base_cfg.alpha_vector(), seed)
     xis = flsim.calibrate_xi(task, base_cfg)
     curve_path = out_dir / "learning_curves.csv"
     with open(curve_path, "w") as fh:

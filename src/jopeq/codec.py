@@ -113,7 +113,14 @@ def scale_coefficient(h: np.ndarray, m_subvectors: int) -> float:
     coordinates (Chebyshev). Undefined for a zero-norm update, and refused
     for a non-finite one, whose decoded values would all be non-finite.
     """
-    norm = float(np.linalg.norm(np.asarray(h, dtype=float)))
+    h = np.asarray(h, dtype=float)
+    norm = float(np.linalg.norm(h))
+    if norm == 0.0 or math.isinf(norm):
+        # The sum of squares may have under- or overflowed for a finite,
+        # nonzero update; rescaling by the largest coordinate avoids that.
+        peak = float(np.max(np.abs(h)))
+        if 0.0 < peak < math.inf:
+            norm = peak * float(np.linalg.norm(h / peak))
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError(f"zeta undefined for an update of norm {norm}")
     return math.sqrt(m_subvectors) / (3.0 * norm)

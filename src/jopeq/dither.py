@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, nearest_point, quantize_clipped
+from .lattice import Lattice, quantize_clipped, sample_cell_uniform
 
 __all__ = ["SharedRandomness", "dither_block", "sdq"]
 
@@ -57,8 +57,8 @@ def dither_block(sr: SharedRandomness, lat: Lattice, count: int) -> np.ndarray:
     deterministic function of (seed, user, round, i) and marginally
     uniform over the basic cell.
     """
-    u = _stream(sr).random((int(count), lat.dimension)) @ lat.generator.T
-    return u - nearest_point(lat, u)
+    e = sample_cell_uniform(lat, _stream(sr), int(count))
+    return e.reshape(-1, lat.dimension)
 
 
 def sdq(lat: Lattice, x: np.ndarray, d: np.ndarray):

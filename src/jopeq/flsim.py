@@ -36,7 +36,7 @@ __all__ = [
     "heterogeneity_gap",
     "calibrate_xi",
     "run_experiment",
-    "separate_uplink",
+    "uplink",
     "DivergenceError",
 ]
 
@@ -73,7 +73,8 @@ class CodecSpec:
     Uplink codec parameters: lattice family/rate/support and mechanism.
 
     gamma=None applies the support rule 2R + 1/epsilon for L=1 and
-    1.5 * (1 + s^2 nu / (nu - 2)) for L=2.
+    1.5 * (1 + v) for L=2, with v the mechanism's per-coordinate
+    variance (2 b^2 for Laplace, s^2 nu / (nu - 2) for t).
     """
 
     family: str = "scalar"
@@ -98,7 +99,7 @@ class CodecSpec:
             if self.dimension == 1:
                 gamma = 2.0 * self.rate + 1.0 / self.epsilon
             else:
-                gamma = 1.5 * (1.0 + spec.s2 * spec.nu / (spec.nu - 2.0))
+                gamma = 1.5 * (1.0 + spec.variance_per_coord)
         maker = {"scalar": scalar_uniform, "square": square_lattice,
                  "hexagonal": hexagonal_lattice}[self.family]
         return maker(gamma, self.rate), spec
@@ -174,14 +175,6 @@ class Task:
     def loss(self, w: np.ndarray) -> float:
         return float(sum(a * self.user_loss(k, w)
                          for k, a in enumerate(self.alphas)))
-
-    def user_grad(self, k: int, w: np.ndarray) -> np.ndarray:
-        lam = self.spec.reg_lambda
-        x, y = self.xs[k], self.ys[k]
-        if self.spec.kind == "linear":
-            return x.T @ (x @ w - y) / len(y) + lam * w
-        p = 1.0 / (1.0 + np.exp(-(x @ w)))
-        return x.T @ (p - y) / len(y) + lam * w
 
     def sample_grad(self, k: int, w: np.ndarray, i: int) -> np.ndarray:
         lam = self.spec.reg_lambda
@@ -352,43 +345,33 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     return 1.1 * best
 
 
-def _add_mechanism_noise(h: np.ndarray, lat: Lattice, spec,
-                         rng: np.random.Generator) -> np.ndarray:
-    """h plus direct mechanism noise on its zeta-scaled sub-vectors."""
-    m = -(-len(h) // lat.dimension)
-    zeta = codec.scale_coefficient(h, m)
-    noise = privacy.mechanism_reference_sample(spec, m, rng)
-    return h + noise.reshape(-1)[:len(h)] / zeta
-
-
-def separate_uplink(h: np.ndarray, lat: Lattice, spec, sr: SharedRandomness,
-                    rng: np.random.Generator):
+def uplink(baseline: str, h: np.ndarray, lat: Lattice, spec, sampler,
+           sr: SharedRandomness, noise_key, noise_seed: int):
     """
-    Separate baseline, returning (h_tilde, overloads): privacy noise from
-    `rng` first, then quantization of the noisy vector as an opaque second
-    stage (its own scaling), which spends range on the noise.
+    Send one update through a baseline's uplink; returns (h_tilde,
+    overloads).
+
+    plain sends h as is. ppn adds direct mechanism noise, drawn from
+    `default_rng(noise_key)`, to the zeta-scaled sub-vectors of h. sdq
+    quantizes h. separate quantizes the ppn output as an opaque second
+    stage (its own scaling), which spends range on the noise. jopeq
+    encodes h with the PPN `sampler`, its noise keyed on `noise_seed`.
     """
-    noisy = _add_mechanism_noise(h, lat, spec, rng)
-    enc = codec.encode(noisy, lat, None, sr)
-    return codec.decode(enc, lat, sr), enc.overloads
-
-
-def _uplink(cfg: FlConfig, lat: Lattice, spec, sampler, h: np.ndarray,
-            k: int, r: int):
-    """Apply the configured uplink transform; returns (h_tilde, overloads)."""
-    mode = cfg.baseline
-    if mode == "plain":
+    if baseline == "plain":
         return h, 0
-    sr = SharedRandomness(seed=cfg.seed, user=k, round_index=r)
-    if mode in ("ppn", "separate"):
-        rng = np.random.default_rng([cfg.seed, _TAG_PPN_ONLY, k, r])
-        if mode == "ppn":
-            return _add_mechanism_noise(h, lat, spec, rng), 0
-        return separate_uplink(h, lat, spec, sr, rng)
-    if mode not in ("sdq", "jopeq"):
-        raise ValueError(f"unknown baseline {mode!r}")
-    enc = codec.encode(h, lat, sampler if mode == "jopeq" else None, sr,
-                       noise_seed=cfg.seed + 1)
+    if baseline in ("ppn", "separate"):
+        m = -(-len(h) // lat.dimension)
+        zeta = codec.scale_coefficient(h, m)
+        rng = np.random.default_rng(noise_key)
+        # No name holds the noise, so it is freed before the sdq stage.
+        h = h + (privacy.mechanism_reference_sample(spec, m, rng)
+                 .reshape(-1)[:len(h)] / zeta)
+        if baseline == "ppn":
+            return h, 0
+    elif baseline not in ("sdq", "jopeq"):
+        raise ValueError(f"unknown baseline {baseline!r}")
+    enc = codec.encode(h, lat, sampler if baseline == "jopeq" else None, sr,
+                       noise_seed=noise_seed)
     return codec.decode(enc, lat, sr), enc.overloads
 
 
@@ -408,18 +391,11 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
         xis = calibrate_xi(task, cfg)
     eta_fn = _eta_fn(cfg, task)
 
-    needs_codec = cfg.baseline in ("sdq", "jopeq", "separate", "ppn")
-    lat = spec = sampler = None
-    if needs_codec:
-        lat, spec = cfg.codec.build()
-        if cfg.baseline == "jopeq":
-            sampler = privacy.build_ppn_sampler(spec, lat,
-                                                allow_degenerate=True)
-    sigma2 = spec.variance if spec is not None else 0.0
-    if cfg.baseline in ("plain", "sdq"):
-        sigma2_bound = 0.0
-    else:
-        sigma2_bound = sigma2
+    lat, spec = cfg.codec.build()
+    sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
+               if cfg.baseline == "jopeq" else None)
+    sigma2_bound = (spec.variance
+                    if cfg.baseline in ("ppn", "separate", "jopeq") else 0.0)
 
     w = np.zeros(task.model_dim)
     w0_dist2 = float(np.sum((w - task.w_opt) ** 2))
@@ -429,7 +405,10 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
         for k in range(task.users):
             rng = np.random.default_rng([cfg.seed, _TAG_SGD, k, r])
             h = local_sgd(task, k, w, cfg.tau, eta_fn, r * cfg.tau, rng)
-            ht, ov = _uplink(cfg, lat, spec, sampler, h, k, r)
+            ht, ov = uplink(
+                cfg.baseline, h, lat, spec, sampler,
+                SharedRandomness(seed=cfg.seed, user=k, round_index=r),
+                [cfg.seed, _TAG_PPN_ONLY, k, r], cfg.seed + 1)
             hs.append(h)
             hts.append(ht)
             ovs += ov

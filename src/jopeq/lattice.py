@@ -122,16 +122,16 @@ def scalar_uniform(gamma: float, rate: int) -> Lattice:
     The codebook holds every multiple of the spacing with magnitude at most
     gamma, so it is symmetric and contains both endpoints +-gamma.
     """
-    if gamma <= 0 or rate < 1 or rate != int(rate):
-        raise ConfigurationError("need gamma > 0 and integer rate >= 1")
+    if not 0 < gamma < np.inf or rate < 1 or rate != int(rate):
+        raise ConfigurationError("need finite gamma > 0 and integer rate >= 1")
     delta = 2.0 * gamma / 2 ** int(rate)
     return _build(np.array([[delta]]), gamma, rate, "scalar", delta)
 
 
 def square_lattice(gamma: float, rate: int) -> Lattice:
     """L=2 scaled-identity lattice with per-axis spacing 2*gamma/2**rate."""
-    if gamma <= 0 or rate < 1 or rate != int(rate):
-        raise ConfigurationError("need gamma > 0 and integer rate >= 1")
+    if not 0 < gamma < np.inf or rate < 1 or rate != int(rate):
+        raise ConfigurationError("need finite gamma > 0 and integer rate >= 1")
     delta = 2.0 * gamma / 2 ** int(rate)
     return _build(delta * np.eye(2), gamma, rate, "square", delta)
 
@@ -144,8 +144,8 @@ def hexagonal_lattice(gamma: float, rate: int) -> Lattice:
     (point count ~= disc area / cell volume), so the achieved rate
     log2(|codebook|) / 2 is close to `rate` but fractional.
     """
-    if gamma <= 0 or rate < 1 or rate != int(rate):
-        raise ConfigurationError("need gamma > 0 and integer rate >= 1")
+    if not 0 < gamma < np.inf or rate < 1 or rate != int(rate):
+        raise ConfigurationError("need finite gamma > 0 and integer rate >= 1")
     base = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
     # pi*gamma^2 / (delta^2 * sqrt(3)/2) = 2^(2R)  =>  delta
     delta = gamma * np.sqrt(2.0 * np.pi / (np.sqrt(3.0) * 4.0 ** int(rate)))

@@ -298,11 +298,6 @@ def _build_alias(prob: np.ndarray):
     return np.array(cut), np.array(alias, dtype=np.int64)
 
 
-def _rfft_freqs(n: int, dx: float) -> np.ndarray:
-    """Angular frequencies of the nonnegative half of an n-point spectrum."""
-    return 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-
-
 def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
                       allow_degenerate: bool = False,
                       grid_points: int | None = None,
@@ -348,23 +343,16 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
 
     sigma = math.sqrt(target_var)
     half = TABLE_HALF_WIDTH_SD * sigma
-    if d == 1:
-        n = grid_points or 1 << 14
-        iters = refine_iters or 300
-        dx = 2.0 * half / n
-        x = (-half + dx * (np.arange(n) + 0.5))[:, None]
-        tgrid = _rfft_freqs(n, dx)[:, None]
-        cell_measure = dx
-    else:
-        n = grid_points or 1 << 9
-        iters = refine_iters or 150
-        dx = 2.0 * half / n
-        ax = -half + dx * (np.arange(n) + 0.5)
-        x = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-        tgrid = np.stack(np.meshgrid(2.0 * np.pi * np.fft.fftfreq(n, d=dx),
-                                     _rfft_freqs(n, dx), indexing="ij"),
-                         axis=-1)
-        cell_measure = dx * dx
+    n = grid_points or (1 << 14 if d == 1 else 1 << 9)
+    iters = refine_iters or (300 if d == 1 else 150)
+    dx = 2.0 * half / n
+    ax = -half + dx * (np.arange(n) + 0.5)
+    x = np.stack(np.meshgrid(*[ax] * d, indexing="ij"), axis=-1)
+    # rfftn halves the last axis only; the leading axes keep every frequency.
+    freqs = ([2.0 * np.pi * np.fft.fftfreq(n, d=dx)] * (d - 1)
+             + [2.0 * np.pi * np.fft.rfftfreq(n, d=dx)])
+    tgrid = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1)
+    cell_measure = dx if d == 1 else dx * dx
     shape = x.shape[:-1]
 
     target = _target_pdf(spec, x)

@@ -38,6 +38,18 @@ class TestScaleCoefficient:
             with pytest.raises(ValueError):
                 encode(h, lat, None, SharedRandomness(0))
 
+    @pytest.mark.parametrize("value", [1e160, 1e-170])
+    def test_extreme_finite_round_trip(self, value):
+        # ||h||^2 overflows (1e160) or underflows (1e-170) in float64,
+        # yet h is finite and nonzero, so it encodes like any update.
+        lat = scalar_uniform(9.0, 4)
+        h = np.full(4, value)
+        enc, ht = _roundtrip(h, lat)
+        assert enc.zeta == pytest.approx(1.0 / (3.0 * value), rel=1e-12,
+                                         abs=0.0)
+        assert enc.overloads == 0 and np.all(np.isfinite(ht))
+        assert np.all(np.abs(ht - h) <= lat.delta_q / (2.0 * enc.zeta))
+
     def test_scaled_subvectors_rarely_exceed_unit_norm(self):
         # zeta = sqrt(M) / (3 ||h||) puts each scaled sub-vector at an
         # expected squared norm of 1/9; Chebyshev keeps overshoot rare.

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from jopeq.dither import SharedRandomness
 from jopeq.flsim import (CodecSpec, DivergenceError, FlConfig, TaskSpec,
                          build_task, calibrate_xi, fedavg_round,
                          heterogeneity_gap, local_sgd, run_experiment,
-                         theorem6_bound, theorem7_bound)
+                         theorem6_bound, theorem7_bound, uplink)
+from jopeq.privacy import build_ppn_sampler
 
 # Independently computed value of the convergence bound at
 # (sigma2=2, psi=0.3, rho_s=4, rho_c=0.5, alphas=0.1 x10, xis=2 x10,
@@ -22,13 +24,19 @@ def _small_task(kind="linear", heterogeneity=1.0, users=4, seed=0,
     return build_task(spec, users, alphas, seed)
 
 
+def _user_grad(task, k, w):
+    """User k's full gradient: the mean of the per-sample SGD gradients."""
+    return np.mean([task.sample_grad(k, w, i)
+                    for i in range(len(task.ys[k]))], axis=0)
+
+
 class TestTask:
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     def test_user_grad_matches_finite_differences(self, kind):
         task = _small_task(kind=kind)
         rng = np.random.default_rng(1)
         w = rng.normal(0.0, 0.5, task.model_dim)
-        g = task.user_grad(2, w)
+        g = _user_grad(task, 2, w)
         eps = 1e-6
         for j in range(task.model_dim):
             e = np.zeros(task.model_dim)
@@ -40,7 +48,7 @@ class TestTask:
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     def test_optimum_is_stationary(self, kind):
         task = _small_task(kind=kind)
-        grad = sum(a * task.user_grad(k, task.w_opt)
+        grad = sum(a * _user_grad(task, k, task.w_opt)
                    for k, a in enumerate(task.alphas))
         assert np.linalg.norm(grad) < 1e-5
 
@@ -73,7 +81,7 @@ class TestHeterogeneityGap:
         lam = task.spec.reg_lambda
         wk = np.linalg.solve(x.T @ x / len(y) + lam * np.eye(task.model_dim),
                              x.T @ y / len(y))
-        grad = task.user_grad(k, wk)
+        grad = _user_grad(task, k, wk)
         assert np.linalg.norm(grad) < 1e-10
 
 
@@ -156,6 +164,60 @@ class TestBounds:
         t2 = int(2 * t + phi)  # so that t2 + phi = 2 (t + phi)
         assert theorem7_bound(*args, t2) == pytest.approx(
             0.5 * theorem7_bound(*args, t), rel=1e-12)
+
+
+class TestSupportRule:
+    @pytest.mark.parametrize("family", ["square", "hexagonal"])
+    def test_laplace_2d_builds(self, family):
+        # gamma = 1.5 (1 + 2 b^2) with b = 2/3; a small table builds.
+        lat, spec = CodecSpec(family, epsilon=3.0,
+                              mechanism="laplace").build()
+        assert lat.support_radius == pytest.approx(1.5 * (1.0 + 8.0 / 9.0))
+        samp = build_ppn_sampler(spec, lat, grid_points=128, refine_iters=30)
+        assert not samp.degenerate
+        assert np.isfinite(samp.validity["conv_residual"])
+
+    def test_t_2d_rule_unchanged(self):
+        lat, spec = CodecSpec("square", rate=4, epsilon=3.0, mechanism="t",
+                              nu=5.0).build()
+        assert lat.support_radius == 1.5 * (
+            1.0 + spec.s2 * spec.nu / (spec.nu - 2.0))
+
+
+class TestUplink:
+    H = np.random.default_rng(8).normal(0.0, 1.0, 501)
+    SR = SharedRandomness(seed=3, user=1, round_index=2)
+
+    def _send(self, baseline, h=None, cspec=CodecSpec(rate=3), sampler=None):
+        lat, spec = cspec.build()
+        return uplink(baseline, self.H if h is None else h, lat, spec,
+                      sampler, self.SR, [3, 9], 4)
+
+    def test_plain_is_identity(self):
+        ht, ov = self._send("plain")
+        assert np.array_equal(ht, self.H) and ov == 0
+
+    def test_separate_is_sdq_of_ppn(self):
+        noisy, ov = self._send("ppn")
+        assert ov == 0 and not np.array_equal(noisy, self.H)
+        want = self._send("sdq", h=noisy)
+        got = self._send("separate")
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_jopeq_with_degenerate_sampler_is_sdq(self):
+        # gamma eps / 2^R = 1.5 sqrt(24): the cell noise alone exceeds
+        # the target, so the PPN sampler draws zeros.
+        cspec = CodecSpec(rate=2, epsilon=4.0, gamma=1.5 * np.sqrt(24.0))
+        lat, spec = cspec.build()
+        samp = build_ppn_sampler(spec, lat, allow_degenerate=True)
+        assert samp.degenerate
+        got = self._send("jopeq", cspec=cspec, sampler=samp)
+        want = self._send("sdq", cspec=cspec)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_unknown_baseline_rejected(self):
+        with pytest.raises(ValueError):
+            self._send("magic")
 
 
 class TestRunExperiment:

@@ -76,6 +76,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             scalar_uniform(2.0, 0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "maker", [scalar_uniform, square_lattice, hexagonal_lattice])
+    def test_non_finite_gamma_rejected(self, maker, gamma):
+        with pytest.raises(ConfigurationError):
+            maker(gamma, 3)
+
 
 class TestNearestPoint:
     def test_scalar_examples(self):

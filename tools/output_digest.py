@@ -1,0 +1,124 @@
+"""
+Print one `name sha256` line for each deterministic output of jopeq, so
+that a refactor can show its outputs are byte-identical to its parent's.
+
+    python3 tools/output_digest.py --src src --seed 11 > change.txt
+    python3 tools/output_digest.py --src /path/to/parent/src --seed 11 \
+        > parent.txt
+    diff parent.txt change.txt
+
+The outputs, all keyed on --seed:
+- `sweep.small.*` and `sweep.default.*`: both `jopeq sweep` CSVs, at the
+  benchmark's reduced config (rates 1,4, epsilon 3, 25 rounds) and at the
+  default config; JOPEQ_* environment variables apply as in the CLI.
+- `fl.<baseline>`: every field of the 60 per-round metrics of each of the
+  five baselines on the linear task.
+- `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
+  update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
+  for square and hexagonal t at 2^18.
+- `ppn.<family>`: the PPN table and its sampling tables for those three
+  codecs.
+
+Exits 2 when `jopeq` is imported from anywhere other than --src.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from dataclasses import astuple, replace
+from pathlib import Path
+
+SWEEP_SMALL = {"sweep.rates": "1,4", "sweep.epsilons": "3", "fl.rounds": "25"}
+FL_ROUNDS = 60
+
+
+def digest(*arrays) -> str:
+    """SHA-256 over the dtype, shape and bytes of each array in turn."""
+    import numpy as np
+
+    sha = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        sha.update(f"{a.dtype}{a.shape}".encode())
+        sha.update(a.tobytes())
+    return sha.hexdigest()
+
+
+def sweep_digests(cli, seed: int):
+    for label, overrides in (("small", SWEEP_SMALL), ("default", {})):
+        cfg = dict(cli.load_config(None), **overrides)
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.cmd_sweep(cfg, Path(out), seed, 1)
+            for name in ("snr_vs_rate.csv", "learning_curves.csv"):
+                data = (Path(out) / name).read_bytes()
+                yield f"sweep.{label}.{name}", hashlib.sha256(data).hexdigest()
+
+
+def fl_digests(flsim, seed: int):
+    import numpy as np
+
+    base = flsim.FlConfig(rounds=FL_ROUNDS, seed=seed)
+    task = flsim.build_task(base.task, base.users, base.alpha_vector(), seed)
+    xis = flsim.calibrate_xi(task, base)
+    for baseline in flsim.BASELINES:
+        ms = flsim.run_experiment(replace(base, baseline=baseline), task, xis)
+        yield f"fl.{baseline}", digest(np.array([astuple(m) for m in ms]))
+
+
+def uplink_digests(flsim, codec, privacy, shared_randomness, seed: int):
+    import numpy as np
+
+    specs = [(flsim.CodecSpec("scalar", rate=4, epsilon=2.0), 1 << 20)]
+    specs += [(flsim.CodecSpec(f, rate=4, epsilon=3.0, mechanism="t",
+                               nu=3.0), 1 << 18)
+              for f in ("square", "hexagonal")]
+    for cspec, coords in specs:
+        lat, spec = cspec.build()
+        samp = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
+        tables = [t for t in (samp._cdf, samp._alias_prob, samp._alias_idx)
+                  if t is not None]
+        yield f"ppn.{cspec.family}", digest(samp.density, *tables)
+        h = np.random.default_rng([seed, 0xB0]).normal(0.0, 1.0, coords)
+        sr = shared_randomness(seed=seed, user=1, round_index=2)
+        enc = codec.encode(h, lat, samp, sr, noise_seed=seed + 1)
+        name = f"uplink.{cspec.family}"
+        yield f"{name}.indices", digest(enc.indices)
+        yield f"{name}.overload_mask", digest(enc.overload_mask)
+        yield f"{name}.zeta", digest(np.array(enc.zeta))
+        yield f"{name}.decoded", digest(codec.decode(enc, lat, sr))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True,
+                        help="directory that holds the jopeq package")
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import jopeq
+    if Path(jopeq.__file__).resolve().parent != src / "jopeq":
+        print(f"error: imported jopeq from {jopeq.__file__}, not {src}",
+              file=sys.stderr)
+        return 2
+    from jopeq import cli, codec, flsim, privacy
+    from jopeq.dither import SharedRandomness
+
+    for gen in (sweep_digests(cli, args.seed), fl_digests(flsim, args.seed),
+                uplink_digests(flsim, codec, privacy, SharedRandomness,
+                               args.seed)):
+        for name, sha in gen:
+            print(name, sha, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
