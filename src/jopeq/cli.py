@@ -130,11 +130,11 @@ def snr_sweep_point(args) -> tuple:
     sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
                if baseline == "jopeq" else None)
     rng = np.random.default_rng([seed, 7001])
-    h = rng.normal(0.0, 1.0, int(cfg["sweep.snr_dim"]))
+    h = rng.normal(0.0, 1.0, (1, int(cfg["sweep.snr_dim"])))
     ht, _ = flsim.uplink(baseline, h, lat, spec, sampler,
-                         SharedRandomness(seed=seed, user=0, round_index=0),
-                         [seed, 7002], seed + 1)
-    value = codec.snr([h], [ht])
+                         [SharedRandomness(seed=seed, user=0, round_index=0)],
+                         [[seed, 7002]], seed + 1)
+    value = codec.snr(h, ht)
     return rate, epsilon, baseline, value
 
 

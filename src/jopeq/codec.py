@@ -24,7 +24,10 @@ __all__ = [
     "EncodedUpdate",
     "CorruptPayloadError",
     "scale_coefficient",
+    "scale_rows",
+    "encode_rows",
     "encode",
+    "decode_rows",
     "decode",
     "snr",
 ]
@@ -134,6 +137,48 @@ def _noise_stream(noise_seed: int, sr: SharedRandomness) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
+def scale_rows(hs: np.ndarray, m_subvectors: int) -> np.ndarray:
+    """
+    zeta of each row of a (K, d) batch by `scale_coefficient`, one row at a
+    time (a row-wise norm is not bit-equal to the 1-D one); an all-zero
+    row gets the unit scale of `encode`'s zero-point sentinel.
+    """
+    return np.array([scale_coefficient(h, m_subvectors) if np.any(h) else 1.0
+                     for h in hs])
+
+
+def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
+                noise_seed: int | None = None):
+    """
+    Encode a (K, d) batch of updates, row k with shared stream srs[k]; each
+    row is encoded as `encode` encodes it alone.
+
+    Returns (indices, zetas, overloaded) of shapes (K, M), (K,) and (K, M).
+    """
+    hs = np.asarray(hs, dtype=float)
+    if sampler is not None and sampler.lattice.dimension != lat.dimension:
+        raise ValueError("sampler lattice dimension mismatch")
+    k, d = hs.shape
+    dim = lat.dimension
+    m = -(-d // dim)
+
+    zetas = scale_rows(hs, m)
+    x = np.zeros((k, m, dim))
+    x.reshape(k, -1)[:, :d] = zetas[:, None] * hs
+    x += dither_block(srs, lat, k * m).reshape(k, m, dim)
+    if sampler is not None:
+        rngs = [_noise_stream(noise_seed, sr) if noise_seed is not None
+                else np.random.default_rng() for sr in srs]
+        x += sampler.sample(k * m, rngs).reshape(k, m, dim)
+
+    _, idx, overloaded = quantize_clipped(lat, x)
+    # A zero-norm row has no zeta: it is sent as the zero-point sentinel.
+    zero = ~np.any(hs, axis=1)
+    idx[zero] = lat._lookup[(lat._lmax,) * dim]
+    overloaded[zero] = False
+    return idx, zetas, overloaded
+
+
 def encode(h, lat: Lattice, sampler: PpnSampler | None,
            sr: SharedRandomness,
            noise_seed: int | None = None) -> EncodedUpdate:
@@ -143,38 +188,31 @@ def encode(h, lat: Lattice, sampler: PpnSampler | None,
     `sampler` may be None to disable the PPN (quantization-only encode).
     The PPN stream is private to the encoder: it is drawn from a Philox
     stream keyed by `noise_seed` (never from the shared seed), or from
-    fresh OS entropy when `noise_seed` is None.
+    fresh OS entropy when `noise_seed` is None. A zero-norm update, whose
+    zeta is undefined, is sent as the zero point at unit scale.
     """
     h = np.asarray(h, dtype=float).ravel()
-    if sampler is not None and sampler.lattice.dimension != lat.dimension:
-        raise ValueError("sampler lattice dimension mismatch")
-    d = len(h)
-    dim = lat.dimension
-    m = -(-d // dim)
+    idx, zetas, overloaded = encode_rows(h[None], lat, sampler, [sr],
+                                         noise_seed)
+    return EncodedUpdate(idx[0], float(zetas[0]), lat.dimension,
+                         lat.nominal_rate, lat.index_bits, len(h),
+                         int(overloaded.sum()), overloaded[0])
 
-    if not np.any(h):
-        # Zero-norm update: zeta is undefined, emit the zero-point sentinel
-        # at unit scale.
-        zero_idx = int(lat._lookup[(lat._lmax,) * dim])
-        return EncodedUpdate(np.full(m, zero_idx, dtype=np.int64), 1.0, dim,
-                             lat.nominal_rate, lat.index_bits, d, 0,
-                             np.zeros(m, dtype=bool))
 
-    zeta = scale_coefficient(h, m)
-    subs = np.zeros((m, dim))
-    subs.reshape(-1)[:d] = zeta * h
-
-    dith = dither_block(sr, lat, m)
-    if sampler is not None:
-        rng = (_noise_stream(noise_seed, sr) if noise_seed is not None
-               else np.random.default_rng())
-        noise = sampler.sample(m, rng)
-    else:
-        noise = 0.0
-
-    _, idx, overloaded = quantize_clipped(lat, subs + dith + noise)
-    return EncodedUpdate(idx, zeta, dim, lat.nominal_rate, lat.index_bits,
-                         d, int(overloaded.sum()), overloaded)
+def decode_rows(indices, zetas, lat: Lattice, srs,
+                original_dim: int) -> np.ndarray:
+    """
+    Decode a (K, M) batch of indices, row k with zetas[k] and shared stream
+    srs[k]; returns the (K, original_dim) updates, each row as `decode`
+    decodes it alone.
+    """
+    idx = np.asarray(indices)
+    if np.any(idx < 0) or np.any(idx >= len(lat.codebook)):
+        raise CorruptPayloadError("index out of codebook range")
+    k, m = idx.shape
+    dith = dither_block(srs, lat, k * m).reshape(k, m, lat.dimension)
+    sub = (lat.codebook[idx] - dith) / np.asarray(zetas)[:, None, None]
+    return sub.reshape(k, -1)[:, :original_dim]
 
 
 def decode(enc: EncodedUpdate, lat: Lattice,
@@ -183,27 +221,20 @@ def decode(enc: EncodedUpdate, lat: Lattice,
     Decode: regenerate the shared dither, subtract it from the indexed
     codebook points, rescale by 1/zeta and strip the zero-padded tail.
     """
-    idx = np.asarray(enc.indices)
-    if np.any(idx < 0) or np.any(idx >= len(lat.codebook)):
-        raise CorruptPayloadError("index out of codebook range")
-    dith = dither_block(sr, lat, enc.m_subvectors)
-    sub = (lat.codebook[idx] - dith) / enc.zeta
-    return sub.reshape(-1)[:enc.original_dim]
+    return decode_rows(np.asarray(enc.indices)[None], [enc.zeta], lat, [sr],
+                       enc.original_dim)[0]
 
 
-def snr(h_list, ht_list) -> float:
+def snr(h_rows, ht_rows) -> float:
     """
-    Mean over users of var(h) / var(h - h_tilde), in dB. Returns inf when
-    any user's distortion variance is zero.
+    Mean over users of var(h) / var(h - h_tilde), in dB, for a (K, d)
+    batch of updates or a sequence of K. Returns inf when any user's
+    distortion variance is zero.
     """
-    if len(h_list) != len(ht_list):
-        raise ValueError("mismatched lists")
-    ratios = []
-    for h, ht in zip(h_list, ht_list):
-        h = np.asarray(h, dtype=float)
-        dist = h - np.asarray(ht, dtype=float)
-        dv = float(np.var(dist))
-        if dv == 0.0:
-            return float("inf")
-        ratios.append(float(np.var(h)) / dv)
-    return 10.0 * math.log10(float(np.mean(ratios)))
+    if len(h_rows) != len(ht_rows):
+        raise ValueError("mismatched batches")
+    h = np.asarray(h_rows, dtype=float)
+    dv = np.var(h - np.asarray(ht_rows, dtype=float), axis=-1)
+    if np.any(dv == 0.0):
+        return float("inf")
+    return 10.0 * math.log10(float(np.mean(np.var(h, axis=-1) / dv)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, quantize_clipped, sample_cell_uniform
+from .lattice import Lattice, _cell_residual, quantize_clipped
 
 __all__ = ["SharedRandomness", "dither_block", "sdq"]
 
@@ -49,16 +49,26 @@ def _stream(sr: SharedRandomness) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
-def dither_block(sr: SharedRandomness, lat: Lattice, count: int) -> np.ndarray:
+def dither_block(sr, lat: Lattice, count: int) -> np.ndarray:
     """
     Dither vectors for sub-vector indices 0, ..., count-1.
 
     Returns a (count, L) array; row i is the dither for sub-vector i, a
     deterministic function of (seed, user, round, i) and marginally
-    uniform over the basic cell.
+    uniform over the basic cell. `sr` may also be a sequence of K streams,
+    one per row of a batch: then count must be a multiple of K, and rows
+    k count/K, ..., (k+1) count/K - 1 equal dither_block(sr[k], lat,
+    count // K).
     """
-    e = sample_cell_uniform(lat, _stream(sr), int(count))
-    return e.reshape(-1, lat.dimension)
+    srs = [sr] if isinstance(sr, SharedRandomness) else sr
+    per, rest = divmod(int(count), len(srs))
+    if rest:
+        raise ValueError(f"{count} sub-vectors do not split over "
+                         f"{len(srs)} streams")
+    u = np.empty((len(srs), per, lat.dimension))
+    for row, s in zip(u, srs):
+        _stream(s).random(out=row)
+    return _cell_residual(lat, u).reshape(-1, lat.dimension)
 
 
 def sdq(lat: Lattice, x: np.ndarray, d: np.ndarray):

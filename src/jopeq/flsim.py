@@ -345,34 +345,39 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     return 1.1 * best
 
 
-def uplink(baseline: str, h: np.ndarray, lat: Lattice, spec, sampler,
-           sr: SharedRandomness, noise_key, noise_seed: int):
+def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
+           srs, noise_keys, noise_seed: int):
     """
-    Send one update through a baseline's uplink; returns (h_tilde,
-    overloads).
+    Send a round's (K, d) batch of updates, row k from user k, through a
+    baseline's uplink; returns the (K, d) h_tilde and the round's overload
+    count. Row k uses the shared stream srs[k] and the noise key
+    noise_keys[k], and comes out as it would if sent alone.
 
-    plain sends h as is. ppn adds direct mechanism noise, drawn from
-    `default_rng(noise_key)`, to the zeta-scaled sub-vectors of h. sdq
-    quantizes h. separate quantizes the ppn output as an opaque second
-    stage (its own scaling), which spends range on the noise. jopeq
-    encodes h with the PPN `sampler`, its noise keyed on `noise_seed`.
+    plain sends the rows as they are. ppn adds direct mechanism noise,
+    drawn from `default_rng(noise_keys[k])`, to the zeta-scaled sub-vectors
+    of row k (a zero row at unit scale). sdq quantizes the rows. separate
+    quantizes the ppn output as an opaque second stage (its own scaling),
+    which spends range on the noise. jopeq encodes the rows with the PPN
+    `sampler`, its noise keyed on `noise_seed`.
     """
     if baseline == "plain":
-        return h, 0
+        return hs, 0
+    k, d = hs.shape
     if baseline in ("ppn", "separate"):
-        m = -(-len(h) // lat.dimension)
-        zeta = codec.scale_coefficient(h, m)
-        rng = np.random.default_rng(noise_key)
+        m = -(-d // lat.dimension)
+        zetas = codec.scale_rows(hs, m)
         # No name holds the noise, so it is freed before the sdq stage.
-        h = h + (privacy.mechanism_reference_sample(spec, m, rng)
-                 .reshape(-1)[:len(h)] / zeta)
+        hs = hs + np.stack([
+            privacy.mechanism_reference_sample(spec, m,
+                                               np.random.default_rng(key))
+            for key in noise_keys]).reshape(k, -1)[:, :d] / zetas[:, None]
         if baseline == "ppn":
-            return h, 0
+            return hs, 0
     elif baseline not in ("sdq", "jopeq"):
         raise ValueError(f"unknown baseline {baseline!r}")
-    enc = codec.encode(h, lat, sampler if baseline == "jopeq" else None, sr,
-                       noise_seed=noise_seed)
-    return codec.decode(enc, lat, sr), enc.overloads
+    idx, zetas, overloaded = codec.encode_rows(
+        hs, lat, sampler if baseline == "jopeq" else None, srs, noise_seed)
+    return codec.decode_rows(idx, zetas, lat, srs, d), int(overloaded.sum())
 
 
 def run_experiment(cfg: FlConfig, task: Task | None = None,
@@ -400,18 +405,17 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     w = np.zeros(task.model_dim)
     w0_dist2 = float(np.sum((w - task.w_opt) ** 2))
     out = []
+    users = range(task.users)
     for r in range(cfg.rounds):
-        hs, hts, ovs = [], [], 0
-        for k in range(task.users):
-            rng = np.random.default_rng([cfg.seed, _TAG_SGD, k, r])
-            h = local_sgd(task, k, w, cfg.tau, eta_fn, r * cfg.tau, rng)
-            ht, ov = uplink(
-                cfg.baseline, h, lat, spec, sampler,
-                SharedRandomness(seed=cfg.seed, user=k, round_index=r),
-                [cfg.seed, _TAG_PPN_ONLY, k, r], cfg.seed + 1)
-            hs.append(h)
-            hts.append(ht)
-            ovs += ov
+        hs = np.stack([
+            local_sgd(task, k, w, cfg.tau, eta_fn, r * cfg.tau,
+                      np.random.default_rng([cfg.seed, _TAG_SGD, k, r]))
+            for k in users])
+        hts, ovs = uplink(
+            cfg.baseline, hs, lat, spec, sampler,
+            [SharedRandomness(seed=cfg.seed, user=k, round_index=r)
+             for k in users],
+            [[cfg.seed, _TAG_PPN_ONLY, k, r] for k in users], cfg.seed + 1)
         w_true = fedavg_round(w, hs, alphas)
         w_next = fedavg_round(w, hts, alphas)
         gap = task.loss(w_next) - task.f_opt

@@ -245,11 +245,21 @@ def sample_cell_uniform(lat: Lattice, rng: np.random.Generator,
     (scalar for L=1) or (size, L).
     """
     n = 1 if size is None else int(size)
-    u = rng.random((n, lat.dimension)) @ lat.generator.T
-    e = u - _nearest_coords(lat, u) @ lat.generator.T
+    e = _cell_residual(lat, rng.random((n, lat.dimension)))
     if size is None:
         return e[0, 0] if lat.dimension == 1 else e[0]
     return e[:, 0] if lat.dimension == 1 else e
+
+
+def _cell_residual(lat: Lattice, u: np.ndarray) -> np.ndarray:
+    """
+    Map unit-cube coordinates u, shape (..., L), to G u - Q_L(G u) in the
+    basic cell. The products with G run once per (M, L) matrix of the
+    leading axes, so stacking K such matrices into (K, M, L) leaves each
+    one's result bit-identical to mapping it alone.
+    """
+    x = u @ lat.generator.T
+    return x - _nearest_coords(lat, x) @ lat.generator.T
 
 
 def cell_variance_per_coord(lat: Lattice) -> float:

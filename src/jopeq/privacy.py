@@ -256,23 +256,41 @@ class PpnSampler:
              np.sum(self.density * (x1 ** 2)[None, :])) * cell
         return float(m / 2.0 + (self.step[0] ** 2 + self.step[1] ** 2) / 24.0)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw `count` PPN vectors, shape (count, L)."""
+    def sample(self, count: int, rng) -> np.ndarray:
+        """
+        Draw `count` PPN vectors, shape (count, L). `rng` may also be a
+        sequence of K generators, one per row of a batch: then count must
+        be a multiple of K, and rows k count/K, ..., (k+1) count/K - 1
+        equal sample(count // K, rng[k]). Each generator draws its cells,
+        then its jitter.
+        """
+        rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+        per, rest = divmod(int(count), len(rngs))
+        if rest:
+            raise ValueError(f"{count} vectors do not split over "
+                             f"{len(rngs)} generators")
         d = self.lattice.dimension
         if self.degenerate:
             return np.zeros((count, d))
+        k = len(rngs)
+        u = np.empty((k, per))
+        jit = np.empty((k, per, d))
         if d == 1:
-            u = rng.random(count)
-            cells = np.searchsorted(self._cdf, u, side="right")
-            jit = rng.random(count)
-            x = self.origin[0] + self.step[0] * (cells + jit)
-            return x[:, None]
-        u = rng.random(count)
-        k = rng.integers(0, len(self._alias_prob), size=count)
-        take = u < self._alias_prob[k]
-        cells = np.where(take, k, self._alias_idx[k])
+            for g, ur, jr in zip(rngs, u, jit):
+                g.random(out=ur)
+                g.random(out=jr[:, 0])
+            cells = np.searchsorted(self._cdf, u.reshape(-1), side="right")
+            return self.origin[0] + self.step[0] * (cells[:, None]
+                                                    + jit.reshape(-1, 1))
+        pick = np.empty((k, per), dtype=np.int64)
+        for g, ur, pr, jr in zip(rngs, u, pick, jit):
+            g.random(out=ur)
+            pr[:] = g.integers(0, len(self._alias_prob), size=per)
+            g.random(out=jr)
+        u, pick, jit = u.reshape(-1), pick.reshape(-1), jit.reshape(-1, 2)
+        take = u < self._alias_prob[pick]
+        cells = np.where(take, pick, self._alias_idx[pick])
         i0, i1 = np.unravel_index(cells, self.density.shape)
-        jit = rng.random((count, 2))
         return np.stack([self.origin[0] + self.step[0] * (i0 + jit[:, 0]),
                          self.origin[1] + self.step[1] * (i1 + jit[:, 1])],
                         axis=1)

@@ -1,5 +1,7 @@
 """Vector codec: scaling, packetization, wire format, and SNR accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,16 @@ class TestSnr:
         h = rng.normal(0.0, 1.0, 200_000)
         ht = h + rng.normal(0.0, 1.0, 200_000)
         assert snr([h], [ht]) == pytest.approx(0.0, abs=0.05)
+
+    def test_batch_equals_rows(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            hs = rng.normal(0.0, 1.0, (10, 10))
+            hts = hs + rng.normal(0.0, 0.3, (10, 10))
+            by_user = 10.0 * math.log10(np.mean(
+                [float(np.var(h)) / float(np.var(h - ht))
+                 for h, ht in zip(hs, hts)]))
+            assert snr(hs, hts) == snr(list(hs), list(hts)) == by_user
 
     def test_ten_db_example(self):
         rng = np.random.default_rng(12)

@@ -24,6 +24,18 @@ class TestSharedStream:
         for i in range(4):
             assert np.array_equal(block[i], dither_block(sr, lat, i + 1)[i])
 
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_stream_sequence_stacks_single_streams(self, count):
+        # One sub-vector per stream is the (1, L) product with G, which
+        # takes another BLAS path than a block of several.
+        lat = hexagonal_lattice(3.0, 3)
+        srs = [SharedRandomness(seed=2, user=k, round_index=5)
+               for k in range(3)]
+        want = np.concatenate([dither_block(sr, lat, count) for sr in srs])
+        assert np.array_equal(dither_block(srs, lat, 3 * count), want)
+        with pytest.raises(ValueError):
+            dither_block(srs, lat, 3 * count + 1)
+
     def test_coordinates_change_stream(self):
         lat = scalar_uniform(4.0, 3)
         base = dither_block(SharedRandomness(seed=5), lat, 2)[:, 0]

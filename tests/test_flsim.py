@@ -1,14 +1,18 @@
 """Federated simulator: tasks, local SGD, aggregation, and the bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
-from jopeq.dither import SharedRandomness
-from jopeq.flsim import (CodecSpec, DivergenceError, FlConfig, TaskSpec,
-                         build_task, calibrate_xi, fedavg_round,
+from jopeq import flsim
+from jopeq.codec import decode, encode, scale_coefficient
+from jopeq.dither import SharedRandomness, dither_block
+from jopeq.flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
+                         TaskSpec, build_task, calibrate_xi, fedavg_round,
                          heterogeneity_gap, local_sgd, run_experiment,
                          theorem6_bound, theorem7_bound, uplink)
-from jopeq.privacy import build_ppn_sampler
+from jopeq.privacy import build_ppn_sampler, mechanism_reference_sample
 
 # Independently computed value of the convergence bound at
 # (sigma2=2, psi=0.3, rho_s=4, rho_c=0.5, alphas=0.1 x10, xis=2 x10,
@@ -184,14 +188,96 @@ class TestSupportRule:
             1.0 + spec.s2 * spec.nu / (spec.nu - 2.0))
 
 
+def _uplink_alone(baseline, h, lat, spec, sampler, sr, noise_key,
+                  noise_seed):
+    """
+    One update through a baseline's uplink, as the simulator sent them one
+    user at a time: the reference for the batched `uplink`. A zero update
+    gets the unit scale of the zero-point sentinel.
+    """
+    if baseline == "plain":
+        return h, 0
+    if baseline in ("ppn", "separate"):
+        m = -(-len(h) // lat.dimension)
+        zeta = scale_coefficient(h, m) if np.any(h) else 1.0
+        noise = mechanism_reference_sample(spec, m,
+                                           np.random.default_rng(noise_key))
+        h = h + noise.reshape(-1)[:len(h)] / zeta
+        if baseline == "ppn":
+            return h, 0
+    enc = encode(h, lat, sampler if baseline == "jopeq" else None, sr,
+                 noise_seed=noise_seed)
+    return decode(enc, lat, sr), enc.overloads
+
+
+def _rounds_one_user_at_a_time(cfg, task, xis):
+    """
+    run_experiment's round loop with each user's update sent alone through
+    `_uplink_alone` and the SNR averaged user by user: the reference for
+    the batched round. Returns (loss_gap, snr_db, weights_distortion,
+    overloads) per round.
+    """
+    eta_fn = flsim._eta_fn(cfg, task)
+    lat, spec = cfg.codec.build()
+    sampler = (build_ppn_sampler(spec, lat, allow_degenerate=True)
+               if cfg.baseline == "jopeq" else None)
+    w = np.zeros(task.model_dim)
+    out = []
+    for r in range(cfg.rounds):
+        hs, hts, ovs = [], [], 0
+        for k in range(task.users):
+            rng = np.random.default_rng([cfg.seed, flsim._TAG_SGD, k, r])
+            h = local_sgd(task, k, w, cfg.tau, eta_fn, r * cfg.tau, rng)
+            ht, ov = _uplink_alone(
+                cfg.baseline, h, lat, spec, sampler,
+                SharedRandomness(seed=cfg.seed, user=k, round_index=r),
+                [cfg.seed, flsim._TAG_PPN_ONLY, k, r], cfg.seed + 1)
+            hs.append(h)
+            hts.append(ht)
+            ovs += ov
+        w_true, w_next = w.copy(), w.copy()
+        for a, h, ht in zip(task.alphas, hs, hts):
+            w_true = w_true + a * h
+            w_next = w_next + a * ht
+        snr_db = float("inf")
+        if cfg.baseline != "plain":
+            snr_db = _snr_user_by_user(hs, hts)
+        out.append((task.loss(w_next) - task.f_opt, snr_db,
+                    float(np.sum((w_next - w_true) ** 2)), ovs))
+        w = w_next
+    return out
+
+
+def _snr_user_by_user(hs, hts):
+    ratios = []
+    for h, ht in zip(hs, hts):
+        dv = float(np.var(h - ht))
+        if dv == 0.0:
+            return float("inf")
+        ratios.append(float(np.var(h)) / dv)
+    return 10.0 * math.log10(float(np.mean(ratios)))
+
+
+def _codec(family):
+    """A small codec of each family with its PPN sampler."""
+    if family == "scalar":
+        cspec = CodecSpec(rate=3)
+    else:
+        cspec = CodecSpec(family, rate=3, epsilon=3.0, mechanism="t")
+    lat, spec = cspec.build()
+    return lat, spec, build_ppn_sampler(spec, lat, allow_degenerate=True,
+                                        grid_points=64, refine_iters=5)
+
+
 class TestUplink:
-    H = np.random.default_rng(8).normal(0.0, 1.0, 501)
-    SR = SharedRandomness(seed=3, user=1, round_index=2)
+    H = np.random.default_rng(8).normal(0.0, 1.0, (3, 501))
+    SRS = [SharedRandomness(seed=3, user=k, round_index=2) for k in range(3)]
+    KEYS = [[3, 9, k] for k in range(3)]
 
     def _send(self, baseline, h=None, cspec=CodecSpec(rate=3), sampler=None):
         lat, spec = cspec.build()
         return uplink(baseline, self.H if h is None else h, lat, spec,
-                      sampler, self.SR, [3, 9], 4)
+                      sampler, self.SRS, self.KEYS, 4)
 
     def test_plain_is_identity(self):
         ht, ov = self._send("plain")
@@ -219,6 +305,50 @@ class TestUplink:
         with pytest.raises(ValueError):
             self._send("magic")
 
+    @pytest.mark.parametrize("users", [1, 4])
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_batch_equals_rows_sent_alone(self, baseline, family, users):
+        lat, spec, samp = _codec(family)
+        # d = 1 gives one sub-vector per row; 9 pads the 2-D rows.
+        for d in (1, 9):
+            hs = np.random.default_rng([users, d]).normal(0.0, 1.0,
+                                                          (users, d))
+            srs = [SharedRandomness(seed=5, user=k, round_index=d)
+                   for k in range(users)]
+            keys = [[5, k, d] for k in range(users)]
+            hts, ovs = uplink(baseline, hs, lat, spec, samp, srs, keys, 6)
+            assert hts.shape == hs.shape
+            alone = [_uplink_alone(baseline, h, lat, spec, samp, sr, key, 6)
+                     for h, sr, key in zip(hs, srs, keys)]
+            for ht, (want, _) in zip(hts, alone):
+                assert np.array_equal(ht, want)
+            assert ovs == sum(ov for _, ov in alone)
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_zero_row_in_batch(self, baseline):
+        # A user whose update is exactly zero (e.g. a zero step size) is
+        # sent at the zero-point sentinel's unit scale; the round goes on.
+        lat, spec, samp = _codec("scalar")
+        hs = self.H.copy()
+        hs[1] = 0.0
+        hts, ovs = uplink(baseline, hs, lat, spec, samp, self.SRS,
+                          self.KEYS, 4)
+        alone = [_uplink_alone(baseline, h, lat, spec, samp, sr, key, 4)
+                 for h, sr, key in zip(hs, self.SRS, self.KEYS)]
+        for ht, (want, _) in zip(hts, alone):
+            assert np.array_equal(ht, want)
+        assert ovs == sum(ov for _, ov in alone)
+        if baseline == "ppn":
+            noise = mechanism_reference_sample(
+                spec, hs.shape[1], np.random.default_rng(self.KEYS[1]))
+            assert np.array_equal(hts[1], noise[:, 0])
+        if baseline in ("sdq", "jopeq"):
+            # The sentinel names the zero point, so the decoder is left
+            # with minus the dither, also under the PPN.
+            dith = dither_block(self.SRS[1], lat, hs.shape[1])
+            assert np.array_equal(hts[1], -dith[:, 0])
+
 
 class TestRunExperiment:
     def _cfg(self, **kw):
@@ -237,6 +367,15 @@ class TestRunExperiment:
         b = run_experiment(cfg)
         assert [m.loss_gap for m in a] == [m.loss_gap for m in b]
         assert [m.snr_db for m in a] == [m.snr_db for m in b]
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_matches_one_user_at_a_time(self, baseline):
+        cfg = self._cfg(baseline=baseline, rounds=15)
+        task = build_task(cfg.task, cfg.users, cfg.alpha_vector(), cfg.seed)
+        xis = calibrate_xi(task, cfg)
+        got = [(m.loss_gap, m.snr_db, m.weights_distortion, m.overloads)
+               for m in run_experiment(cfg, task, xis)]
+        assert got == _rounds_one_user_at_a_time(cfg, task, xis)
 
     def test_seed_changes_trajectory(self):
         a = run_experiment(self._cfg(rounds=10, seed=0))

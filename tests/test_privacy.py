@@ -147,6 +147,20 @@ class TestSamplerConstruction:
         target = 1.0 / (1.0 + (2.0 * probes / spec.epsilon) ** 2)
         assert np.max(np.abs(emp - target)) < 5e-3
 
+    @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
+    def test_generator_sequence_stacks_single_draws(self, family):
+        if family == "scalar":
+            lat, spec = scalar_uniform(9.0, 4), laplace_spec(1.0, 1)
+        else:
+            lat, spec = hexagonal_lattice(9.0, 3), t_spec(3.0, 2, 3.0)
+        samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        want = np.concatenate([samp.sample(5, np.random.default_rng(k))
+                               for k in range(3)])
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        assert np.array_equal(samp.sample(15, rngs), want)
+        with pytest.raises(ValueError):
+            samp.sample(16, rngs)
+
     def test_2d_t_sampler_validity(self):
         spec = t_spec(3.0, 2, 3.0)
         gamma = 1.5 * (1.0 + spec.s2 * spec.nu / (spec.nu - 2.0))

@@ -13,6 +13,9 @@ The outputs, all keyed on --seed:
   default config; JOPEQ_* environment variables apply as in the CLI.
 - `fl.<baseline>`: every field of the 60 per-round metrics of each of the
   five baselines on the linear task.
+- `fl.decay.<baseline>`: the same for 60 rounds of the benchmark's
+  `fl-train` config (decay schedule, scalar R = 4, epsilon 2, 10 users,
+  tau 4).
 - `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
@@ -68,6 +71,14 @@ def fl_digests(flsim, seed: int):
     for baseline in flsim.BASELINES:
         ms = flsim.run_experiment(replace(base, baseline=baseline), task, xis)
         yield f"fl.{baseline}", digest(np.array([astuple(m) for m in ms]))
+    # The `fl-train` config: every field not given here is FlConfig's
+    # default (linear task of dimension 10, scalar Laplace codec at R = 4,
+    # epsilon 2, 10 users, tau 4).
+    decay = flsim.FlConfig(rounds=FL_ROUNDS, schedule="decay", seed=seed)
+    for baseline in flsim.BASELINES:
+        ms = flsim.run_experiment(replace(decay, baseline=baseline))
+        yield (f"fl.decay.{baseline}",
+               digest(np.array([astuple(m) for m in ms])))
 
 
 def uplink_digests(flsim, codec, privacy, shared_randomness, seed: int):
