@@ -16,8 +16,8 @@ from .flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
                     fedavg_round, heterogeneity_gap, local_sgd,
                     run_experiment, theorem6_bound, theorem7_bound)
 from .lattice import (ConfigurationError, Lattice, cell_cf, hexagonal_lattice,
-                      nearest_point, quantize_clipped, sample_cell_uniform,
-                      scalar_uniform, square_lattice)
+                      nearest_point, quantize_clipped, scalar_uniform,
+                      square_lattice)
 from .privacy import (InfeasibleParametersError, MechanismInfeasibleError,
                       MechanismSpec, PpnSampler, build_ppn_sampler,
                       laplace_spec, mechanism_reference_sample,

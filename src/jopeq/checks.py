@@ -42,9 +42,9 @@ def sdq_distortion_law(seed: int) -> list[TestReport]:
     }
     reports = []
     for i, (name, x) in enumerate(inputs.items()):
-        d = dither_block(SharedRandomness(seed=300 + i + seed), lat, n)[:, 0]
-        val, _, over = sdq(lat, x, d)
-        err = val - x
+        d = dither_block(SharedRandomness(seed=300 + i + seed), lat, n)
+        val, _, over = sdq(lat, x[:, None], d)
+        err = val[:, 0] - x
         rep = ks_test(err, lambda v: np.clip(v + 0.5, 0.0, 1.0),
                       f"sdq-{name}")
         # An overloaded sample's error is clipped, not cell-uniform; these

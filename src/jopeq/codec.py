@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dither import SharedRandomness, dither_block
+from .dither import SharedRandomness, _keyed_stream, dither_block
 from .lattice import Lattice, quantize_clipped
 from .privacy import PpnSampler
 
@@ -117,7 +117,8 @@ def scale_coefficient(h: np.ndarray, m_subvectors: int) -> float:
     for a non-finite one, whose decoded values would all be non-finite.
     """
     h = np.asarray(h, dtype=float)
-    norm = float(np.linalg.norm(h))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(h))
     if norm == 0.0 or math.isinf(norm):
         # The sum of squares may have under- or overflowed for a finite,
         # nonzero update; rescaling by the largest coordinate avoids that.
@@ -127,14 +128,6 @@ def scale_coefficient(h: np.ndarray, m_subvectors: int) -> float:
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError(f"zeta undefined for an update of norm {norm}")
     return math.sqrt(m_subvectors) / (3.0 * norm)
-
-
-def _noise_stream(noise_seed: int, sr: SharedRandomness) -> np.random.Generator:
-    bit = np.random.Philox(
-        key=[np.uint64(noise_seed & (2 ** 64 - 1)), np.uint64(sr.user)],
-        counter=[np.uint64(sr.round_index), np.uint64(_NOISE_TAG), 0, 0],
-    )
-    return np.random.Generator(bit)
 
 
 def scale_rows(hs: np.ndarray, m_subvectors: int) -> np.ndarray:
@@ -167,14 +160,15 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
     x.reshape(k, -1)[:, :d] = zetas[:, None] * hs
     x += dither_block(srs, lat, k * m).reshape(k, m, dim)
     if sampler is not None:
-        rngs = [_noise_stream(noise_seed, sr) if noise_seed is not None
+        rngs = [_keyed_stream(noise_seed, sr, _NOISE_TAG)
+                if noise_seed is not None
                 else np.random.default_rng() for sr in srs]
         x += sampler.sample(k * m, rngs).reshape(k, m, dim)
 
     _, idx, overloaded = quantize_clipped(lat, x)
     # A zero-norm row has no zeta: it is sent as the zero-point sentinel.
     zero = ~np.any(hs, axis=1)
-    idx[zero] = lat._lookup[(lat._lmax,) * dim]
+    idx[zero] = lat.zero_index
     overloaded[zero] = False
     return idx, zetas, overloaded
 

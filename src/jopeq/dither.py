@@ -41,10 +41,15 @@ class SharedRandomness:
     round_index: int = 0
 
 
-def _stream(sr: SharedRandomness) -> np.random.Generator:
+def _keyed_stream(key: int, sr: SharedRandomness,
+                  tag: int) -> np.random.Generator:
+    """
+    Philox stream keyed by (key, user) at counter (round, tag): one stream
+    per seed, user, round and domain tag.
+    """
     bit = np.random.Philox(
-        key=[np.uint64(sr.seed & (2 ** 64 - 1)), np.uint64(sr.user)],
-        counter=[np.uint64(sr.round_index), np.uint64(_DITHER_TAG), 0, 0],
+        key=[np.uint64(key & (2 ** 64 - 1)), np.uint64(sr.user)],
+        counter=[np.uint64(sr.round_index), np.uint64(tag), 0, 0],
     )
     return np.random.Generator(bit)
 
@@ -67,18 +72,19 @@ def dither_block(sr, lat: Lattice, count: int) -> np.ndarray:
                          f"{len(srs)} streams")
     u = np.empty((len(srs), per, lat.dimension))
     for row, s in zip(u, srs):
-        _stream(s).random(out=row)
+        _keyed_stream(s.seed, s, _DITHER_TAG).random(out=row)
     return _cell_residual(lat, u).reshape(-1, lat.dimension)
 
 
 def sdq(lat: Lattice, x: np.ndarray, d: np.ndarray):
     """
-    Subtractive dithered quantization: Q_L(x + d) - d.
+    Subtractive dithered quantization: Q_L(x + d) - d, for sub-vectors x
+    and dithers d of shape (..., L).
 
-    Returns (value, index, overloaded); value = quantized point minus the
-    dither, index identifies the quantized point in the codebook. For
-    non-overloaded inputs the distortion value - x is uniform over the
-    basic cell and independent of x.
+    Returns (value, index, overloaded) as `quantize_clipped` does; value is
+    the quantized point minus the dither, index identifies the quantized
+    point in the codebook. For non-overloaded inputs the distortion
+    value - x is uniform over the basic cell and independent of x.
     """
     x = np.asarray(x, dtype=float)
     point, idx, overloaded = quantize_clipped(lat, x + d)

@@ -11,6 +11,10 @@ Supported families: scalar uniform (L=1), square (L=2, scaled identity)
 and hexagonal (L=2). Each has a closed-form nearest-point rule (per-axis
 rounding; for the hexagon, rounding in its two rectangular cosets) and a
 closed-form cell: variance, vertices and characteristic function.
+
+Every function takes sub-vectors as an array of shape (..., L), L the
+lattice dimension, also for L=1; per-sub-vector results (an index, an
+overload flag, a CF value) have the leading shape (...).
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +28,6 @@ __all__ = [
     "hexagonal_lattice",
     "nearest_point",
     "quantize_clipped",
-    "sample_cell_uniform",
     "cell_cf",
     "cell_variance_per_coord",
 ]
@@ -74,12 +77,18 @@ class Lattice:
         """Fixed index width used for transport, ceil(log2(|codebook|))."""
         return max(1, int(np.ceil(np.log2(len(self.codebook)))))
 
+    @property
+    def zero_index(self) -> int:
+        """Codebook index of the origin."""
+        return int(self._lookup[(self._lmax,) * self.dimension])
 
-def _build(generator: np.ndarray, gamma: float, rate: int, family: str,
-           delta_q: float) -> Lattice:
-    generator = np.asarray(generator, dtype=float)
-    if generator.ndim != 2 or generator.shape[0] != generator.shape[1]:
-        raise ConfigurationError("generator must be a square matrix")
+
+def _build(base: np.ndarray, delta_q: float, gamma: float, rate: int,
+           family: str) -> Lattice:
+    """The lattice with generator delta_q * base, gamma and rate checked."""
+    if not 0 < gamma < np.inf or rate < 1 or rate != int(rate):
+        raise ConfigurationError("need finite gamma > 0 and integer rate >= 1")
+    generator = delta_q * np.asarray(base, dtype=float)
     smin = np.linalg.svd(generator, compute_uv=False)[-1]
     if smin <= 0 or not np.isfinite(smin):
         raise ConfigurationError("generator matrix is singular")
@@ -122,18 +131,14 @@ def scalar_uniform(gamma: float, rate: int) -> Lattice:
     The codebook holds every multiple of the spacing with magnitude at most
     gamma, so it is symmetric and contains both endpoints +-gamma.
     """
-    if not 0 < gamma < np.inf or rate < 1 or rate != int(rate):
-        raise ConfigurationError("need finite gamma > 0 and integer rate >= 1")
     delta = 2.0 * gamma / 2 ** int(rate)
-    return _build(np.array([[delta]]), gamma, rate, "scalar", delta)
+    return _build(np.eye(1), delta, gamma, rate, "scalar")
 
 
 def square_lattice(gamma: float, rate: int) -> Lattice:
     """L=2 scaled-identity lattice with per-axis spacing 2*gamma/2**rate."""
-    if not 0 < gamma < np.inf or rate < 1 or rate != int(rate):
-        raise ConfigurationError("need finite gamma > 0 and integer rate >= 1")
     delta = 2.0 * gamma / 2 ** int(rate)
-    return _build(delta * np.eye(2), gamma, rate, "square", delta)
+    return _build(np.eye(2), delta, gamma, rate, "square")
 
 
 def hexagonal_lattice(gamma: float, rate: int) -> Lattice:
@@ -144,12 +149,10 @@ def hexagonal_lattice(gamma: float, rate: int) -> Lattice:
     (point count ~= disc area / cell volume), so the achieved rate
     log2(|codebook|) / 2 is close to `rate` but fractional.
     """
-    if not 0 < gamma < np.inf or rate < 1 or rate != int(rate):
-        raise ConfigurationError("need finite gamma > 0 and integer rate >= 1")
     base = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
     # pi*gamma^2 / (delta^2 * sqrt(3)/2) = 2^(2R)  =>  delta
     delta = gamma * np.sqrt(2.0 * np.pi / (np.sqrt(3.0) * 4.0 ** int(rate)))
-    return _build(delta * base, gamma, rate, "hexagonal", delta)
+    return _build(base, delta, gamma, rate, "hexagonal")
 
 
 def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
@@ -162,7 +165,6 @@ def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     and its shift by delta*(1/2, sqrt(3)/2); round half up per axis in each
     and keep the nearer point, the unshifted one on a tie.
     """
-    x = np.asarray(x, dtype=float)
     if lat.family != "hexagonal":
         return np.floor(x / lat.delta_q + 0.5).astype(np.int64)
     # Rectangular frame: u in units of delta, v in units of delta*sqrt(3);
@@ -180,35 +182,34 @@ def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     return np.stack([a - k, 2.0 * k + shifted], axis=-1).astype(np.int64)
 
 
+def _subvectors(lat: Lattice, x) -> np.ndarray:
+    """x as a float array of shape (..., L); any other shape is refused."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (lat.dimension,):
+        raise ValueError(f"expected shape (..., {lat.dimension}), "
+                         f"got {x.shape}")
+    return x
+
+
 def nearest_point(lat: Lattice, x: np.ndarray) -> np.ndarray:
     """
-    Nearest lattice point to x over the unrestricted (infinite) lattice.
-
-    Accepts a single vector of shape (L,) (or a scalar for L=1) or a batch
-    of shape (..., L); returns matching shape.
+    Nearest lattice point to each sub-vector of x, shape (..., L), over the
+    unrestricted (infinite) lattice; returns shape (..., L).
     """
-    x = np.asarray(x, dtype=float)
-    scalar_in = lat.dimension == 1 and (x.ndim == 0 or x.shape[-1] != 1)
-    if scalar_in:
-        x = x[..., None]
-    p = _nearest_coords(lat, x) @ lat.generator.T
-    return p[..., 0] if scalar_in else p
+    return _nearest_coords(lat, _subvectors(lat, x)) @ lat.generator.T
 
 
 def quantize_clipped(lat: Lattice, x: np.ndarray):
     """
-    Quantize x to the nearest codebook point.
+    Quantize each sub-vector of x, shape (..., L), to the nearest codebook
+    point.
 
-    Returns (point, index, overloaded); overloaded is True iff the
-    unrestricted nearest lattice point lies outside the codebook, in which
-    case the returned point is the nearest codebook point instead.
-
-    Batched like nearest_point; index/overloaded drop the last axis.
+    Returns (point, index, overloaded) of shapes (..., L), (...) and (...);
+    overloaded is True iff the unrestricted nearest lattice point lies
+    outside the codebook, in which case the point is the nearest codebook
+    point instead.
     """
-    x = np.asarray(x, dtype=float)
-    scalar_in = lat.dimension == 1 and (x.ndim == 0 or x.shape[-1] != 1)
-    if scalar_in:
-        x = x[..., None]
+    x = _subvectors(lat, x)
     batch_shape = x.shape[:-1]
     flat = x.reshape(-1, lat.dimension)
     coords = _nearest_coords(lat, flat)
@@ -225,38 +226,17 @@ def quantize_clipped(lat: Lattice, x: np.ndarray):
         idx = idx.copy()
         idx[overloaded] = np.argmin(d2, axis=1)
 
-    point = lat.codebook[idx].reshape(x.shape)
-    idx = idx.reshape(batch_shape)
-    overloaded = overloaded.reshape(batch_shape)
-    if scalar_in:
-        point = point[..., 0]
-    if batch_shape == ():
-        return (float(point) if scalar_in else point), int(idx), bool(overloaded)
-    return point, idx, overloaded
-
-
-def sample_cell_uniform(lat: Lattice, rng: np.random.Generator,
-                        size: int | None = None) -> np.ndarray:
-    """
-    Sample uniformly over the basic cell P0 = {x : Q_L(x) = 0}.
-
-    Draws u uniform over the fundamental parallelepiped G @ [0,1)^L and
-    returns u - Q_L(u), which is exactly cell-uniform. Returns shape (L,)
-    (scalar for L=1) or (size, L).
-    """
-    n = 1 if size is None else int(size)
-    e = _cell_residual(lat, rng.random((n, lat.dimension)))
-    if size is None:
-        return e[0, 0] if lat.dimension == 1 else e[0]
-    return e[:, 0] if lat.dimension == 1 else e
+    return (lat.codebook[idx].reshape(x.shape), idx.reshape(batch_shape),
+            overloaded.reshape(batch_shape))
 
 
 def _cell_residual(lat: Lattice, u: np.ndarray) -> np.ndarray:
     """
     Map unit-cube coordinates u, shape (..., L), to G u - Q_L(G u) in the
-    basic cell. The products with G run once per (M, L) matrix of the
-    leading axes, so stacking K such matrices into (K, M, L) leaves each
-    one's result bit-identical to mapping it alone.
+    basic cell; u uniform over [0, 1)^L gives a cell-uniform result. The
+    products with G run once per (M, L) matrix of the leading axes, so
+    stacking K such matrices into (K, M, L) leaves each one's result
+    bit-identical to mapping it alone.
     """
     x = u @ lat.generator.T
     return x - _nearest_coords(lat, x) @ lat.generator.T
@@ -282,17 +262,12 @@ def cell_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
     the integral is evaluated exactly edge-by-edge via the divergence
     theorem, and by its second-order series 1 - |t|^2 var / 2 (var the
     per-coordinate cell variance) where (|t| delta)^2 < 1e-6, below which
-    the edge sum cancels. Accepts t of shape (L,) or (..., L); for L=1
-    scalars/arrays of scalars are also accepted.
+    the edge sum cancels. Takes t of shape (..., L); returns shape (...).
     """
-    t = np.asarray(t, dtype=float)
-    if lat.dimension == 1:
-        tv = t[..., 0] if (t.ndim > 0 and t.shape[-1] == 1) else t
-        return np.sinc(tv * lat.delta_q / (2.0 * np.pi))
-    if lat.family == "square":
-        return (np.sinc(t[..., 0] * lat.delta_q / (2.0 * np.pi))
-                * np.sinc(t[..., 1] * lat.delta_q / (2.0 * np.pi)))
-    return _hexagon_cf(lat, t)
+    t = _subvectors(lat, t)
+    if lat.family == "hexagonal":
+        return _hexagon_cf(lat, t)
+    return np.prod(np.sinc(t * lat.delta_q / (2.0 * np.pi)), axis=-1)
 
 
 def _hexagon_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
@@ -305,10 +280,8 @@ def _hexagon_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
     with m_j the edge midpoint. The cell's vertices lie at radius
     delta/sqrt(3), angles pi/6 + j pi/3, counter-clockwise.
     """
-    single = t.ndim == 1
-    tk = t[None, :] if single else t
-    shape = tk.shape[:-1]
-    tk = tk.reshape(-1, 2)
+    shape = t.shape[:-1]
+    tk = t.reshape(-1, 2)
     delta = lat.delta_q
     area = np.sqrt(3.0) / 2.0 * delta ** 2
     ang = np.pi / 6.0 + np.arange(6) * np.pi / 3.0
@@ -333,5 +306,4 @@ def _hexagon_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
             acc += (k @ n) / (1j * knorm2[big]) * seg
         out[big] = np.real(acc) / area
 
-    out = out.reshape(shape)
-    return out[0] if single else out
+    return out.reshape(shape)

@@ -1,6 +1,7 @@
 """Vector codec: scaling, packetization, wire format, and SNR accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ class TestScaleCoefficient:
                 scale_coefficient(h, 1000)
             with pytest.raises(ValueError):
                 encode(h, lat, None, SharedRandomness(0))
+
+    def test_overflowing_norm_warns_nothing(self):
+        # ||h||^2 = 4e320 overflows; the rescale path recovers zeta without
+        # letting the overflow surface as a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeta = scale_coefficient(np.full(4, 1e160), 4)
+        assert zeta == pytest.approx(1.0 / 3e160, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("value", [1e160, 1e-170])
     def test_extreme_finite_round_trip(self, value):

@@ -66,8 +66,8 @@ class TestSdq:
     def test_exact_on_lattice_points_with_zero_dither(self):
         lat = scalar_uniform(4.0, 3)
         for x in (-2.0, 0.0, 3.0):
-            val, _, over = sdq(lat, x, 0.0)
-            assert (val, over) == (x, False)
+            val, _, over = sdq(lat, [x], np.zeros(1))
+            assert val == [x] and not over
 
     def test_sdq_equals_dq_minus_dither(self):
         lat = hexagonal_lattice(3.0, 3)
@@ -81,10 +81,10 @@ class TestSdq:
         assert np.array_equal(so, po)
 
     def _distortion(self, lat, x, seed):
-        d = dither_block(SharedRandomness(seed=seed), lat, len(x))[:, 0]
-        val, _, over = sdq(lat, x, d)
+        d = dither_block(SharedRandomness(seed=seed), lat, len(x))
+        val, _, over = sdq(lat, x[:, None], d)
         assert not np.any(over)
-        return val - x
+        return val[:, 0] - x
 
     def test_distortion_uniform_and_uncorrelated(self):
         lat = scalar_uniform(4.0, 3)  # delta 1; keep |x| <= gamma - delta
@@ -98,6 +98,6 @@ class TestSdq:
 
     def test_overload_flagged_not_silent(self):
         lat = scalar_uniform(2.0, 2)
-        val, _, over = sdq(lat, 5.0, 0.25)
+        val, _, over = sdq(lat, [5.0], [0.25])
         assert over
-        assert val == pytest.approx(2.0 - 0.25)
+        assert val == pytest.approx([2.0 - 0.25])

@@ -1,15 +1,16 @@
-"""Lattice geometry, quantization, basic-cell sampling and the cell CF."""
+"""Lattice geometry, quantization, the dither's cell law and the cell CF."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jopeq.dither import SharedRandomness, dither_block
 from jopeq.flsim import CodecSpec
 from jopeq.lattice import (ConfigurationError, cell_cf,
                            cell_variance_per_coord, hexagonal_lattice,
-                           nearest_point, quantize_clipped,
-                           sample_cell_uniform, scalar_uniform, square_lattice)
+                           nearest_point, quantize_clipped, scalar_uniform,
+                           square_lattice)
 
 # Monte-Carlo oracle for the hexagonal-cell CF at t=(1,1), unit generator
 # scale: mean of cos(t.e) over 1e7 cell-uniform samples (default_rng(0)).
@@ -34,6 +35,11 @@ def lattice_at(family, scale):
     if family == "square":
         return square_lattice(4.0, 3)
     return hexagonal_lattice(HEX_UNIT_GAMMA, 3)
+
+
+def cell_samples(lat, count, seed):
+    """count cell-uniform vectors, shape (count, L): the dither stream."""
+    return dither_block(SharedRandomness(seed=seed), lat, count)
 
 
 def nearest_at_min_distance(lat, x):
@@ -87,8 +93,8 @@ class TestConstruction:
 class TestNearestPoint:
     def test_scalar_examples(self):
         lat = scalar_uniform(4.0, 3)
-        assert nearest_point(lat, 0.0) == 0.0
-        assert nearest_point(lat, 0.6) == 1.0
+        assert nearest_point(lat, [0.0]) == [0.0]
+        assert nearest_point(lat, [0.6]) == [1.0]
 
     @pytest.mark.parametrize("scale", ["unit", "benchmark"])
     @pytest.mark.parametrize("family", ["square", "hexagonal"])
@@ -162,30 +168,27 @@ class TestNearestPoint:
         lat = scalar_uniform(2.0, 2)
         expect = np.floor(x / 1.0 + 0.5) * 1.0
         clamped = np.sign(x) * 2.0 if abs(expect) > 2.0 else expect
-        point, _, over = quantize_clipped(lat, x)
-        assert point == clamped
+        point, _, over = quantize_clipped(lat, [x])
+        assert point == [clamped]
         assert over == (abs(expect) > 2.0)
 
 
 class TestQuantizeClipped:
     def test_midtread_examples(self):
         lat = scalar_uniform(2.0, 2)
-        point, idx, over = quantize_clipped(lat, 0.6)
-        assert (point, over) == (1.0, False)
-        assert lat.codebook[idx, 0] == 1.0
-        point, idx, over = quantize_clipped(lat, 2.5)
-        assert (point, over) == (2.0, True)
-        assert lat.codebook[idx, 0] == 2.0
-        point, idx, over = quantize_clipped(lat, -0.49)
-        assert (point, over) == (0.0, False)
+        for x, want, overloaded in ((0.6, 1.0, False), (2.5, 2.0, True),
+                                    (-0.49, 0.0, False)):
+            point, idx, over = quantize_clipped(lat, [x])
+            assert point == [want] and over == overloaded
+            assert lat.codebook[idx, 0] == want
 
     def test_dense_grid_bitexact(self):
         lat = scalar_uniform(2.0, 2)
         x = np.linspace(-3.0, 3.0, 4001)
-        point, _, over = quantize_clipped(lat, x)
+        point, _, over = quantize_clipped(lat, x[:, None])
         ref = np.floor(x + 0.5)
         expect = np.where(np.abs(ref) > 2.0, np.sign(x) * 2.0, ref)
-        assert np.array_equal(point, expect)
+        assert np.array_equal(point[:, 0], expect)
         assert np.array_equal(over, np.abs(ref) > 2.0)
 
     def test_overload_flag_2d(self):
@@ -208,40 +211,31 @@ class TestQuantizeClipped:
 class TestCellSampling:
     def test_scalar_cell_bounds_and_variance(self):
         lat = scalar_uniform(8.0, 4)  # delta 1
-        rng = np.random.default_rng(0)
-        e = sample_cell_uniform(lat, rng, size=1_000_000)
+        e = cell_samples(lat, 1_000_000, seed=0)
         assert np.all(e >= -0.5) and np.all(e < 0.5)
         assert np.var(e) == pytest.approx(1.0 / 12.0, abs=1e-3)
 
     def test_hexagonal_samples_in_cell(self):
         lat = hexagonal_lattice(3.0, 3)
-        rng = np.random.default_rng(1)
-        e = sample_cell_uniform(lat, rng, size=20_000)
+        e = cell_samples(lat, 20_000, seed=1)
         assert np.allclose(nearest_point(lat, e), 0.0, atol=1e-9)
 
     def test_variance_matches_sampling(self):
-        rng = np.random.default_rng(4)
         for lat in all_lattices():
-            e = sample_cell_uniform(lat, rng, size=400_000)
-            emp = float(np.mean(np.var(e.reshape(len(e), -1), axis=0)))
+            e = cell_samples(lat, 400_000, seed=4)
+            emp = float(np.mean(np.var(e, axis=0)))
             assert emp == pytest.approx(cell_variance_per_coord(lat),
                                         rel=0.01)
-
-    def test_single_sample_shape(self):
-        rng = np.random.default_rng(2)
-        assert np.isscalar(sample_cell_uniform(scalar_uniform(2.0, 2), rng))
-        assert sample_cell_uniform(square_lattice(2.0, 2), rng).shape == (2,)
 
 
 class TestCellCf:
     def test_origin_is_one(self):
         for lat in all_lattices():
-            t0 = np.zeros(lat.dimension) if lat.dimension > 1 else 0.0
-            assert cell_cf(lat, t0) == pytest.approx(1.0)
+            assert cell_cf(lat, np.zeros(lat.dimension)) == pytest.approx(1.0)
 
     def test_scalar_sinc_zero(self):
         lat = scalar_uniform(8.0, 4)  # delta 1
-        assert cell_cf(lat, 2.0 * np.pi) == pytest.approx(0.0, abs=1e-12)
+        assert cell_cf(lat, [2.0 * np.pi]) == pytest.approx(0.0, abs=1e-12)
 
     def test_square_is_product_of_sincs(self):
         lat = square_lattice(2.0, 1)  # delta 2
@@ -266,8 +260,7 @@ class TestCellCf:
 
     def test_hexagonal_quadrature_matches_sampling(self):
         lat = hexagonal_lattice(3.0, 2)
-        rng = np.random.default_rng(8)
-        e = sample_cell_uniform(lat, rng, size=400_000)
+        e = cell_samples(lat, 400_000, seed=8)
         for t in (np.array([0.5, 0.2]), np.array([1.5, -0.8])):
             mc = float(np.mean(np.cos(e @ t)))
             assert float(cell_cf(lat, t)) == pytest.approx(mc, abs=5e-3)
@@ -284,3 +277,31 @@ class TestCellCf:
                  * np.stack([np.cos(ang), np.sin(ang)], axis=1))
             series = 1.0 - 0.5 * var * s2 / lat.delta_q ** 2
             assert np.allclose(cell_cf(lat, t), series, rtol=0, atol=1e-12)
+
+
+class TestArrayConvention:
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    def test_subvector_shapes(self, family, lead):
+        lat = {l.family: l for l in all_lattices()}[family]
+        x = np.random.default_rng(6).normal(0.0, 2.0, lead + (lat.dimension,))
+        assert nearest_point(lat, x).shape == x.shape
+        point, idx, over = quantize_clipped(lat, x)
+        assert (point.shape, idx.shape, over.shape) == (x.shape, lead, lead)
+        assert cell_cf(lat, x).shape == lead
+        with pytest.raises(ValueError):
+            quantize_clipped(lat, np.zeros(lead + (lat.dimension + 1,)))
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    def test_stack_quantizes_row_by_row(self, family):
+        lat = {l.family: l for l in all_lattices()}[family]
+        # At this scale some sub-vectors lie outside the support.
+        x = np.random.default_rng(7).normal(0.0, lat.support_radius,
+                                            (3, 4, lat.dimension))
+        point, idx, over = quantize_clipped(lat, x)
+        assert np.any(over)
+        for i in range(3):
+            row = quantize_clipped(lat, x[i])
+            assert np.array_equal(point[i], row[0])
+            assert np.array_equal(idx[i], row[1])
+            assert np.array_equal(over[i], row[2])

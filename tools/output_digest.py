@@ -21,6 +21,9 @@ The outputs, all keyed on --seed:
   for square and hexagonal t at 2^18.
 - `ppn.<family>`: the PPN table and its sampling tables for those three
   codecs.
+- `verify.<check>`: the report lines `jopeq verify` prints for each of
+  the first five checks of `checks.CHECKS` (criterion 6, about 27 s, is
+  left out).
 
 Exits 2 when `jopeq` is imported from anywhere other than --src.
 """
@@ -37,6 +40,7 @@ from pathlib import Path
 
 SWEEP_SMALL = {"sweep.rates": "1,4", "sweep.epsilons": "3", "fl.rounds": "25"}
 FL_ROUNDS = 60
+VERIFY_CHECKS = 5
 
 
 def digest(*arrays) -> str:
@@ -104,6 +108,12 @@ def uplink_digests(flsim, codec, privacy, shared_randomness, seed: int):
         yield f"{name}.decoded", digest(codec.decode(enc, lat, sr))
 
 
+def verify_digests(checks, seed: int):
+    for name, check in list(checks.CHECKS.items())[:VERIFY_CHECKS]:
+        lines = "".join(f"{rep}\n" for rep in check(seed))
+        yield f"verify.{name}", hashlib.sha256(lines.encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True,
@@ -120,12 +130,13 @@ def main(argv=None) -> int:
         print(f"error: imported jopeq from {jopeq.__file__}, not {src}",
               file=sys.stderr)
         return 2
-    from jopeq import cli, codec, flsim, privacy
+    from jopeq import checks, cli, codec, flsim, privacy
     from jopeq.dither import SharedRandomness
 
     for gen in (sweep_digests(cli, args.seed), fl_digests(flsim, args.seed),
                 uplink_digests(flsim, codec, privacy, SharedRandomness,
-                               args.seed)):
+                               args.seed),
+                verify_digests(checks, args.seed)):
         for name, sha in gen:
             print(name, sha, flush=True)
     return 0
