@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dither import SharedRandomness, _keyed_stream, dither_block
+from .dither import SharedRandomness, _KeyedStreams, dither_block
 from .lattice import Lattice, quantize_clipped
 from .privacy import PpnSampler
 
@@ -109,6 +109,26 @@ class EncodedUpdate:
         return cls(idx, zeta, dim, rate, w, m * dim, overloads)
 
 
+def _zeta(h: np.ndarray, m_subvectors: int) -> float:
+    """
+    zeta of one update, a 1-D float array; the caller ignores overflow,
+    which the rescale below undoes.
+    """
+    # np.linalg.norm's own arithmetic on a contiguous 1-D array, without
+    # its per-call overhead.
+    norm = math.sqrt(float(h @ h))
+    if norm == 0.0 or math.isinf(norm):
+        # The sum of squares may have under- or overflowed for a finite,
+        # nonzero update; rescaling by the largest coordinate avoids that.
+        peak = float(np.max(np.abs(h)))
+        if 0.0 < peak < math.inf:
+            g = h / peak
+            norm = peak * math.sqrt(float(g @ g))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ValueError(f"zeta undefined for an update of norm {norm}")
+    return math.sqrt(m_subvectors) / (3.0 * norm)
+
+
 def scale_coefficient(h: np.ndarray, m_subvectors: int) -> float:
     """
     Scaling coefficient zeta = sqrt(M) / (3 ||h||), which keeps the scaled
@@ -116,18 +136,9 @@ def scale_coefficient(h: np.ndarray, m_subvectors: int) -> float:
     coordinates (Chebyshev). Undefined for a zero-norm update, and refused
     for a non-finite one, whose decoded values would all be non-finite.
     """
-    h = np.asarray(h, dtype=float)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(h))
-    if norm == 0.0 or math.isinf(norm):
-        # The sum of squares may have under- or overflowed for a finite,
-        # nonzero update; rescaling by the largest coordinate avoids that.
-        peak = float(np.max(np.abs(h)))
-        if 0.0 < peak < math.inf:
-            norm = peak * float(np.linalg.norm(h / peak))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise ValueError(f"zeta undefined for an update of norm {norm}")
-    return math.sqrt(m_subvectors) / (3.0 * norm)
+        return _zeta(np.asarray(h, dtype=float).ravel(order="K"),
+                     m_subvectors)
 
 
 def scale_rows(hs: np.ndarray, m_subvectors: int) -> np.ndarray:
@@ -136,8 +147,10 @@ def scale_rows(hs: np.ndarray, m_subvectors: int) -> np.ndarray:
     time (a row-wise norm is not bit-equal to the 1-D one); an all-zero
     row gets the unit scale of `encode`'s zero-point sentinel.
     """
-    return np.array([scale_coefficient(h, m_subvectors) if np.any(h) else 1.0
-                     for h in hs])
+    hs = np.ascontiguousarray(hs, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.array([_zeta(h, m_subvectors) if h.any() else 1.0
+                         for h in hs])
 
 
 def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
@@ -160,9 +173,11 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
     x.reshape(k, -1)[:, :d] = zetas[:, None] * hs
     x += dither_block(srs, lat, k * m).reshape(k, m, dim)
     if sampler is not None:
-        rngs = [_keyed_stream(noise_seed, sr, _NOISE_TAG)
-                if noise_seed is not None
-                else np.random.default_rng() for sr in srs]
+        rngs = ([np.random.default_rng() for _ in srs]
+                if noise_seed is None else
+                _KeyedStreams([SharedRandomness(noise_seed, sr.user,
+                                                sr.round_index)
+                               for sr in srs], _NOISE_TAG))
         x += sampler.sample(k * m, rngs).reshape(k, m, dim)
 
     _, idx, overloaded = quantize_clipped(lat, x)

@@ -6,6 +6,12 @@ seed and the stream coordinates (user, round, sub-vector index) without
 communication, using a counter-based generator (Philox). Subtractive
 dithered quantization (SDQ) quantizes x + d and subtracts d again, which
 makes the quantization error cell-uniform and independent of the input.
+
+Stream layout: the stream of (seed, user, round) under a domain tag is
+Philox-4x64 with key (seed mod 2^64, user) and initial counter
+(round, tag, 0, 0), read from an empty output buffer. Regeneration rests
+on this layout being the contract: any two parties that agree on it draw
+the same numbers, however each one sets up its generator.
 """
 
 from dataclasses import dataclass
@@ -41,17 +47,38 @@ class SharedRandomness:
     round_index: int = 0
 
 
-def _keyed_stream(key: int, sr: SharedRandomness,
-                  tag: int) -> np.random.Generator:
+class _KeyedStreams:
     """
-    Philox stream keyed by (key, user) at counter (round, tag): one stream
-    per seed, user, round and domain tag.
+    The keyed Philox streams of the rows of one call, taken in order.
+
+    Iterating yields, for row k = 0, ..., K-1, the stream of srs[k] under
+    `tag`: key (srs[k].seed mod 2^64, srs[k].user), counter
+    (srs[k].round_index, tag, 0, 0). It is one Generator over one Philox
+    whose state is reset before each row, which costs a fraction of
+    building a Philox per row. So each row's generator must be used fully
+    before the next one is taken. The Philox is made per iteration and is
+    never shared between calls.
     """
-    bit = np.random.Philox(
-        key=[np.uint64(key & (2 ** 64 - 1)), np.uint64(sr.user)],
-        counter=[np.uint64(sr.round_index), np.uint64(tag), 0, 0],
-    )
-    return np.random.Generator(bit)
+
+    def __init__(self, srs, tag: int):
+        self._srs = srs
+        self._tag = tag
+
+    def __len__(self) -> int:
+        return len(self._srs)
+
+    def __iter__(self):
+        bit = np.random.Philox(key=0)
+        gen = np.random.Generator(bit)
+        for sr in self._srs:
+            bit.state = {
+                "bit_generator": "Philox",
+                "state": {"key": [sr.seed & (2 ** 64 - 1), sr.user],
+                          "counter": [sr.round_index, self._tag, 0, 0]},
+                "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0,
+            }
+            yield gen
 
 
 def dither_block(sr, lat: Lattice, count: int) -> np.ndarray:
@@ -63,7 +90,8 @@ def dither_block(sr, lat: Lattice, count: int) -> np.ndarray:
     uniform over the basic cell. `sr` may also be a sequence of K streams,
     one per row of a batch: then count must be a multiple of K, and rows
     k count/K, ..., (k+1) count/K - 1 equal dither_block(sr[k], lat,
-    count // K).
+    count // K). The rows are drawn in order, each one fully before the
+    next, as `_KeyedStreams` requires.
     """
     srs = [sr] if isinstance(sr, SharedRandomness) else sr
     per, rest = divmod(int(count), len(srs))
@@ -71,8 +99,8 @@ def dither_block(sr, lat: Lattice, count: int) -> np.ndarray:
         raise ValueError(f"{count} sub-vectors do not split over "
                          f"{len(srs)} streams")
     u = np.empty((len(srs), per, lat.dimension))
-    for row, s in zip(u, srs):
-        _keyed_stream(s.seed, s, _DITHER_TAG).random(out=row)
+    for row, gen in zip(u, _KeyedStreams(srs, _DITHER_TAG)):
+        gen.random(out=row)
     return _cell_residual(lat, u).reshape(-1, lat.dimension)
 
 

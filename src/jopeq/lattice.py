@@ -17,6 +17,7 @@ lattice dimension, also for L=1; per-sub-vector results (an index, an
 overload flag, a CF value) have the leading shape (...).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,13 @@ __all__ = [
     "cell_cf",
     "cell_variance_per_coord",
 ]
+
+
+# Largest grid of integer vectors `_build` enumerates for a codebook,
+# (2 lmax + 1)^L entries. 2^24 admits scalar rates up to 23 and square
+# and hexagonal rates up to 11, and keeps each grid-sized array of the
+# build within 256 MB.
+MAX_GRID_ENTRIES = 2 ** 24
 
 
 class ConfigurationError(ValueError):
@@ -91,12 +99,19 @@ def _build(base: np.ndarray, delta_q: float, gamma: float, rate: int,
     generator = delta_q * np.asarray(base, dtype=float)
     smin = np.linalg.svd(generator, compute_uv=False)[-1]
     if smin <= 0 or not np.isfinite(smin):
-        raise ConfigurationError("generator matrix is singular")
+        raise ConfigurationError(
+            f"generator matrix is singular (lattice spacing {delta_q:g} "
+            f"at rate {rate})")
     dim = generator.shape[0]
 
     # Enumerate integer vectors l with ||G l|| <= gamma; ||l||_inf is bounded
     # by gamma / sigma_min(G).
     lmax = int(np.floor(gamma / smin)) + 1
+    entries = (2 * lmax + 1) ** dim
+    if entries > MAX_GRID_ENTRIES:
+        raise ConfigurationError(
+            f"rate {rate} needs a codebook grid of {entries} entries, "
+            f"more than {MAX_GRID_ENTRIES}")
     axes = [np.arange(-lmax, lmax + 1)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     points = grid @ generator.T
@@ -131,13 +146,13 @@ def scalar_uniform(gamma: float, rate: int) -> Lattice:
     The codebook holds every multiple of the spacing with magnitude at most
     gamma, so it is symmetric and contains both endpoints +-gamma.
     """
-    delta = 2.0 * gamma / 2 ** int(rate)
+    delta = math.ldexp(2.0 * gamma, -int(rate))
     return _build(np.eye(1), delta, gamma, rate, "scalar")
 
 
 def square_lattice(gamma: float, rate: int) -> Lattice:
     """L=2 scaled-identity lattice with per-axis spacing 2*gamma/2**rate."""
-    delta = 2.0 * gamma / 2 ** int(rate)
+    delta = math.ldexp(2.0 * gamma, -int(rate))
     return _build(np.eye(2), delta, gamma, rate, "square")
 
 
@@ -150,8 +165,11 @@ def hexagonal_lattice(gamma: float, rate: int) -> Lattice:
     log2(|codebook|) / 2 is close to `rate` but fractional.
     """
     base = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
-    # pi*gamma^2 / (delta^2 * sqrt(3)/2) = 2^(2R)  =>  delta
-    delta = gamma * np.sqrt(2.0 * np.pi / (np.sqrt(3.0) * 4.0 ** int(rate)))
+    # pi*gamma^2 / (delta^2 * sqrt(3)/2) = 2^(2R)  =>  delta. ldexp scales
+    # by 2^-R exactly down to the subnormals, and cannot overflow as
+    # 4.0 ** R did from R = 512.
+    delta = gamma * math.ldexp(math.sqrt(2.0 * math.pi / math.sqrt(3.0)),
+                               -int(rate))
     return _build(base, delta, gamma, rate, "hexagonal")
 
 

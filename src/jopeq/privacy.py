@@ -262,7 +262,10 @@ class PpnSampler:
         sequence of K generators, one per row of a batch: then count must
         be a multiple of K, and rows k count/K, ..., (k+1) count/K - 1
         equal sample(count // K, rng[k]). Each generator draws its cells,
-        then its jitter.
+        then its jitter, and is done before the next one is taken from
+        `rng`, which is iterated once. So `rng` may also be a sized
+        iterable that yields one generator object again with its state
+        reset per row, as the keyed streams of `codec.encode_rows` do.
         """
         rngs = [rng] if isinstance(rng, np.random.Generator) else rng
         per, rest = divmod(int(count), len(rngs))

@@ -3,10 +3,31 @@
 import numpy as np
 import pytest
 
+from jopeq.codec import encode_rows
 from jopeq.dither import SharedRandomness, dither_block, sdq
 from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
                            scalar_uniform)
+from jopeq.privacy import PpnSampler, build_ppn_sampler, laplace_spec, t_spec
 from jopeq.stattests import correlation_test, ks_test
+
+# The stream layout that user and server both regenerate from: key
+# (seed mod 2^64, user), counter (round, tag, 0, 0), one domain tag per
+# stream.
+DITHER_TAG, NOISE_TAG = 0xD17E, 0x9019
+# Rows of one batch whose seeds, users and rounds all differ; the seeds
+# include a negative one and two at or above 2^63.
+MIXED = [SharedRandomness(seed=3, user=0, round_index=0),
+         SharedRandomness(seed=-7, user=4, round_index=11),
+         SharedRandomness(seed=2 ** 63 + 5, user=9, round_index=250),
+         SharedRandomness(seed=2 ** 64 - 1, user=1, round_index=2)]
+
+
+def layout_stream(seed, user, round_index, tag):
+    """The stream of (seed, user, round) under tag, built directly."""
+    return np.random.Generator(np.random.Philox(
+        key=[np.uint64(seed & (2 ** 64 - 1)), np.uint64(user)],
+        counter=[np.uint64(round_index), np.uint64(tag), np.uint64(0),
+                 np.uint64(0)]))
 
 
 class TestSharedStream:
@@ -60,6 +81,53 @@ class TestSharedStream:
         lat = hexagonal_lattice(3.0, 3)
         d = dither_block(SharedRandomness(seed=2), lat, 2000)
         assert np.allclose(nearest_point(lat, d), 0.0, atol=1e-9)
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("lat", [scalar_uniform(4.0, 3),
+                                     hexagonal_lattice(3.0, 3)],
+                             ids=["L=1", "L=2"])
+    def test_dither_rows_follow_layout(self, lat):
+        per = 5
+        got = dither_block(MIXED, lat, len(MIXED) * per)
+        for k, sr in enumerate(MIXED):
+            u = layout_stream(sr.seed, sr.user, sr.round_index,
+                              DITHER_TAG).random((per, lat.dimension))
+            x = u @ lat.generator.T
+            assert np.array_equal(got[k * per:(k + 1) * per],
+                                  x - nearest_point(lat, x))
+
+    @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
+    @pytest.mark.parametrize("noise_seed", [-12345, 2 ** 63 + 77])
+    def test_ppn_rows_follow_layout(self, family, noise_seed, monkeypatch):
+        # Scalar draws cells by inverse CDF, hexagonal by the alias method.
+        if family == "scalar":
+            lat, spec = scalar_uniform(9.0, 4), laplace_spec(1.0, 1)
+        else:
+            lat, spec = hexagonal_lattice(9.0, 3), t_spec(3.0, 2, 3.0)
+        samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        drawn = []
+
+        def keep(count, rng):
+            drawn.append(PpnSampler.sample(samp, count, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(samp, "sample", keep)
+        m = 7
+        hs = np.random.default_rng(8).normal(0.0, 1.0,
+                                             (len(MIXED), m * lat.dimension))
+        encode_rows(hs, lat, samp, MIXED, noise_seed)
+        (got,) = drawn
+        for k, sr in enumerate(MIXED):
+            g = layout_stream(noise_seed, sr.user, sr.round_index, NOISE_TAG)
+            assert np.array_equal(got[k * m:(k + 1) * m],
+                                  PpnSampler.sample(samp, m, g))
+            if family == "hexagonal":
+                # An odd count of `integers` draws leaves half a word and
+                # part of the output buffer unread; that the next row
+                # still matches shows its reset cleared both.
+                state = g.bit_generator.state
+                assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
 
 
 class TestSdq:

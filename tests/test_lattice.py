@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from jopeq.dither import SharedRandomness, dither_block
 from jopeq.flsim import CodecSpec
-from jopeq.lattice import (ConfigurationError, cell_cf,
+from jopeq.lattice import (MAX_GRID_ENTRIES, ConfigurationError, cell_cf,
                            cell_variance_per_coord, hexagonal_lattice,
                            nearest_point, quantize_clipped, scalar_uniform,
                            square_lattice)
@@ -88,6 +88,34 @@ class TestConstruction:
     def test_non_finite_gamma_rejected(self, maker, gamma):
         with pytest.raises(ConfigurationError):
             maker(gamma, 3)
+
+    @pytest.mark.parametrize(
+        "maker", [scalar_uniform, square_lattice, hexagonal_lattice])
+    @pytest.mark.parametrize("rate", [60, 1100])
+    def test_huge_rate_rejected(self, maker, rate):
+        # Rate 60 would enumerate a grid of ~2^60 (scalar) to ~2^121 (2-D)
+        # entries; at rate 1100 the lattice spacing underflows to zero.
+        with pytest.raises(ConfigurationError):
+            maker(4.0, rate)
+
+    @pytest.mark.parametrize("maker, first_refused", [
+        (scalar_uniform, 24), (square_lattice, 12), (hexagonal_lattice, 12)])
+    def test_grid_cap_boundary(self, maker, first_refused, monkeypatch):
+        with pytest.raises(ConfigurationError, match="codebook grid"):
+            maker(4.0, first_refused)
+
+        # The rate below passes the cap. Its build is stopped where the
+        # grid is stacked, so no codebook of that size is made.
+        class GridReached(Exception):
+            pass
+
+        def refuse(*axes, **kwargs):
+            assert (len(axes[0]) ** len(axes)) <= MAX_GRID_ENTRIES
+            raise GridReached
+
+        monkeypatch.setattr(np, "meshgrid", refuse)
+        with pytest.raises(GridReached):
+            maker(4.0, first_refused - 1)
 
 
 class TestNearestPoint:

@@ -21,6 +21,11 @@ The outputs, all keyed on --seed:
   for square and hexagonal t at 2^18.
 - `ppn.<family>`: the PPN table and its sampling tables for those three
   codecs.
+- `batch.<family>.*`: indices, zetas and decoded rows of one
+  `encode_rows`/`decode_rows` call on 5 rows whose seeds, users and rounds
+  all differ (seeds negative and at or above 2^63 among them; one row all
+  zero, one with a norm whose square overflows), for the scalar and
+  hexagonal codecs.
 - `verify.<check>`: the report lines `jopeq verify` prints for each of
   the first five checks of `checks.CHECKS` (criterion 6, about 27 s, is
   left out).
@@ -106,6 +111,28 @@ def uplink_digests(flsim, codec, privacy, shared_randomness, seed: int):
         yield f"{name}.overload_mask", digest(enc.overload_mask)
         yield f"{name}.zeta", digest(np.array(enc.zeta))
         yield f"{name}.decoded", digest(codec.decode(enc, lat, sr))
+        if cspec.family != "square":
+            yield from batch_digests(codec, shared_randomness, lat, samp,
+                                     cspec.family, seed)
+
+
+def batch_digests(codec, shared_randomness, lat, samp, family, seed: int):
+    import numpy as np
+
+    k, d = 5, 999
+    hs = np.random.default_rng([seed, 0xBA]).normal(0.0, 1.0, (k, d))
+    hs[2] = 0.0
+    hs[4] *= 1e160
+    seeds = [seed, -seed - 5, seed + 2 ** 63, seed + 12345, 7 * seed + 1]
+    srs = [shared_randomness(seed=s, user=3 * i + 1, round_index=7 * i + 2)
+           for i, s in enumerate(seeds)]
+    idx, zetas, overloaded = codec.encode_rows(hs, lat, samp, srs,
+                                               noise_seed=-seed - 2)
+    name = f"batch.{family}"
+    yield f"{name}.indices", digest(idx, overloaded)
+    yield f"{name}.zetas", digest(zetas)
+    yield f"{name}.decoded", digest(codec.decode_rows(idx, zetas, lat, srs,
+                                                      d))
 
 
 def verify_digests(checks, seed: int):
