@@ -90,12 +90,18 @@ class EncodedUpdate:
 
     @classmethod
     def from_bytes(cls, payload: bytes, lat: Lattice) -> "EncodedUpdate":
-        """Parse the documented byte layout against a configured lattice."""
+        """
+        Parse the documented byte layout against a configured lattice,
+        whose dimension and rate must equal the header's.
+        """
         if len(payload) < _HEADER.size:
             raise CorruptPayloadError("payload shorter than header")
         m, dim, rate, zeta, overloads = _HEADER.unpack_from(payload)
         if dim != lat.dimension:
             raise CorruptPayloadError("lattice dimension mismatch")
+        if rate != lat.nominal_rate:
+            raise CorruptPayloadError(
+                f"payload rate {rate}, lattice rate {lat.nominal_rate}")
         w = lat.index_bits
         body = np.frombuffer(payload, dtype=np.uint8, offset=_HEADER.size)
         bits = np.unpackbits(body)
@@ -157,13 +163,22 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
                 noise_seed: int | None = None):
     """
     Encode a (K, d) batch of updates, row k with shared stream srs[k]; each
-    row is encoded as `encode` encodes it alone.
+    row is encoded as `encode` encodes it alone. A sampler must have been
+    built for a lattice of `lat`'s family and generator (ValueError).
 
     Returns (indices, zetas, overloaded) of shapes (K, M), (K,) and (K, M).
     """
     hs = np.asarray(hs, dtype=float)
-    if sampler is not None and sampler.lattice.dimension != lat.dimension:
-        raise ValueError("sampler lattice dimension mismatch")
+    if sampler is not None and sampler.lattice is not lat:
+        # The PPN is deconvolved for one cell: the family and generator
+        # must match, not just the dimension.
+        other = sampler.lattice
+        if (other.family != lat.family
+                or other.generator.tobytes() != lat.generator.tobytes()):
+            raise ValueError(
+                "sampler built for another lattice: "
+                f"{other.family} {other.generator.tolist()}, not "
+                f"{lat.family} {lat.generator.tolist()}")
     k, d = hs.shape
     dim = lat.dimension
     m = -(-d // dim)

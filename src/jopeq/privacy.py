@@ -15,10 +15,20 @@ last-axis frequencies): the table is real and the cell CF is real and
 even, so the full complex spectrum holds nothing more. The sampler's
 `validity` dict records the final residual and the clipped and truncated
 mass.
+
+A table is a pure function of the mechanism, the lattice cell and the
+grid, so a process builds each one once: `build_ppn_sampler` keeps the
+last `TABLE_CACHE_ENTRIES` tables, evicting the least recently used, and
+every sampler of one key shares that table's arrays, which are read-only.
+The key holds plain values only. A Laplace spec's `nu` and `s2` are NaN,
+which equals nothing, itself included: a key tuple holding one matches
+only by the identity of that NaN object, and a spec that went through
+pickle holds a new one. So they enter the key as None.
 """
 
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -52,6 +62,16 @@ DEFAULT_SENSITIVITY = math.sqrt(2.0)
 
 # Half-width of the PPN table grid, in standard deviations of the target.
 TABLE_HALF_WIDTH_SD = 8.0
+
+# Most PPN tables a process keeps. A default scalar table takes ~0.25 MB,
+# a default 2-D one ~6 MB.
+TABLE_CACHE_ENTRIES = 8
+
+# Built tables, least recently used first: key -> a sampler whose arrays
+# every sampler of that key shares. The lock guards the map, not a build:
+# two threads missing one key both build it, and the tables are equal.
+_TABLES: dict = {}
+_TABLES_LOCK = threading.Lock()
 
 
 class MechanismInfeasibleError(RuntimeError):
@@ -223,7 +243,8 @@ class PpnSampler:
     The table holds the deconvolved density on a symmetric grid; sampling
     draws a grid cell (inverse CDF for L=1, alias method for L=2) plus a
     uniform jitter within the cell. `validity` records the achieved
-    convolution residual and the clipped and truncated mass.
+    convolution residual and the clipped and truncated mass. Samplers of
+    one table share its arrays, which are read-only (`build_ppn_sampler`).
     """
 
     lattice: Lattice
@@ -319,6 +340,15 @@ def _build_alias(prob: np.ndarray):
     return np.array(cut), np.array(alias, dtype=np.int64)
 
 
+def _table_key(spec: MechanismSpec, lat: Lattice, n: int,
+               iters: int) -> tuple:
+    """The cache key of a table; NaN never enters it (see the module)."""
+    t = spec.kind == "t"
+    return (spec.kind, spec.epsilon, spec.dimension,
+            spec.nu if t else None, spec.s2 if t else None,
+            lat.family, lat.generator.tobytes(), n, iters)
+
+
 def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
                       allow_degenerate: bool = False,
                       grid_points: int | None = None,
@@ -331,7 +361,7 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
     (the privacy-for-free regime) the deconvolution has no valid density;
     with allow_degenerate=True a sampler with `degenerate` set, which draws
     zeros, is returned, otherwise MechanismInfeasibleError is
-    raised.
+    raised. That decision is made on every call.
 
     The table is refined for `refine_iters` iterations (default 300 for
     L=1 on 2^14 points, 150 for L=2 on 512^2) of f <- f * K(target / K f),
@@ -340,6 +370,15 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
     f >= 0 by a clipped-to-nonnegative correction, so the table cannot go
     negative: the final clip, the reported `clipped_mass` (0.0) and the
     raise when that mass exceeds 1e-3 only guard this invariant.
+
+    A process builds a table once per key: the mechanism (kind, epsilon,
+    dimension, and nu and s2 of a t spec; NaN is kept out of the key, see
+    the module docstring), the lattice family and generator, and the grid
+    size and iteration count after defaults. Later calls with that key,
+    while it is among the last `TABLE_CACHE_ENTRIES` used, return a new
+    sampler holding the caller's `lat` and `spec`, a copy of `validity`,
+    and the same table arrays, byte-identical to a fresh build. Those
+    arrays are read-only.
     """
     if spec.dimension != lat.dimension:
         raise ValueError("mechanism dimension must equal lattice dimension")
@@ -362,10 +401,27 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
         return PpnSampler(lat, spec, True, np.zeros(d), np.ones(d),
                           np.zeros((0,) * d), validity)
 
-    sigma = math.sqrt(target_var)
-    half = TABLE_HALF_WIDTH_SD * sigma
     n = grid_points or (1 << 14 if d == 1 else 1 << 9)
     iters = refine_iters or (300 if d == 1 else 150)
+    key = _table_key(spec, lat, n, iters)
+    with _TABLES_LOCK:
+        table = _TABLES.pop(key, None)
+    if table is None:
+        table = _refine_table(spec, lat, n, iters)
+    with _TABLES_LOCK:
+        _TABLES[key] = table
+        if len(_TABLES) > TABLE_CACHE_ENTRIES:
+            del _TABLES[next(iter(_TABLES))]
+    return replace(table, lattice=lat, spec=spec,
+                   validity=dict(table.validity))
+
+
+def _refine_table(spec: MechanismSpec, lat: Lattice, n: int,
+                  iters: int) -> PpnSampler:
+    """The nondegenerate sampler on an n-point grid, arrays read-only."""
+    d = lat.dimension
+    sigma = math.sqrt(spec.variance_per_coord)
+    half = TABLE_HALF_WIDTH_SD * sigma
     dx = 2.0 * half / n
     ax = -half + dx * (np.arange(n) + 0.5)
     x = np.stack(np.meshgrid(*[ax] * d, indexing="ij"), axis=-1)
@@ -421,8 +477,10 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
     origin = np.full(d, -half)
     step = np.full(d, dx)
     if d == 1:
-        return PpnSampler(lat, spec, False, origin, step, f, validity,
-                          _cdf=np.cumsum(prob))
-    cut, alias = _build_alias(prob)
-    return PpnSampler(lat, spec, False, origin, step, f, validity,
-                      _alias_prob=cut, _alias_idx=alias)
+        tables = {"_cdf": np.cumsum(prob)}
+    else:
+        cut, alias = _build_alias(prob)
+        tables = {"_alias_prob": cut, "_alias_idx": alias}
+    for a in (origin, step, f, *tables.values()):
+        a.flags.writeable = False
+    return PpnSampler(lat, spec, False, origin, step, f, validity, **tables)

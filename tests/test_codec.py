@@ -194,6 +194,16 @@ class TestWireFormat:
         with pytest.raises(CorruptPayloadError):
             EncodedUpdate.from_bytes(blob, square_lattice(9.0, 4))
 
+    def test_rate_mismatch_rejected(self):
+        # The zero update is sent as the zero point, index 8 of 17: as 4-bit
+        # fields its 5-bit codes read 4, 2, 1, 0, 8, all inside the rate-3
+        # codebook of 9 points, so only the header's rate tells them apart.
+        sr = SharedRandomness(9)
+        blob = encode(np.zeros(8), scalar_uniform(9.0, 4), None,
+                      sr).to_bytes()
+        with pytest.raises(CorruptPayloadError, match="rate"):
+            EncodedUpdate.from_bytes(blob, scalar_uniform(9.0, 3))
+
     def test_out_of_range_index_rejected_on_decode(self):
         lat = scalar_uniform(9.0, 4)
         sr = SharedRandomness(9)
@@ -227,6 +237,18 @@ class TestWithNoise:
         with pytest.raises(ValueError):
             encode(np.ones(8), square_lattice(9.0, 4), samp,
                    SharedRandomness(0))
+
+    def test_sampler_cell_mismatch(self):
+        # Same dimension, another cell: the PPN was deconvolved for a cell
+        # of width 1.125, and the rate-3 lattice has width 2.25.
+        samp = build_ppn_sampler(laplace_spec(2.0, 1), scalar_uniform(9.0, 4))
+        with pytest.raises(ValueError, match="another lattice"):
+            encode(np.ones(8), scalar_uniform(9.0, 3), samp,
+                   SharedRandomness(0))
+        # Another support radius on the same cell keeps the PPN valid.
+        same_cell = scalar_uniform(4.5, 3)
+        assert same_cell.generator.tobytes() == samp.lattice.generator.tobytes()
+        encode(np.ones(8), same_cell, samp, SharedRandomness(0))
 
 
 class TestSnr:

@@ -1,13 +1,18 @@
 """Mechanism parameter algebra and the PPN deconvolution samplers."""
 
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from jopeq import privacy
 from jopeq.lattice import (cell_cf, cell_variance_per_coord,
                            hexagonal_lattice, scalar_uniform, square_lattice)
-from jopeq.privacy import (TABLE_HALF_WIDTH_SD, InfeasibleParametersError,
+from jopeq.privacy import (TABLE_CACHE_ENTRIES, TABLE_HALF_WIDTH_SD,
+                           InfeasibleParametersError,
                            MechanismInfeasibleError, PpnSampler, _build_alias,
                            _target_pdf, build_ppn_sampler, laplace_spec,
                            mechanism_reference_sample, pq_tradeoff_check,
@@ -305,6 +310,133 @@ class TestAliasTable:
         prob = (samp.density * np.prod(samp.step)).ravel()
         prob /= prob.sum()
         self._check(prob, samp._alias_prob, samp._alias_idx)
+
+
+def _arrays(samp):
+    return [a for a in (samp.origin, samp.step, samp.density, samp._cdf,
+                        samp._alias_prob, samp._alias_idx) if a is not None]
+
+
+def _shares(a, b):
+    return all(np.shares_memory(x, y) for x, y in zip(_arrays(a), _arrays(b)))
+
+
+class TestTableCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        privacy._TABLES.clear()
+        yield
+        privacy._TABLES.clear()
+
+    @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
+    def test_hit_equals_a_cold_build(self, family):
+        spec, lat = _oracle_case(family)
+        first = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=10)
+        privacy._TABLES.clear()
+        cold = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=10)
+        assert not _shares(cold, first)
+        spec2, lat2 = _oracle_case(family)
+        hit = build_ppn_sampler(spec2, lat2, grid_points=64, refine_iters=10)
+        assert hit.lattice is lat2 and hit.spec is spec2
+        assert _shares(hit, cold)
+        assert len(_arrays(hit)) == {"scalar": 4, "hexagonal": 5}[family]
+        for a, b in zip(_arrays(hit), _arrays(first)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert hit.validity == first.validity
+        assert hit.validity is not cold.validity
+
+    def test_shared_arrays_are_read_only(self):
+        spec, lat = _oracle_case("scalar")
+        samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        for a in _arrays(samp):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        samp.validity["conv_residual"] = -1.0
+        again = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        assert again.validity["conv_residual"] >= 0.0
+
+    def test_strict_build_refused_after_degenerate(self):
+        lat, spec = scalar_uniform(10.0, 1), laplace_spec(4.0, 1)
+        assert build_ppn_sampler(spec, lat, allow_degenerate=True).degenerate
+        with pytest.raises(MechanismInfeasibleError):
+            build_ppn_sampler(spec, lat)
+        assert not privacy._TABLES
+
+    def test_grid_and_iterations_are_separate_entries(self):
+        spec, lat = _oracle_case("scalar")
+        built = [build_ppn_sampler(spec, lat, grid_points=n, refine_iters=i)
+                 for n, i in ((64, 5), (128, 5), (64, 6))]
+        assert len(privacy._TABLES) == 3
+        assert built[0].density.shape != built[1].density.shape
+        assert not np.array_equal(built[0].density, built[2].density)
+        # Defaults are resolved before the key is made.
+        a = build_ppn_sampler(spec, lat)
+        b = build_ppn_sampler(spec, lat, grid_points=1 << 14,
+                              refine_iters=300)
+        assert _shares(a, b) and len(privacy._TABLES) == 4
+
+    def test_pickled_laplace_spec_hits(self):
+        spec, lat = laplace_spec(1.0, 1), scalar_uniform(9.0, 4)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back.nu is not spec.nu and math.isnan(back.nu)
+        first = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        again = build_ppn_sampler(back, pickle.loads(pickle.dumps(lat)),
+                                  grid_points=64, refine_iters=5)
+        assert _shares(first, again) and len(privacy._TABLES) == 1
+
+    def test_least_recently_used_entry_is_rebuilt(self):
+        spec, lat = _oracle_case("scalar")
+
+        def build(i):
+            return build_ppn_sampler(spec, lat, grid_points=32,
+                                     refine_iters=i + 1)
+
+        first = [build(i) for i in range(TABLE_CACHE_ENTRIES)]
+        assert _shares(build(0), first[0])  # entry 0 is now the newest
+        build(TABLE_CACHE_ENTRIES)
+        assert len(privacy._TABLES) == TABLE_CACHE_ENTRIES
+        rebuilt = build(1)
+        assert not _shares(rebuilt, first[1])
+        assert rebuilt.density.tobytes() == first[1].density.tobytes()
+        # Rebuilding entry 1 evicted entry 2, the oldest; 0 is kept.
+        assert _shares(build(0), first[0])
+        assert not _shares(build(2), first[2])
+
+    def test_concurrent_builds_keep_the_map_whole(self):
+        spec, lat = _oracle_case("scalar")
+        keys = TABLE_CACHE_ENTRIES + 4
+
+        def build(i):
+            return build_ppn_sampler(spec, lat, grid_points=32,
+                                     refine_iters=i + 1)
+
+        want = [build(i).density.tobytes() for i in range(keys)]
+        errors = []
+
+        def work(w):
+            try:
+                for j in range(80):
+                    i = (5 * w + j) % keys
+                    if build(i).density.tobytes() != want[i]:
+                        errors.append(i)
+            except Exception as exc:  # asserted below, in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(w,))
+                   for w in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(privacy._TABLES) == TABLE_CACHE_ENTRIES
 
 
 class TestReferenceSampler:

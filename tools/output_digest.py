@@ -20,7 +20,10 @@ The outputs, all keyed on --seed:
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
 - `ppn.<family>`: the PPN table and its sampling tables for those three
-  codecs.
+  codecs; `ppn.<family>.rebuilt`: the same for a second build of that
+  codec's table in the same process, which `build_ppn_sampler` may serve
+  from its table cache. Equal lines show that a served table equals a
+  fresh one.
 - `batch.<family>.*`: indices, zetas and decoded rows of one
   `encode_rows`/`decode_rows` call on 5 rows whose seeds, users and rounds
   all differ (seeds negative and at or above 2^63 among them; one row all
@@ -90,6 +93,12 @@ def fl_digests(flsim, seed: int):
                digest(np.array([astuple(m) for m in ms])))
 
 
+def ppn_digest(samp) -> str:
+    tables = [t for t in (samp._cdf, samp._alias_prob, samp._alias_idx)
+              if t is not None]
+    return digest(samp.density, *tables)
+
+
 def uplink_digests(flsim, codec, privacy, shared_randomness, seed: int):
     import numpy as np
 
@@ -100,9 +109,9 @@ def uplink_digests(flsim, codec, privacy, shared_randomness, seed: int):
     for cspec, coords in specs:
         lat, spec = cspec.build()
         samp = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
-        tables = [t for t in (samp._cdf, samp._alias_prob, samp._alias_idx)
-                  if t is not None]
-        yield f"ppn.{cspec.family}", digest(samp.density, *tables)
+        yield f"ppn.{cspec.family}", ppn_digest(samp)
+        again = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
+        yield f"ppn.{cspec.family}.rebuilt", ppn_digest(again)
         h = np.random.default_rng([seed, 0xB0]).normal(0.0, 1.0, coords)
         sr = shared_randomness(seed=seed, user=1, round_index=2)
         enc = codec.encode(h, lat, samp, sr, noise_seed=seed + 1)
