@@ -16,6 +16,10 @@ even, so the full complex spectrum holds nothing more. The sampler's
 `validity` dict records the final residual and the clipped and truncated
 mass.
 
+Sampling has one rule for every L: a cell of the flattened table by
+inverse CDF through a guide table (Chen & Asau, AIIE Trans. 1974), then a
+uniform jitter within the cell.
+
 A table is a pure function of the mechanism, the lattice cell and the
 grid, so a process builds each one once: `build_ppn_sampler` keeps the
 last `TABLE_CACHE_ENTRIES` tables, evicting the least recently used, and
@@ -240,9 +244,10 @@ class PpnSampler:
     """
     Tabulated privacy-preserving-noise sampler for one (mechanism, lattice).
 
-    The table holds the deconvolved density on a symmetric grid; sampling
-    draws a grid cell (inverse CDF for L=1, alias method for L=2) plus a
-    uniform jitter within the cell. `validity` records the achieved
+    The table holds the deconvolved density on a symmetric grid. Sampling
+    draws a grid cell by inverse CDF over the flattened table, through a
+    guide table (`_cell_lookup`), and adds a uniform jitter within the
+    cell: one rule for every L. `validity` records the achieved
     convolution residual and the clipped and truncated mass. Samplers of
     one table share its arrays, which are read-only (`build_ppn_sampler`).
     """
@@ -255,8 +260,7 @@ class PpnSampler:
     density: np.ndarray
     validity: dict
     _cdf: np.ndarray | None = field(default=None, repr=False)
-    _alias_prob: np.ndarray | None = field(default=None, repr=False)
-    _alias_idx: np.ndarray | None = field(default=None, repr=False)
+    _guide: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def variance_per_coord(self) -> float:
@@ -264,29 +268,24 @@ class PpnSampler:
         if self.degenerate:
             return 0.0
         d = self.lattice.dimension
-        cell = float(np.prod(self.step))
-        if d == 1:
-            x = self.origin[0] + self.step[0] * (np.arange(len(self.density))
-                                                 + 0.5)
-            return float(np.sum(self.density * x * x) * cell
-                         + self.step[0] ** 2 / 12.0)
-        n0, n1 = self.density.shape
-        x0 = self.origin[0] + self.step[0] * (np.arange(n0) + 0.5)
-        x1 = self.origin[1] + self.step[1] * (np.arange(n1) + 0.5)
-        m = (np.sum(self.density * (x0 ** 2)[:, None]) +
-             np.sum(self.density * (x1 ** 2)[None, :])) * cell
-        return float(m / 2.0 + (self.step[0] ** 2 + self.step[1] ** 2) / 24.0)
+        axes = np.meshgrid(*[o + s * (np.arange(n) + 0.5) for o, s, n in
+                             zip(self.origin, self.step, self.density.shape)],
+                           indexing="ij", sparse=True)
+        second = sum(np.sum(self.density * x * x) for x in axes)
+        return float(second * float(np.prod(self.step)) / d
+                     + np.sum(self.step ** 2) / (12.0 * d))
 
     def sample(self, count: int, rng) -> np.ndarray:
         """
         Draw `count` PPN vectors, shape (count, L). `rng` may also be a
         sequence of K generators, one per row of a batch: then count must
         be a multiple of K, and rows k count/K, ..., (k+1) count/K - 1
-        equal sample(count // K, rng[k]). Each generator draws its cells,
-        then its jitter, and is done before the next one is taken from
-        `rng`, which is iterated once. So `rng` may also be a sized
-        iterable that yields one generator object again with its state
-        reset per row, as the keyed streams of `codec.encode_rows` do.
+        equal sample(count // K, rng[k]). Each generator draws its cell
+        uniforms, then its (count/K, L) jitter, and is done before the
+        next one is taken from `rng`, which is iterated once. So `rng` may
+        also be a sized iterable that yields one generator object again
+        with its state reset per row, as the keyed streams of
+        `codec.encode_rows` do.
         """
         rngs = [rng] if isinstance(rng, np.random.Generator) else rng
         per, rest = divmod(int(count), len(rngs))
@@ -296,48 +295,50 @@ class PpnSampler:
         d = self.lattice.dimension
         if self.degenerate:
             return np.zeros((count, d))
-        k = len(rngs)
-        u = np.empty((k, per))
-        jit = np.empty((k, per, d))
-        if d == 1:
-            for g, ur, jr in zip(rngs, u, jit):
-                g.random(out=ur)
-                g.random(out=jr[:, 0])
-            cells = np.searchsorted(self._cdf, u.reshape(-1), side="right")
-            return self.origin[0] + self.step[0] * (cells[:, None]
-                                                    + jit.reshape(-1, 1))
-        pick = np.empty((k, per), dtype=np.int64)
-        for g, ur, pr, jr in zip(rngs, u, pick, jit):
+        u = np.empty((len(rngs), per))
+        jit = np.empty((len(rngs), per, d))
+        for g, ur, jr in zip(rngs, u, jit):
             g.random(out=ur)
-            pr[:] = g.integers(0, len(self._alias_prob), size=per)
             g.random(out=jr)
-        u, pick, jit = u.reshape(-1), pick.reshape(-1), jit.reshape(-1, 2)
-        take = u < self._alias_prob[pick]
-        cells = np.where(take, pick, self._alias_idx[pick])
-        i0, i1 = np.unravel_index(cells, self.density.shape)
-        return np.stack([self.origin[0] + self.step[0] * (i0 + jit[:, 0]),
-                         self.origin[1] + self.step[1] * (i1 + jit[:, 1])],
-                        axis=1)
+        cells = _cell_lookup(self._cdf, self._guide, u.reshape(-1))
+        jit = jit.reshape(-1, d)
+        for a, i in enumerate(np.unravel_index(cells, self.density.shape)):
+            jit[:, a] = self.origin[a] + self.step[a] * (i + jit[:, a])
+        return jit
 
 
-def _build_alias(prob: np.ndarray):
-    """Vose alias tables for a probability vector."""
-    n = len(prob)
-    # The loop runs on Python lists: scalar indexing of numpy arrays costs
-    # several times more per step, and the float arithmetic is the same.
-    scaled = (prob * n).tolist()
-    alias = [0] * n
-    cut = [1.0] * n
-    small = [i for i, p in enumerate(scaled) if p < 1.0]
-    large = [i for i, p in enumerate(scaled) if p >= 1.0]
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        cut[s] = scaled[s]
-        alias[s] = g
-        scaled[g] += scaled[s] - 1.0
-        (large if scaled[g] >= 1.0 else small).append(g)
-    return np.array(cut), np.array(alias, dtype=np.int64)
+def _cdf_tables(prob: np.ndarray):
+    """
+    The inverse-CDF tables of a flat probability vector: the CDF, ending
+    at exactly 1.0 and never above it, so every u in [0, 1) names a cell of
+    the table; and the guide, guide[b] = the cell of u = b/G for each of G
+    buckets, G the smallest power of two at least the cell count, so that
+    u * G, its floor and b / G are exact.
+    """
+    cdf = np.cumsum(prob)
+    np.minimum(cdf, 1.0, out=cdf)
+    cdf[-1] = 1.0
+    buckets = 1 << (cdf.size - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+    return cdf, guide
+
+
+def _cell_lookup(cdf: np.ndarray, guide: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """
+    np.searchsorted(cdf, u, side="right") for u in [0, 1), via the guide.
+
+    guide[floor(u G)] counts the CDF entries at or below floor(u G) / G <=
+    u, so it is a lower bound of the answer, and the answer itself wherever
+    its CDF entry exceeds u. Other lanes step one cell, again a lower
+    bound; only those still short are searched.
+    """
+    cells = guide[(u * len(guide)).astype(np.intp)]
+    miss = np.flatnonzero(cdf[cells] <= u)
+    cells[miss] += 1
+    miss = miss[cdf[cells[miss]] <= u[miss]]
+    cells[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return cells
 
 
 def _table_key(spec: MechanismSpec, lat: Lattice, n: int,
@@ -476,11 +477,7 @@ def _refine_table(spec: MechanismSpec, lat: Lattice, n: int,
     prob /= prob.sum()
     origin = np.full(d, -half)
     step = np.full(d, dx)
-    if d == 1:
-        tables = {"_cdf": np.cumsum(prob)}
-    else:
-        cut, alias = _build_alias(prob)
-        tables = {"_alias_prob": cut, "_alias_idx": alias}
-    for a in (origin, step, f, *tables.values()):
+    cdf, guide = _cdf_tables(prob)
+    for a in (origin, step, f, cdf, guide):
         a.flags.writeable = False
-    return PpnSampler(lat, spec, False, origin, step, f, validity, **tables)
+    return PpnSampler(lat, spec, False, origin, step, f, validity, cdf, guide)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jopeq.codec import encode_rows
-from jopeq.dither import SharedRandomness, dither_block, sdq
+from jopeq.dither import SharedRandomness, _KeyedStreams, dither_block, sdq
 from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
                            scalar_uniform)
 from jopeq.privacy import PpnSampler, build_ppn_sampler, laplace_spec, t_spec
@@ -100,7 +100,7 @@ class TestStreamLayout:
     @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
     @pytest.mark.parametrize("noise_seed", [-12345, 2 ** 63 + 77])
     def test_ppn_rows_follow_layout(self, family, noise_seed, monkeypatch):
-        # Scalar draws cells by inverse CDF, hexagonal by the alias method.
+        # Both draw one cell uniform and then L jitter uniforms per vector.
         if family == "scalar":
             lat, spec = scalar_uniform(9.0, 4), laplace_spec(1.0, 1)
         else:
@@ -122,12 +122,22 @@ class TestStreamLayout:
             g = layout_stream(noise_seed, sr.user, sr.round_index, NOISE_TAG)
             assert np.array_equal(got[k * m:(k + 1) * m],
                                   PpnSampler.sample(samp, m, g))
-            if family == "hexagonal":
-                # An odd count of `integers` draws leaves half a word and
-                # part of the output buffer unread; that the next row
-                # still matches shows its reset cleared both.
-                state = g.bit_generator.state
-                assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+
+    def test_row_reset_clears_buffered_words(self):
+        rows = _KeyedStreams(MIXED, NOISE_TAG)
+        for gen, sr in zip(rows, MIXED):
+            want = layout_stream(sr.seed, sr.user, sr.round_index, NOISE_TAG)
+            # 32-bit draws first: they read a half word left over by the
+            # previous row before they read the output buffer.
+            for draw in (lambda g: g.integers(0, 2 ** 20, size=6),
+                         lambda g: g.random(3),
+                         lambda g: g.integers(0, 2 ** 20, size=5)):
+                assert np.array_equal(draw(gen), draw(want))
+            # The odd count left half a word and part of the output buffer
+            # unread; that the next row still matches shows its reset
+            # cleared both.
+            state = gen.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
 
 
 class TestSdq:

@@ -13,11 +13,11 @@ from jopeq.lattice import (cell_cf, cell_variance_per_coord,
                            hexagonal_lattice, scalar_uniform, square_lattice)
 from jopeq.privacy import (TABLE_CACHE_ENTRIES, TABLE_HALF_WIDTH_SD,
                            InfeasibleParametersError,
-                           MechanismInfeasibleError, PpnSampler, _build_alias,
-                           _target_pdf, build_ppn_sampler, laplace_spec,
-                           mechanism_reference_sample, pq_tradeoff_check,
-                           required_ppn_variance, solve_t_params,
-                           t_mech_epsilon, t_spec)
+                           MechanismInfeasibleError, PpnSampler, _cdf_tables,
+                           _cell_lookup, _target_pdf, build_ppn_sampler,
+                           laplace_spec, mechanism_reference_sample,
+                           pq_tradeoff_check, required_ppn_variance,
+                           solve_t_params, t_mech_epsilon, t_spec)
 
 # High-precision evaluations (40-digit arithmetic) of the t-mechanism
 # budget at nu=3, d=2, whitened sensitivity sqrt(2), for both exponent
@@ -215,27 +215,6 @@ def _complex_fft_density(spec, lat, n, iters):
     return f / (f.sum() * dx ** lat.dimension)
 
 
-def _vose_reference(prob):
-    """The Vose loop on numpy scalars that _build_alias must reproduce."""
-    n = len(prob)
-    scaled = prob * n
-    alias = np.zeros(n, dtype=np.int64)
-    cut = np.ones(n)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        cut[s] = scaled[s]
-        alias[s] = g
-        scaled[g] += scaled[s] - 1.0
-        (large if scaled[g] >= 1.0 else small).append(g)
-    for i in small + large:
-        cut[i] = 1.0
-    return cut, alias
-
-
 def _oracle_case(family):
     if family == "scalar":
         return laplace_spec(1.0, 1), scalar_uniform(9.0, 4)
@@ -259,62 +238,97 @@ class TestRealFftRefinement:
 
         prob = (ref * np.prod(samp.step)).ravel()
         prob /= prob.sum()
-        if lat.dimension == 1:
-            tables = {"_cdf": np.cumsum(prob)}
-            flipped = []
+        oracle = PpnSampler(lat, spec, False, samp.origin, samp.step, ref, {},
+                            *_cdf_tables(prob))
+        assert np.array_equal(samp.sample(10_000, np.random.default_rng(8)),
+                              oracle.sample(10_000, np.random.default_rng(8)))
+
+
+class _Constant:
+    """A generator stand-in whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...] = self.u
+
+
+class TestCellLookup:
+    @pytest.mark.parametrize("family,n", [
+        ("scalar", 63), ("scalar", 64), ("scalar", 1023), ("scalar", None),
+        ("hexagonal", 63), ("hexagonal", 64), ("hexagonal", None),
+        ("zero-runs", None)])
+    def test_equals_searchsorted(self, family, n):
+        if family == "zero-runs":
+            prob = np.random.default_rng(9).random(1000)
+            prob[:40] = prob[300:700] = prob[800:810] = prob[-25:] = 0.0
+            cdf, guide = _cdf_tables(prob / prob.sum())
         else:
-            cut, alias = _vose_reference(prob)
-            tables = {"_alias_prob": cut, "_alias_idx": alias}
-            # Both targets and cells are symmetric under x -> -x, so mirror
-            # cells have equal mass in exact arithmetic. A rounding change
-            # of 1e-15 can reorder the last Vose pairing of such a tie: one
-            # alias then names the mirror cell, at the same cell odds.
-            flipped = np.nonzero(samp._alias_idx != alias)[0]
-            assert len(flipped) <= 1
-            assert np.array_equal(samp._alias_idx[flipped],
-                                  prob.size - 1 - alias[flipped])
-        if len(flipped) == 0:
-            oracle = PpnSampler(lat, spec, False, samp.origin, samp.step,
-                                ref, {}, **tables)
-            assert np.array_equal(
-                samp.sample(10_000, np.random.default_rng(8)),
-                oracle.sample(10_000, np.random.default_rng(8)))
+            spec, lat = _oracle_case(family)
+            samp = build_ppn_sampler(spec, lat, grid_points=n,
+                                     refine_iters=n and 20)
+            cdf, guide = samp._cdf, samp._guide
+        g = len(guide)
+        assert g & (g - 1) == 0 and cdf.size <= g < 2 * cdf.size
+        edges = np.arange(g) / g
+        assert np.array_equal(guide, np.searchsorted(cdf, edges, "right"))
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        ties = cdf[cdf < 1.0]
+        u = np.concatenate([
+            np.random.default_rng(10).random(200_000), [0.0], edges,
+            np.nextafter(edges[1:], 0.0), ties, np.nextafter(ties, 0.0),
+            [np.nextafter(1.0, 0.0)]])
+        assert np.array_equal(_cell_lookup(cdf, guide, u),
+                              np.searchsorted(cdf, u, "right"))
 
-
-class TestAliasTable:
-    @staticmethod
-    def _check(prob, cut, alias):
-        n = len(prob)
-        implied = (cut + np.bincount(alias, weights=1.0 - cut,
-                                     minlength=n)) / n
-        assert np.max(np.abs(implied - prob)) <= 1e-12
-        ref_cut, ref_alias = _vose_reference(prob)
-        assert alias.dtype == np.int64
-        assert np.array_equal(cut, ref_cut)
-        assert np.array_equal(alias, ref_alias)
-
-    def test_random_vector(self):
-        prob = np.random.default_rng(9).random(5000)
-        prob[::7] = 0.0
-        prob /= prob.sum()
-        self._check(prob, *_build_alias(prob))
-
-    def test_exact_unit_ties(self):
-        # Dyadic masses make n * prob hit exactly 1.0 inside the loop.
-        prob = np.array([0.5, 1.5, 0.5, 1.5, 1.0, 0.0, 2.0, 1.0]) / 8.0
-        self._check(prob, *_build_alias(prob))
-
-    def test_built_2d_table(self):
-        spec, lat = _oracle_case("hexagonal")
-        samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=20)
+    @pytest.mark.parametrize("family,n", [("scalar", None),
+                                          ("hexagonal", 63)])
+    def test_top_uniform_names_the_last_cell(self, family, n):
+        spec, lat = _oracle_case(family)
+        samp = build_ppn_sampler(spec, lat, grid_points=n,
+                                 refine_iters=n and 20)
+        u = np.nextafter(1.0, 0.0)
+        # The cell masses sum to just below u, so a CDF left as their
+        # cumulative sum would name cell n, one past the table.
         prob = (samp.density * np.prod(samp.step)).ravel()
-        prob /= prob.sum()
-        self._check(prob, samp._alias_prob, samp._alias_idx)
+        assert np.cumsum(prob / prob.sum())[-1] < u
+        assert (_cell_lookup(samp._cdf, samp._guide, np.array([u]))[0]
+                == samp.density.size - 1)
+        got = samp.sample(3, [_Constant(u)])
+        top = samp.origin + samp.step * (np.array(samp.density.shape) - 1
+                                         + u)
+        assert np.array_equal(got, np.broadcast_to(top, got.shape))
+
+
+def _variance_closed_form(samp):
+    """PpnSampler.variance_per_coord as it was written for L = 1 and 2."""
+    cell = float(np.prod(samp.step))
+    if samp.density.ndim == 1:
+        x = samp.origin[0] + samp.step[0] * (np.arange(len(samp.density))
+                                             + 0.5)
+        return float(np.sum(samp.density * x * x) * cell
+                     + samp.step[0] ** 2 / 12.0)
+    n0, n1 = samp.density.shape
+    x0 = samp.origin[0] + samp.step[0] * (np.arange(n0) + 0.5)
+    x1 = samp.origin[1] + samp.step[1] * (np.arange(n1) + 0.5)
+    m = (np.sum(samp.density * (x0 ** 2)[:, None]) +
+         np.sum(samp.density * (x1 ** 2)[None, :])) * cell
+    return float(m / 2.0 + (samp.step[0] ** 2 + samp.step[1] ** 2) / 24.0)
+
+
+@pytest.mark.parametrize("family,n", [
+    ("scalar", 1023), ("scalar", None), ("square", 63), ("hexagonal", 64)])
+def test_variance_matches_closed_forms(family, n):
+    spec, lat = _oracle_case(family)
+    samp = build_ppn_sampler(spec, lat, grid_points=n, refine_iters=n and 20)
+    assert samp.variance_per_coord == pytest.approx(
+        _variance_closed_form(samp), rel=1e-14, abs=0.0)
 
 
 def _arrays(samp):
     return [a for a in (samp.origin, samp.step, samp.density, samp._cdf,
-                        samp._alias_prob, samp._alias_idx) if a is not None]
+                        samp._guide) if a is not None]
 
 
 def _shares(a, b):
@@ -339,7 +353,7 @@ class TestTableCache:
         hit = build_ppn_sampler(spec2, lat2, grid_points=64, refine_iters=10)
         assert hit.lattice is lat2 and hit.spec is spec2
         assert _shares(hit, cold)
-        assert len(_arrays(hit)) == {"scalar": 4, "hexagonal": 5}[family]
+        assert len(_arrays(hit)) == 5
         for a, b in zip(_arrays(hit), _arrays(first)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()

@@ -19,11 +19,11 @@ The outputs, all keyed on --seed:
 - `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
-- `ppn.<family>`: the PPN table and its sampling tables for those three
-  codecs; `ppn.<family>.rebuilt`: the same for a second build of that
-  codec's table in the same process, which `build_ppn_sampler` may serve
-  from its table cache. Equal lines show that a served table equals a
-  fresh one.
+- `ppn.<family>`: the PPN table and its sampling tables (the CDF and its
+  guide) for those three codecs; `ppn.<family>.rebuilt`: the same for a
+  second build of that codec's table in the same process, which
+  `build_ppn_sampler` may serve from its table cache. Equal lines show
+  that a served table equals a fresh one.
 - `batch.<family>.*`: indices, zetas and decoded rows of one
   `encode_rows`/`decode_rows` call on 5 rows whose seeds, users and rounds
   all differ (seeds negative and at or above 2^63 among them; one row all
@@ -94,9 +94,9 @@ def fl_digests(flsim, seed: int):
 
 
 def ppn_digest(samp) -> str:
-    tables = [t for t in (samp._cdf, samp._alias_prob, samp._alias_idx)
-              if t is not None]
-    return digest(samp.density, *tables)
+    """The density, CDF and guide; a table field a source lacks is skipped."""
+    tables = (getattr(samp, name, None) for name in ("_cdf", "_guide"))
+    return digest(samp.density, *(t for t in tables if t is not None))
 
 
 def uplink_digests(flsim, codec, privacy, shared_randomness, seed: int):
