@@ -139,12 +139,16 @@ class RoundMetrics:
 
 @dataclass
 class Task:
-    """Instantiated task: per-user data and curvature/gradient constants."""
+    """
+    Instantiated task: stacked per-user data and curvature/gradient
+    constants. xs is the (K, n, d) array of features and ys the (K, n)
+    array of labels, so xs[k] and ys[k] are user k's data.
+    """
 
     spec: TaskSpec
     alphas: np.ndarray
-    xs: list = field(repr=False)
-    ys: list = field(repr=False)
+    xs: np.ndarray = field(repr=False)
+    ys: np.ndarray = field(repr=False)
     w_opt: np.ndarray = field(repr=False)
     f_opt: float = 0.0
     rho_s: float = 0.0
@@ -159,30 +163,46 @@ class Task:
     def model_dim(self) -> int:
         return self.spec.model_dim
 
-    def _margin(self, k: int, w: np.ndarray) -> np.ndarray:
-        return self.xs[k] @ w
+    def _mean_loss(self, z: np.ndarray, y: np.ndarray, w: np.ndarray):
+        """Regularized mean loss over the last axis of margins z, labels y."""
+        lam = self.spec.reg_lambda
+        if self.spec.kind == "linear":
+            r = z - y
+            return 0.5 * np.mean(r * r, axis=-1) + 0.5 * lam * w @ w
+        # log(1 + exp(z)) - y z, numerically stable
+        ll = np.logaddexp(0.0, z) - y * z
+        return np.mean(ll, axis=-1) + 0.5 * lam * w @ w
 
     def user_loss(self, k: int, w: np.ndarray) -> float:
-        lam = self.spec.reg_lambda
-        if self.spec.kind == "linear":
-            r = self._margin(k, w) - self.ys[k]
-            return float(0.5 * np.mean(r * r) + 0.5 * lam * w @ w)
-        z = self._margin(k, w)
-        # log(1 + exp(z)) - y z, numerically stable
-        ll = np.logaddexp(0.0, z) - self.ys[k] * z
-        return float(np.mean(ll) + 0.5 * lam * w @ w)
+        return float(self._mean_loss(self.xs[k] @ w, self.ys[k], w))
 
     def loss(self, w: np.ndarray) -> float:
-        return float(sum(a * self.user_loss(k, w)
-                         for k, a in enumerate(self.alphas)))
+        """
+        sum_k alpha_k F_k(w). The (K, n, d) @ w product gives each user's
+        margins bit for bit as xs[k] @ w does; the terms are then added
+        one by one in user order, as np.sum would not.
+        """
+        per_user = self._mean_loss(self.xs @ w, self.ys, w)
+        return float(sum(a * float(f) for a, f in zip(self.alphas, per_user)))
 
-    def sample_grad(self, k: int, w: np.ndarray, i: int) -> np.ndarray:
+    def sample_grad(self, k, w: np.ndarray, i) -> np.ndarray:
+        """
+        Gradient of user k's loss at w on its sample i. k and i may also
+        be (K,) arrays with w of shape (K, d): row r is then user k[r]'s
+        gradient at w[r] on sample i[r], bit for bit the one-user result.
+        """
         lam = self.spec.reg_lambda
-        xi, yi = self.xs[k][i], self.ys[k][i]
+        xi, yi = self.xs[k, i], self.ys[k, i]
+        # A stacked (1, d) @ (d, 1) product takes each row's margin by the
+        # dot product of a 1-D xi @ w; einsum and a flattened product
+        # round differently.
+        z = np.matmul(xi[..., None, :], w[..., :, None])[..., 0, 0]
         if self.spec.kind == "linear":
-            return (xi @ w - yi) * xi + lam * w
-        p = 1.0 / (1.0 + math.exp(-float(xi @ w)))
-        return (p - yi) * xi + lam * w
+            return (z - yi)[..., None] * xi + lam * w
+        # math.exp per margin: np.exp differs from it in the last bits.
+        p = np.reshape([1.0 / (1.0 + math.exp(-m))
+                        for m in np.ravel(z).tolist()], np.shape(z))
+        return (p - yi)[..., None] * xi + lam * w
 
 
 def _solve_opt(spec: TaskSpec, alphas, xs, ys) -> np.ndarray:
@@ -216,6 +236,9 @@ def _solve_opt(spec: TaskSpec, alphas, xs, ys) -> np.ndarray:
 def build_task(spec: TaskSpec, users: int, alphas: np.ndarray,
                seed: int) -> Task:
     """Generate per-user datasets and solve for the global optimum."""
+    if len(alphas) != users:
+        raise ValueError(f"{len(alphas)} aggregation weights for {users} "
+                         f"users")
     xs, ys = [], []
     root = np.random.default_rng([seed, _TAG_DATA])
     w_true = root.normal(0.0, 1.0, spec.model_dim) / math.sqrt(spec.model_dim)
@@ -233,19 +256,23 @@ def build_task(spec: TaskSpec, users: int, alphas: np.ndarray,
         xs.append(x)
         ys.append(y)
 
-    task = Task(spec, np.asarray(alphas, dtype=float), xs, ys,
-                np.zeros(spec.model_dim))
-    task.w_opt = _solve_opt(spec, task.alphas, xs, ys)
+    task = Task(spec, np.asarray(alphas, dtype=float), np.stack(xs),
+                np.stack(ys), np.zeros(spec.model_dim))
+    task.w_opt = _solve_opt(spec, task.alphas, task.xs, task.ys)
     task.f_opt = task.loss(task.w_opt)
 
     # Curvature constants from the data Gram matrices: exact for the
-    # quadratic task, the standard 1/4-Hessian bound for logistic.
+    # quadratic task, the standard 1/4-Hessian bound for logistic. With
+    # fewer samples than dimensions, x x^T / n is the smaller matrix with
+    # the nonzero spectrum of x^T x / n, whose least eigenvalue is then 0.
     lam = spec.reg_lambda
+    n = spec.samples_per_user
+    small = n < spec.model_dim
     smax, smin = 0.0, float("inf")
-    for x in xs:
-        eig = np.linalg.eigvalsh(x.T @ x / len(x))
+    for x in task.xs:
+        eig = np.linalg.eigvalsh(x @ x.T / n if small else x.T @ x / n)
         smax = max(smax, float(eig[-1]))
-        smin = min(smin, float(eig[0]))
+        smin = min(smin, 0.0 if small else float(eig[0]))
     if spec.kind == "linear":
         task.rho_s = smax + lam
         task.rho_c = max(smin, 0.0) + lam
@@ -266,15 +293,48 @@ def heterogeneity_gap(task: Task) -> float:
     return task.f_opt - total
 
 
-def local_sgd(task: Task, k: int, w: np.ndarray, tau: int, eta_fn,
-              t_start: int, rng: np.random.Generator) -> np.ndarray:
-    """tau single-sample SGD steps; returns the update h = w_end - w."""
-    wk = w.copy()
-    n = len(task.ys[k])
+def local_sgd(task: Task, k, w: np.ndarray, tau: int, eta_fn,
+              t_start: int, rng, grad_norms: np.ndarray | None = None
+              ) -> np.ndarray:
+    """
+    tau single-sample SGD steps from w at user k; returns the update
+    h = w_end - w, of shape (d,).
+
+    `k` may also be a sequence of K users with `rng` a sequence of K
+    generators, one per user: then the result is the (K, d) batch whose
+    row r equals local_sgd(task, k[r], w, tau, eta_fn, t_start, rng[r])
+    bit for bit, taken as one (K, d) step per local iteration. Each user
+    draws its tau sample picks from its own generator.
+
+    grad_norms, if given, is a float array with one entry per user (in
+    the order of k); each entry is raised in place to the largest norm of
+    that user's stochastic gradients in these steps.
+    """
+    solo = np.ndim(k) == 0
+    users = np.asarray([k] if solo else k, dtype=np.intp)
+    rngs = [rng] if solo else list(rng)
+    if len(rngs) != len(users):
+        raise ValueError(f"{len(rngs)} generators for {len(users)} users")
+    n = task.ys.shape[1]
+    # One sized draw gives the same picks as tau scalar draws.
+    picks = np.array([g.integers(0, n, size=tau) for g in rngs],
+                     dtype=np.intp).reshape(len(users), tau)
+    wk = np.repeat(w[None, :], len(users), axis=0)
     for j in range(tau):
-        i = int(rng.integers(0, n))
-        wk -= eta_fn(t_start + j) * task.sample_grad(k, wk, i)
-    return wk - w
+        g = task.sample_grad(users, wk, picks[:, j])
+        if grad_norms is not None:
+            # sqrt of each row's dot product, as np.linalg.norm of a row;
+            # fmax leaves an entry as it is when the norm is NaN.
+            norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+            np.fmax(grad_norms, norms, out=grad_norms)
+        wk -= eta_fn(t_start + j) * g
+    h = wk - w
+    return h[0] if solo else h
+
+
+def _sgd_rngs(seed: int, users, r: int) -> list:
+    """Round r's local-SGD generators, one per user."""
+    return [np.random.default_rng([seed, _TAG_SGD, k, r]) for k in users]
 
 
 def fedavg_round(w: np.ndarray, updates, alphas) -> np.ndarray:
@@ -327,20 +387,12 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     with the same seeds and schedule.
     """
     eta_fn = _eta_fn(cfg, task)
+    users = range(task.users)
     w = np.zeros(task.model_dim)
     best = np.zeros(task.users)
     for r in range(cfg.rounds):
-        hs = []
-        for k in range(task.users):
-            rng = np.random.default_rng([cfg.seed, _TAG_SGD, k, r])
-            wk = w.copy()
-            n = len(task.ys[k])
-            for j in range(cfg.tau):
-                i = int(rng.integers(0, n))
-                g = task.sample_grad(k, wk, i)
-                best[k] = max(best[k], float(np.linalg.norm(g)))
-                wk -= eta_fn(r * cfg.tau + j) * g
-            hs.append(wk - w)
+        hs = local_sgd(task, users, w, cfg.tau, eta_fn, r * cfg.tau,
+                       _sgd_rngs(cfg.seed, users, r), grad_norms=best)
         w = fedavg_round(w, hs, task.alphas)
     return 1.1 * best
 
@@ -407,10 +459,8 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     out = []
     users = range(task.users)
     for r in range(cfg.rounds):
-        hs = np.stack([
-            local_sgd(task, k, w, cfg.tau, eta_fn, r * cfg.tau,
-                      np.random.default_rng([cfg.seed, _TAG_SGD, k, r]))
-            for k in users])
+        hs = local_sgd(task, users, w, cfg.tau, eta_fn, r * cfg.tau,
+                       _sgd_rngs(cfg.seed, users, r))
         hts, ovs = uplink(
             cfg.baseline, hs, lat, spec, sampler,
             [SharedRandomness(seed=cfg.seed, user=k, round_index=r)

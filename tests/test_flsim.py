@@ -1,5 +1,6 @@
 """Federated simulator: tasks, local SGD, aggregation, and the bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,8 +22,8 @@ THM7_REFERENCE = 53.08179824561404
 
 
 def _small_task(kind="linear", heterogeneity=1.0, users=4, seed=0,
-                samples=60):
-    spec = TaskSpec(kind=kind, model_dim=6, samples_per_user=samples,
+                samples=60, dim=6):
+    spec = TaskSpec(kind=kind, model_dim=dim, samples_per_user=samples,
                     heterogeneity=heterogeneity, reg_lambda=0.1)
     alphas = np.full(users, 1.0 / users)
     return build_task(spec, users, alphas, seed)
@@ -32,6 +33,47 @@ def _user_grad(task, k, w):
     """User k's full gradient: the mean of the per-sample SGD gradients."""
     return np.mean([task.sample_grad(k, w, i)
                     for i in range(len(task.ys[k]))], axis=0)
+
+
+def _sample_grad_alone(task, k, w, i):
+    """One user's stochastic gradient from 1-D arrays: the reference."""
+    lam = task.spec.reg_lambda
+    xi, yi = task.xs[k][i], task.ys[k][i]
+    if task.spec.kind == "linear":
+        return (xi @ w - yi) * xi + lam * w
+    p = 1.0 / (1.0 + math.exp(-float(xi @ w)))
+    return (p - yi) * xi + lam * w
+
+
+def _local_sgd_alone(task, k, w, tau, eta_fn, t_start, rng, best=None):
+    """
+    One user's tau SGD steps with a scalar pick per step: the reference
+    for the stacked `local_sgd`. best[k], if given, is raised to the
+    largest gradient norm.
+    """
+    wk = w.copy()
+    n = len(task.ys[k])
+    for j in range(tau):
+        i = int(rng.integers(0, n))
+        g = _sample_grad_alone(task, k, wk, i)
+        if best is not None:
+            best[k] = max(best[k], float(np.linalg.norm(g)))
+        wk -= eta_fn(t_start + j) * g
+    return wk - w
+
+
+def _calibrate_xi_alone(task, cfg):
+    """calibrate_xi as a loop over users and steps: the reference."""
+    eta_fn = flsim._eta_fn(cfg, task)
+    w = np.zeros(task.model_dim)
+    best = np.zeros(task.users)
+    for r in range(cfg.rounds):
+        hs = [_local_sgd_alone(
+            task, k, w, cfg.tau, eta_fn, r * cfg.tau,
+            np.random.default_rng([cfg.seed, flsim._TAG_SGD, k, r]), best)
+            for k in range(task.users)]
+        w = fedavg_round(w, hs, task.alphas)
+    return 1.1 * best
 
 
 class TestTask:
@@ -57,15 +99,51 @@ class TestTask:
         assert np.linalg.norm(grad) < 1e-5
 
     def test_loss_is_alpha_mixture(self):
-        task = _small_task()
-        w = np.random.default_rng(2).normal(size=task.model_dim)
-        mix = sum(a * task.user_loss(k, w)
-                  for k, a in enumerate(task.alphas))
-        assert task.loss(w) == pytest.approx(mix)
+        # Bit for bit: the stacked product and the user-order sum give
+        # each term exactly as user_loss does. At d = 10 a flattened
+        # (K n, d) @ w product rounds differently, and with 2 samples per
+        # user that often reaches the loss.
+        for kind, users, samples in itertools.product(
+                ("linear", "logistic"), (1, 10), (2, 50)):
+            task = _small_task(kind=kind, users=users, samples=samples,
+                               dim=10)
+            for seed in range(20):
+                w = np.random.default_rng([2, seed]).normal(
+                    size=task.model_dim)
+                mix = sum(a * task.user_loss(k, w)
+                          for k, a in enumerate(task.alphas))
+                assert task.loss(w) == mix, (kind, users, samples, seed)
+
+    def test_data_is_stacked(self):
+        task = _small_task(users=3, samples=20)
+        assert task.xs.shape == (3, 20, task.model_dim)
+        assert task.ys.shape == (3, 20)
+        assert task.users == 3
+
+    @pytest.mark.parametrize("alphas", [2, 4])
+    def test_mismatched_weights_rejected(self, alphas):
+        spec = TaskSpec(model_dim=6, samples_per_user=20)
+        with pytest.raises(ValueError, match="3 users"):
+            build_task(spec, 3, np.full(alphas, 1.0 / alphas), 0)
 
     def test_curvature_ordering(self):
         task = _small_task()
         assert task.rho_s >= task.rho_c > 0.0
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_fewer_samples_than_dimensions(self, kind):
+        # With n < d the constants come from the n x n Gram x x^T / n.
+        spec = TaskSpec(kind=kind, model_dim=40, samples_per_user=12,
+                        reg_lambda=0.1)
+        task = build_task(spec, 3, np.full(3, 1.0 / 3), 4)
+        smax = max(float(np.linalg.eigvalsh(x.T @ x / len(x))[-1])
+                   for x in task.xs)
+        lam = spec.reg_lambda
+        if kind == "linear":
+            assert task.rho_s == pytest.approx(smax + lam, rel=1e-10)
+            assert task.rho_c == lam
+        else:
+            assert task.rho_s == pytest.approx(smax / 4.0 + lam, rel=1e-10)
 
 
 class TestHeterogeneityGap:
@@ -109,7 +187,61 @@ class TestLocalSgd:
         task = _small_task()
         w = np.ones(task.model_dim)
         local_sgd(task, 0, w, 3, lambda t: 0.05, 0, np.random.default_rng(7))
+        local_sgd(task, [0, 1], w, 3, lambda t: 0.05, 0,
+                  [np.random.default_rng(7), np.random.default_rng(8)])
         assert np.array_equal(w, np.ones(task.model_dim))
+
+    @pytest.mark.parametrize("users", [1, 10])
+    @pytest.mark.parametrize("tau", [1, 4])
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_stacked_equals_users_alone(self, kind, tau, users):
+        task = _small_task(kind=kind, users=users, samples=50, dim=10)
+        eta_fn = lambda t: 0.3 / (1.0 + t)  # noqa: E731
+        for r in range(10):
+            w = np.random.default_rng([9, r]).normal(size=task.model_dim)
+            keys = [[r, k] for k in range(users)]
+            got = local_sgd(task, range(users), w, tau, eta_fn, r * tau,
+                            [np.random.default_rng(key) for key in keys])
+            assert got.shape == (users, task.model_dim)
+            solo = [local_sgd(task, k, w, tau, eta_fn, r * tau,
+                              np.random.default_rng(key))
+                    for k, key in enumerate(keys)]
+            alone = [_local_sgd_alone(task, k, w, tau, eta_fn, r * tau,
+                                      np.random.default_rng(key))
+                     for k, key in enumerate(keys)]
+            assert np.array_equal(got, np.stack(solo))
+            assert np.array_equal(got, np.stack(alone))
+
+    def test_generator_count_must_match_users(self):
+        task = _small_task()
+        with pytest.raises(ValueError):
+            local_sgd(task, [0, 1, 2], np.zeros(task.model_dim), 2,
+                      lambda t: 0.1, 0, [np.random.default_rng(1)])
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 2 ** 31 - 1, 2 ** 32,
+                                   2 ** 32 + 1, 2 ** 40])
+    def test_sized_picks_equal_scalar_picks(self, n):
+        # local_sgd draws a user's tau picks in one sized call; they are
+        # the picks of tau scalar calls on the same generator.
+        for seed in range(50):
+            for tau in (1, 4, 7):
+                sized = np.random.default_rng([seed, n]).integers(
+                    0, n, size=tau)
+                rng = np.random.default_rng([seed, n])
+                scalar = [int(rng.integers(0, n)) for _ in range(tau)]
+                assert sized.tolist() == scalar
+
+
+class TestCalibrateXi:
+    @pytest.mark.parametrize("schedule", ["fixed", "decay"])
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_equals_users_alone(self, kind, schedule):
+        cfg = FlConfig(task=TaskSpec(kind=kind, model_dim=6,
+                                     samples_per_user=40),
+                       users=5, tau=3, rounds=20, schedule=schedule, seed=2)
+        task = build_task(cfg.task, cfg.users, cfg.alpha_vector(), cfg.seed)
+        assert np.array_equal(calibrate_xi(task, cfg),
+                              _calibrate_xi_alone(task, cfg))
 
 
 class TestAggregation:

@@ -16,6 +16,9 @@ The outputs, all keyed on --seed:
 - `fl.decay.<baseline>`: the same for 60 rounds of the benchmark's
   `fl-train` config (decay schedule, scalar R = 4, epsilon 2, 10 users,
   tau 4).
+- `fl.logistic.<baseline>`: the same for 60 rounds on the logistic task
+  (fixed schedule, otherwise FlConfig's defaults), its xi from
+  `calibrate_xi`.
 - `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
@@ -75,22 +78,35 @@ def sweep_digests(cli, seed: int):
 
 
 def fl_digests(flsim, seed: int):
-    import numpy as np
-
     base = flsim.FlConfig(rounds=FL_ROUNDS, seed=seed)
-    task = flsim.build_task(base.task, base.users, base.alpha_vector(), seed)
-    xis = flsim.calibrate_xi(task, base)
-    for baseline in flsim.BASELINES:
-        ms = flsim.run_experiment(replace(base, baseline=baseline), task, xis)
-        yield f"fl.{baseline}", digest(np.array([astuple(m) for m in ms]))
+    yield from shared_task_digests(flsim, "fl", base)
     # The `fl-train` config: every field not given here is FlConfig's
     # default (linear task of dimension 10, scalar Laplace codec at R = 4,
     # epsilon 2, 10 users, tau 4).
-    decay = flsim.FlConfig(rounds=FL_ROUNDS, schedule="decay", seed=seed)
+    decay = replace(base, schedule="decay")
     for baseline in flsim.BASELINES:
         ms = flsim.run_experiment(replace(decay, baseline=baseline))
-        yield (f"fl.decay.{baseline}",
-               digest(np.array([astuple(m) for m in ms])))
+        yield f"fl.decay.{baseline}", metrics_digest(ms)
+    # The logistic task, whose stochastic gradients go through exp.
+    yield from shared_task_digests(
+        flsim, "fl.logistic",
+        replace(base, task=flsim.TaskSpec(kind="logistic")))
+
+
+def shared_task_digests(flsim, prefix: str, cfg):
+    """Every baseline on one task and one calibrate_xi, as `jopeq sweep`."""
+    task = flsim.build_task(cfg.task, cfg.users, cfg.alpha_vector(),
+                            cfg.seed)
+    xis = flsim.calibrate_xi(task, cfg)
+    for baseline in flsim.BASELINES:
+        ms = flsim.run_experiment(replace(cfg, baseline=baseline), task, xis)
+        yield f"{prefix}.{baseline}", metrics_digest(ms)
+
+
+def metrics_digest(ms) -> str:
+    import numpy as np
+
+    return digest(np.array([astuple(m) for m in ms]))
 
 
 def ppn_digest(samp) -> str:
