@@ -38,6 +38,12 @@ _NOISE_TAG = 0x9019
 
 _HEADER = struct.Struct(">HBBdI")
 
+# Most sub-vectors `encode_rows` and `decode_rows` code in one block. The
+# dozen (n, L) arrays a block works on, 128 KB each at L = 1, then fit a
+# core's 2 MB L2 cache; the 8 MB arrays of a whole 2^20-coordinate update
+# did not. Smaller blocks pay more per-block numpy calls: 2^12 was slower.
+_BLOCK = 1 << 14
+
 
 class CorruptPayloadError(ValueError):
     """Raised when a payload's indices do not fit the configured codebook."""
@@ -159,12 +165,35 @@ def scale_rows(hs: np.ndarray, m_subvectors: int) -> np.ndarray:
                          for h in hs])
 
 
+def _blocks(k: int, m: int):
+    """
+    The blocks in which a (K, M) grid of sub-vectors is coded, as (r0, r1,
+    lo, hi): sub-vectors lo, ..., hi-1 of rows r0, ..., r1-1. When M <=
+    _BLOCK a block is a group of whole rows, at most _BLOCK sub-vectors in
+    all; else it is a slice of at most _BLOCK sub-vectors of one row.
+    """
+    if m <= _BLOCK:
+        rows = _BLOCK // max(m, 1)
+        for r0 in range(0, k, rows):
+            yield r0, min(r0 + rows, k), 0, m
+    else:
+        for r in range(k):
+            for lo in range(0, m, _BLOCK):
+                yield r, r + 1, lo, min(lo + _BLOCK, m)
+
+
 def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
                 noise_seed: int | None = None):
     """
     Encode a (K, d) batch of updates, row k with shared stream srs[k]; each
     row is encoded as `encode` encodes it alone. A sampler must have been
     built for a lattice of `lat`'s family and generator (ValueError).
+
+    The rows are coded in the blocks of `_blocks`. Each block reads its
+    rows' streams at its own offsets (see `jopeq.dither`): the dither of
+    sub-vector i at draw i L of the dither stream, and its PPN cell uniform
+    at draw i and jitter at draws M + i L, ..., M + (i+1) L - 1 of the
+    PPN stream. So the indices do not depend on the block size.
 
     Returns (indices, zetas, overloaded) of shapes (K, M), (K,) and (K, M).
     """
@@ -180,22 +209,40 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
                 f"{other.family} {other.generator.tolist()}, not "
                 f"{lat.family} {lat.generator.tolist()}")
     k, d = hs.shape
+    if len(srs) != k:
+        raise ValueError(f"{len(srs)} shared streams for {k} rows")
     dim = lat.dimension
     m = -(-d // dim)
 
     zetas = scale_rows(hs, m)
-    x = np.zeros((k, m, dim))
-    x.reshape(k, -1)[:, :d] = zetas[:, None] * hs
-    x += dither_block(srs, lat, k * m).reshape(k, m, dim)
-    if sampler is not None:
-        rngs = ([np.random.default_rng() for _ in srs]
-                if noise_seed is None else
-                _KeyedStreams([SharedRandomness(noise_seed, sr.user,
-                                                sr.round_index)
-                               for sr in srs], _NOISE_TAG))
-        x += sampler.sample(k * m, rngs).reshape(k, m, dim)
+    noise = (None if sampler is None or noise_seed is None else
+             [SharedRandomness(noise_seed, sr.user, sr.round_index)
+              for sr in srs])
+    idx = np.empty((k, m), dtype=np.int64)
+    overloaded = np.empty((k, m), dtype=bool)
+    for r0, r1, lo, hi in _blocks(k, m):
+        rows, n = r1 - r0, hi - lo
+        c0, c1 = lo * dim, min(hi * dim, d)
+        x = np.empty((rows, n, dim))
+        flat = x.reshape(rows, -1)
+        flat[:, c1 - c0:] = 0.0
+        np.multiply(zetas[r0:r1, None], hs[r0:r1, c0:c1],
+                    out=flat[:, :c1 - c0])
+        x += dither_block(srs[r0:r1], lat, rows * n,
+                          lo).reshape(rows, n, dim)
+        if sampler is not None:
+            # A slice [lo, hi) of a row reads its cell uniforms from draw
+            # lo and its jitter from draw M + lo L of the row's stream;
+            # whole rows read both in sequence from draw 0.
+            rngs = ([np.random.default_rng() for _ in range(rows)]
+                    if noise is None else
+                    _KeyedStreams(noise[r0:r1], _NOISE_TAG,
+                                  (0,) if n == m else (lo, m + lo * dim)))
+            x += sampler.sample(rows * n, rngs).reshape(rows, n, dim)
+        _, bi, bo = quantize_clipped(lat, x)
+        idx[r0:r1, lo:hi] = bi
+        overloaded[r0:r1, lo:hi] = bo
 
-    _, idx, overloaded = quantize_clipped(lat, x)
     # A zero-norm row has no zeta: it is sent as the zero-point sentinel.
     zero = ~np.any(hs, axis=1)
     idx[zero] = lat.zero_index
@@ -228,15 +275,28 @@ def decode_rows(indices, zetas, lat: Lattice, srs,
     """
     Decode a (K, M) batch of indices, row k with zetas[k] and shared stream
     srs[k]; returns the (K, original_dim) updates, each row as `decode`
-    decodes it alone.
+    decodes it alone. The rows are decoded in `encode_rows`'s blocks.
     """
     idx = np.asarray(indices)
-    if np.any(idx < 0) or np.any(idx >= len(lat.codebook)):
-        raise CorruptPayloadError("index out of codebook range")
+    zetas = np.asarray(zetas)
     k, m = idx.shape
-    dith = dither_block(srs, lat, k * m).reshape(k, m, lat.dimension)
-    sub = (lat.codebook[idx] - dith) / np.asarray(zetas)[:, None, None]
-    return sub.reshape(k, -1)[:, :original_dim]
+    if len(srs) != k:
+        raise ValueError(f"{len(srs)} shared streams for {k} rows")
+    dim = lat.dimension
+    width = min(original_dim, m * dim)
+    out = np.empty((k, width))
+    for r0, r1, lo, hi in _blocks(k, m):
+        block = idx[r0:r1, lo:hi]
+        if np.any(block < 0) or np.any(block >= len(lat.codebook)):
+            raise CorruptPayloadError("index out of codebook range")
+        rows, n = r1 - r0, hi - lo
+        sub = np.take(lat.codebook, block, axis=0)  # as codebook[block]
+        sub -= dither_block(srs[r0:r1], lat, rows * n,
+                            lo).reshape(rows, n, dim)
+        sub /= zetas[r0:r1, None, None]
+        c0, c1 = min(lo * dim, width), min(hi * dim, width)
+        out[r0:r1, c0:c1] = sub.reshape(rows, -1)[:, :c1 - c0]
+    return out
 
 
 def decode(enc: EncodedUpdate, lat: Lattice,

@@ -11,7 +11,14 @@ Stream layout: the stream of (seed, user, round) under a domain tag is
 Philox-4x64 with key (seed mod 2^64, user) and initial counter
 (round, tag, 0, 0), read from an empty output buffer. Regeneration rests
 on this layout being the contract: any two parties that agree on it draw
-the same numbers, however each one sets up its generator.
+the same numbers, however each one sets up its generator. Draw o of a
+stream (a 64-bit word; a uniform double takes one) is part of the
+contract too, and it can be read without the draws before it: Philox
+is counter-based (Salmon et al., SC 2011), so the layout state advanced
+by o // 4 counter steps (`Philox.advance`, which carries from the round
+word into the tag word as sequential draws do) and o % 4 words discarded
+is the stream after o draws. That lets a long row be coded in blocks, each
+reading its stream at its own offset.
 """
 
 from dataclasses import dataclass
@@ -58,11 +65,18 @@ class _KeyedStreams:
     building a Philox per row. So each row's generator must be used fully
     before the next one is taken. The Philox is made per iteration and is
     never shared between calls.
+
+    `starts` gives the draw offset of each read of a row: with one start,
+    each row's generator is yielded positioned there. With several, read i
+    (the i-th `random(out=...)` call) of each row starts at draw starts[i]
+    of its stream, and the row is yielded as a reader object that
+    repositions the Generator before each read.
     """
 
-    def __init__(self, srs, tag: int):
+    def __init__(self, srs, tag: int, starts=(0,)):
         self._srs = srs
         self._tag = tag
+        self._starts = starts
 
     def __len__(self) -> int:
         return len(self._srs)
@@ -71,37 +85,69 @@ class _KeyedStreams:
         bit = np.random.Philox(key=0)
         gen = np.random.Generator(bit)
         for sr in self._srs:
-            bit.state = {
-                "bit_generator": "Philox",
-                "state": {"key": [sr.seed & (2 ** 64 - 1), sr.user],
-                          "counter": [sr.round_index, self._tag, 0, 0]},
-                "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                "has_uint32": 0, "uinteger": 0,
-            }
-            yield gen
+            if len(self._starts) == 1:
+                _position(bit, sr, self._tag, self._starts[0])
+                yield gen
+            else:
+                yield _Reads(gen, sr, self._tag, self._starts)
 
 
-def dither_block(sr, lat: Lattice, count: int) -> np.ndarray:
+class _Reads:
+    """One row of `_KeyedStreams` whose i-th read starts at draw starts[i]."""
+
+    def __init__(self, gen, sr, tag, starts):
+        self._gen = gen
+        self._sr = sr
+        self._tag = tag
+        self._starts = iter(starts)
+
+    def random(self, out):
+        _position(self._gen.bit_generator, self._sr, self._tag,
+                  next(self._starts))
+        return self._gen.random(out=out)
+
+
+def _position(bit, sr: SharedRandomness, tag: int, offset: int) -> None:
     """
-    Dither vectors for sub-vector indices 0, ..., count-1.
+    Set the Philox `bit` to the stream of sr under tag after `offset`
+    draws: the layout state, advanced by offset // 4 counter steps, with
+    offset % 4 words of the output buffer discarded.
+    """
+    bit.state = {
+        "bit_generator": "Philox",
+        "state": {"key": [sr.seed & (2 ** 64 - 1), sr.user],
+                  "counter": [sr.round_index, tag, 0, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    if offset:
+        bit.advance(offset // 4)
+        bit.random_raw(offset % 4)
 
-    Returns a (count, L) array; row i is the dither for sub-vector i, a
-    deterministic function of (seed, user, round, i) and marginally
-    uniform over the basic cell. `sr` may also be a sequence of K streams,
-    one per row of a batch: then count must be a multiple of K, and rows
-    k count/K, ..., (k+1) count/K - 1 equal dither_block(sr[k], lat,
-    count // K). The rows are drawn in order, each one fully before the
-    next, as `_KeyedStreams` requires.
+
+def dither_block(sr, lat: Lattice, count: int, start: int = 0) -> np.ndarray:
+    """
+    Dither vectors for sub-vector indices start, ..., start+count-1.
+
+    Returns a (count, L) array; row i is the dither for sub-vector
+    start+i, a deterministic function of (seed, user, round, start+i)
+    and marginally uniform over the basic cell: it reads draws (start+i) L,
+    ..., (start+i+1) L - 1 of the stream. `sr` may also be a sequence of K
+    streams, one per row of a batch: then count must be a multiple of K,
+    and rows k count/K, ..., (k+1) count/K - 1 equal dither_block(sr[k],
+    lat, count // K, start). The rows are drawn in order, each one fully
+    before the next, as `_KeyedStreams` requires.
     """
     srs = [sr] if isinstance(sr, SharedRandomness) else sr
     per, rest = divmod(int(count), len(srs))
     if rest:
         raise ValueError(f"{count} sub-vectors do not split over "
                          f"{len(srs)} streams")
-    u = np.empty((len(srs), per, lat.dimension))
-    for row, gen in zip(u, _KeyedStreams(srs, _DITHER_TAG)):
+    dim = lat.dimension
+    u = np.empty((len(srs), per, dim))
+    for row, gen in zip(u, _KeyedStreams(srs, _DITHER_TAG, (start * dim,))):
         gen.random(out=row)
-    return _cell_residual(lat, u).reshape(-1, lat.dimension)
+    return _cell_residual(lat, u).reshape(-1, dim)
 
 
 def sdq(lat: Lattice, x: np.ndarray, d: np.ndarray):

@@ -199,10 +199,21 @@ class Task:
         z = np.matmul(xi[..., None, :], w[..., :, None])[..., 0, 0]
         if self.spec.kind == "linear":
             return (z - yi)[..., None] * xi + lam * w
-        # math.exp per margin: np.exp differs from it in the last bits.
-        p = np.reshape([1.0 / (1.0 + math.exp(-m))
-                        for m in np.ravel(z).tolist()], np.shape(z))
+        p = np.reshape([_sigmoid(m) for m in np.ravel(z).tolist()],
+                       np.shape(z))
         return (p - yi)[..., None] * xi + lam * w
+
+
+def _sigmoid(margin: float) -> float:
+    """
+    1 / (1 + exp(-margin)) by math.exp, which np.exp differs from in the
+    last bits; 0.0, its limit, where exp(-margin) overflows (a margin
+    below about -709, as a diverging run reaches).
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-margin))
+    except OverflowError:
+        return 0.0
 
 
 def _solve_opt(spec: TaskSpec, alphas, xs, ys) -> np.ndarray:

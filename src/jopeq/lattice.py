@@ -91,6 +91,18 @@ class Lattice:
         return int(self._lookup[(self._lmax,) * self.dimension])
 
 
+def _generate(family: str, generator: np.ndarray, coords) -> np.ndarray:
+    """
+    G l for each vector l of coords, shape (..., L). The scaled-identity
+    families multiply by the spacing: the matrix product's off-diagonal
+    terms are exact zeros, so the result is the same, bit for bit, without
+    the product or a cast of integer coordinates.
+    """
+    if family == "hexagonal":
+        return coords @ generator.T
+    return coords * generator[0, 0]
+
+
 def _build(base: np.ndarray, delta_q: float, gamma: float, rate: int,
            family: str) -> Lattice:
     """The lattice with generator delta_q * base, gamma and rate checked."""
@@ -114,12 +126,12 @@ def _build(base: np.ndarray, delta_q: float, gamma: float, rate: int,
             f"more than {MAX_GRID_ENTRIES}")
     axes = [np.arange(-lmax, lmax + 1)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    points = grid @ generator.T
+    points = _generate(family, generator, grid)
     keep = np.linalg.norm(points, axis=1) <= gamma * (1 + 1e-12)
     coords = grid[keep]
     order = np.lexsort(coords.T[::-1])
     coords = coords[order]
-    points = coords @ generator.T
+    points = _generate(family, generator, coords)
     if len(points) == 0:
         raise ConfigurationError("empty codebook: gamma too small")
 
@@ -175,7 +187,8 @@ def hexagonal_lattice(gamma: float, rate: int) -> Lattice:
 
 def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     """
-    Integer coordinates of the nearest (unrestricted) lattice point.
+    Integer coordinates of the nearest (unrestricted) lattice point, as
+    floats (integral values).
 
     Scalar and square: per-axis mid-tread rounding floor(x/delta + 1/2), so
     ties round half up on each axis. Hexagonal (Conway & Sloane 1982): the
@@ -184,7 +197,9 @@ def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     and keep the nearer point, the unshifted one on a tie.
     """
     if lat.family != "hexagonal":
-        return np.floor(x / lat.delta_q + 0.5).astype(np.int64)
+        c = x / lat.delta_q
+        c += 0.5
+        return np.floor(c, out=c)
     # Rectangular frame: u in units of delta, v in units of delta*sqrt(3);
     # the shifted coset's nearest point is (floor(u), floor(v)) + 1/2.
     u = x[..., 0] / lat.delta_q
@@ -197,7 +212,7 @@ def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     a = np.where(shifted, a1, a0)
     k = np.where(shifted, k1, k0)
     # delta*(a, sqrt(3) k) = G (a - k, 2k); its shift is G (a - k, 2k + 1).
-    return np.stack([a - k, 2.0 * k + shifted], axis=-1).astype(np.int64)
+    return np.stack([a - k, 2.0 * k + shifted], axis=-1)
 
 
 def _subvectors(lat: Lattice, x) -> np.ndarray:
@@ -214,7 +229,8 @@ def nearest_point(lat: Lattice, x: np.ndarray) -> np.ndarray:
     Nearest lattice point to each sub-vector of x, shape (..., L), over the
     unrestricted (infinite) lattice; returns shape (..., L).
     """
-    return _nearest_coords(lat, _subvectors(lat, x)) @ lat.generator.T
+    return _generate(lat.family, lat.generator,
+                     _nearest_coords(lat, _subvectors(lat, x)))
 
 
 def quantize_clipped(lat: Lattice, x: np.ndarray):
@@ -230,34 +246,40 @@ def quantize_clipped(lat: Lattice, x: np.ndarray):
     x = _subvectors(lat, x)
     batch_shape = x.shape[:-1]
     flat = x.reshape(-1, lat.dimension)
-    coords = _nearest_coords(lat, flat)
-    clipped = np.clip(coords + lat._lmax, 0, 2 * lat._lmax)
+    shifted = _nearest_coords(lat, flat).astype(np.int64)
+    shifted += lat._lmax
+    clipped = np.clip(shifted, 0, 2 * lat._lmax)
     idx = lat._lookup[tuple(clipped.T)]
-    inside = (idx >= 0) & np.all(clipped == coords + lat._lmax, axis=-1)
-    overloaded = ~inside
+    overloaded = idx < 0
+    # Axis by axis: np.any over the short last axis is a slow reduction.
+    for a in range(lat.dimension):
+        overloaded |= clipped[:, a] != shifted[:, a]
 
     if np.any(overloaded):
         bad = flat[overloaded]
         d2 = (np.sum(bad ** 2, axis=1)[:, None]
               - 2.0 * bad @ lat.codebook.T
               + np.sum(lat.codebook ** 2, axis=1)[None, :])
-        idx = idx.copy()
         idx[overloaded] = np.argmin(d2, axis=1)
 
-    return (lat.codebook[idx].reshape(x.shape), idx.reshape(batch_shape),
-            overloaded.reshape(batch_shape))
+    # np.take copies the rows several times faster than codebook[idx].
+    return (np.take(lat.codebook, idx, axis=0).reshape(x.shape),
+            idx.reshape(batch_shape), overloaded.reshape(batch_shape))
 
 
 def _cell_residual(lat: Lattice, u: np.ndarray) -> np.ndarray:
     """
     Map unit-cube coordinates u, shape (..., L), to G u - Q_L(G u) in the
     basic cell; u uniform over [0, 1)^L gives a cell-uniform result. The
-    products with G run once per (M, L) matrix of the leading axes, so
-    stacking K such matrices into (K, M, L) leaves each one's result
-    bit-identical to mapping it alone.
+    hexagonal products with G run once per (n, L) matrix of the leading
+    axes, and their rows do not depend on n: so stacking K such matrices
+    into (K, n, L), or cutting one into blocks of rows, leaves each row's
+    result bit-identical to mapping its whole matrix alone. The
+    scaled-identity families scale by the spacing instead, elementwise.
     """
-    x = u @ lat.generator.T
-    return x - _nearest_coords(lat, x) @ lat.generator.T
+    x = _generate(lat.family, lat.generator, u)
+    x -= _generate(lat.family, lat.generator, _nearest_coords(lat, x))
+    return x
 
 
 def cell_variance_per_coord(lat: Lattice) -> float:

@@ -281,11 +281,12 @@ class PpnSampler:
         sequence of K generators, one per row of a batch: then count must
         be a multiple of K, and rows k count/K, ..., (k+1) count/K - 1
         equal sample(count // K, rng[k]). Each generator draws its cell
-        uniforms, then its (count/K, L) jitter, and is done before the
-        next one is taken from `rng`, which is iterated once. So `rng` may
-        also be a sized iterable that yields one generator object again
-        with its state reset per row, as the keyed streams of
-        `codec.encode_rows` do.
+        uniforms, then its (count/K, L) jitter, in two `random(out=...)`
+        calls, and is done before the next one is taken from `rng`, which
+        is iterated once. So `rng` may also be a sized iterable that
+        yields one generator object again with its state reset per row,
+        or an object whose `random(out=...)` reads each call at its own
+        stream offset, as the keyed streams of `codec.encode_rows` do.
         """
         rngs = [rng] if isinstance(rng, np.random.Generator) else rng
         per, rest = divmod(int(count), len(rngs))
@@ -302,6 +303,13 @@ class PpnSampler:
             g.random(out=jr)
         cells = _cell_lookup(self._cdf, self._guide, u.reshape(-1))
         jit = jit.reshape(-1, d)
+        if d == 1:
+            # origin + step (cell + jitter), in place: the same operations
+            # in the same order, without unravelling a 1-D index.
+            jit[:, 0] += cells
+            jit *= self.step[0]
+            jit += self.origin[0]
+            return jit
         for a, i in enumerate(np.unravel_index(cells, self.density.shape)):
             jit[:, a] = self.origin[a] + self.step[a] * (i + jit[:, a])
         return jit

@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from jopeq.codec import (CorruptPayloadError, EncodedUpdate, decode, encode,
-                         scale_coefficient, snr)
+from jopeq.codec import (_BLOCK, CorruptPayloadError, EncodedUpdate, decode,
+                         decode_rows, encode, encode_rows, scale_coefficient,
+                         scale_rows, snr)
 from jopeq.dither import SharedRandomness
-from jopeq.lattice import scalar_uniform, square_lattice
-from jopeq.privacy import build_ppn_sampler, laplace_spec
+from jopeq.lattice import (_nearest_coords, hexagonal_lattice, scalar_uniform,
+                           square_lattice)
+from jopeq.privacy import build_ppn_sampler, laplace_spec, t_spec
 
 
 def _roundtrip(h, lat, seed=0, sampler=None):
@@ -277,3 +279,167 @@ class TestSnr:
         h = rng.normal(0.0, 1.0, 500_000)
         ht = h + rng.normal(0.0, np.sqrt(0.1), 500_000)
         assert snr([h], [ht]) == pytest.approx(10.0, abs=0.2)
+
+
+# The stream layout (see jopeq.dither): key (seed mod 2^64, user), counter
+# (round, tag, 0, 0), one domain tag per stream.
+DITHER_TAG, NOISE_TAG = 0xD17E, 0x9019
+MIXED = [SharedRandomness(seed=3, user=0, round_index=0),
+         SharedRandomness(seed=-7, user=4, round_index=11),
+         SharedRandomness(seed=2 ** 63 + 5, user=9, round_index=250),
+         SharedRandomness(seed=2 ** 64 - 1, user=1,
+                          round_index=2 ** 64 - 1)]
+
+
+def _layout_stream(seed, user, round_index, tag):
+    return np.random.Generator(np.random.Philox(
+        key=[np.uint64(seed & (2 ** 64 - 1)), np.uint64(user)],
+        counter=[np.uint64(round_index), np.uint64(tag), np.uint64(0),
+                 np.uint64(0)]))
+
+
+def _residual_whole(lat, u):
+    """The dither map as whole (K, M, L) products with G."""
+    x = u @ lat.generator.T
+    return x - _nearest_coords(lat, x).astype(np.int64) @ lat.generator.T
+
+
+def _ppn_whole(samp, m, g):
+    """M cell uniforms, then (M, L) jitter, from one row's stream."""
+    dim = samp.lattice.dimension
+    if samp.degenerate:
+        return np.zeros((m, dim))
+    u = g.random(m)
+    jit = g.random((m, dim))
+    cells = np.searchsorted(samp._cdf, u, side="right")
+    for a, i in enumerate(np.unravel_index(cells, samp.density.shape)):
+        jit[:, a] = samp.origin[a] + samp.step[a] * (i + jit[:, a])
+    return jit
+
+
+def _quantize_whole(lat, flat):
+    coords = _nearest_coords(lat, flat).astype(np.int64)
+    clipped = np.clip(coords + lat._lmax, 0, 2 * lat._lmax)
+    idx = lat._lookup[tuple(clipped.T)]
+    overloaded = ~((idx >= 0)
+                   & np.all(clipped == coords + lat._lmax, axis=-1))
+    if np.any(overloaded):
+        bad = flat[overloaded]
+        d2 = (np.sum(bad ** 2, axis=1)[:, None]
+              - 2.0 * bad @ lat.codebook.T
+              + np.sum(lat.codebook ** 2, axis=1)[None, :])
+        idx[overloaded] = np.argmin(d2, axis=1)
+    return idx, overloaded
+
+
+def _encode_whole(hs, lat, samp, srs, noise_seed):
+    """encode_rows as whole-array passes over (K, M, L): the reference."""
+    k, d = hs.shape
+    dim = lat.dimension
+    m = -(-d // dim)
+    zetas = scale_rows(hs, m)
+    x = np.zeros((k, m, dim))
+    x.reshape(k, -1)[:, :d] = zetas[:, None] * hs
+    u = np.stack([_layout_stream(sr.seed, sr.user, sr.round_index,
+                                 DITHER_TAG).random((m, dim)) for sr in srs])
+    x += _residual_whole(lat, u)
+    if samp is not None:
+        x += np.stack([_ppn_whole(samp, m, _layout_stream(
+            noise_seed, sr.user, sr.round_index, NOISE_TAG)) for sr in srs])
+    idx, overloaded = _quantize_whole(lat, x.reshape(-1, dim))
+    idx, overloaded = idx.reshape(k, m), overloaded.reshape(k, m)
+    zero = ~np.any(hs, axis=1)
+    idx[zero] = lat.zero_index
+    overloaded[zero] = False
+    return idx, zetas, overloaded
+
+
+def _decode_whole(idx, zetas, lat, srs, original_dim):
+    k, m = idx.shape
+    dim = lat.dimension
+    u = np.stack([_layout_stream(sr.seed, sr.user, sr.round_index,
+                                 DITHER_TAG).random((m, dim)) for sr in srs])
+    sub = (lat.codebook[idx] - _residual_whole(lat, u)) / zetas[:, None, None]
+    return sub.reshape(k, -1)[:, :original_dim]
+
+
+def _codec(family):
+    """A lattice and a small non-degenerate PPN sampler for it."""
+    if family == "scalar":
+        lat, spec = scalar_uniform(9.0, 4), laplace_spec(1.0, 1)
+    else:
+        make = square_lattice if family == "square" else hexagonal_lattice
+        lat, spec = make(9.0, 3), t_spec(3.0, 2, 3.0)
+    return lat, build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+
+
+class TestBlocks:
+    """
+    encode_rows and decode_rows code in blocks of at most _BLOCK
+    sub-vectors; their outputs equal, byte for byte, whole-array passes.
+    """
+
+    def check(self, lat, samp, hs, srs, noise_seed=-11):
+        d = hs.shape[1]
+        got = encode_rows(hs, lat, samp, srs, noise_seed)
+        want = _encode_whole(hs, lat, samp, srs, noise_seed)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        idx, zetas, _ = want
+        dec = decode_rows(idx, zetas, lat, srs, d)
+        assert dec.tobytes() == _decode_whole(idx, zetas, lat, srs,
+                                              d).tobytes()
+        assert dec.shape == hs.shape
+        return got
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    @pytest.mark.parametrize("m", [_BLOCK // 2, _BLOCK - 1, _BLOCK,
+                                   _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_equal_to_whole_array_passes(self, family, m, k):
+        lat, samp = _codec(family)
+        dim = lat.dimension
+        d = m * dim - (dim - 1)  # an odd d pads the last 2-D sub-vector
+        hs = np.random.default_rng([m, k]).normal(0.0, 1.0, (k, d))
+        hs[:, ::97] *= 40.0  # spikes, so that some sub-vectors overload
+        srs = MIXED[-k:]
+        if k == 3:
+            hs[1] = 0.0
+        _, _, overloaded = self.check(lat, samp, hs, srs)
+        assert overloaded.any()
+
+    @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
+    def test_without_ppn(self, family):
+        lat, _ = _codec(family)
+        d = (_BLOCK + 2) * lat.dimension
+        hs = np.random.default_rng(5).normal(0.0, 1.0, (2, d))
+        self.check(lat, None, hs, MIXED[:2])
+
+    def test_degenerate_sampler(self):
+        lat = scalar_uniform(9.0, 1)
+        samp = build_ppn_sampler(laplace_spec(50.0, 1), lat,
+                                 allow_degenerate=True)
+        assert samp.degenerate
+        hs = np.random.default_rng(6).normal(0.0, 1.0, (2, _BLOCK + 9))
+        self.check(lat, samp, hs, MIXED[1:3])
+
+    def test_fresh_noise_shapes(self):
+        # Fresh OS entropy: only the shapes and the decoded width can be
+        # checked.
+        lat, samp = _codec("hexagonal")
+        d = 2 * _BLOCK + 5
+        hs = np.random.default_rng(7).normal(0.0, 1.0, (3, d))
+        idx, zetas, overloaded = encode_rows(hs, lat, samp, MIXED[:3])
+        m = -(-d // 2)
+        assert idx.shape == overloaded.shape == (3, m)
+        assert zetas.shape == (3,)
+        assert decode_rows(idx, zetas, lat, MIXED[:3], d).shape == (3, d)
+
+    def test_rows_must_match_streams(self):
+        lat, _ = _codec("scalar")
+        with pytest.raises(ValueError, match="2 shared streams for 3 rows"):
+            encode_rows(np.ones((3, 4)), lat, None, MIXED[:2])
+        with pytest.raises(ValueError, match="2 shared streams for 3 rows"):
+            decode_rows(np.zeros((3, 4), dtype=np.int64), np.ones(3), lat,
+                        MIXED[:2], 4)

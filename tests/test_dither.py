@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jopeq.codec import encode_rows
+from jopeq.codec import _BLOCK, encode_rows, scale_rows
 from jopeq.dither import SharedRandomness, _KeyedStreams, dither_block, sdq
 from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
                            scalar_uniform)
@@ -101,6 +101,8 @@ class TestStreamLayout:
     @pytest.mark.parametrize("noise_seed", [-12345, 2 ** 63 + 77])
     def test_ppn_rows_follow_layout(self, family, noise_seed, monkeypatch):
         # Both draw one cell uniform and then L jitter uniforms per vector.
+        # With m > _BLOCK each row is coded in slices, each with its own
+        # sample call; in call order the draws are the rows in order.
         if family == "scalar":
             lat, spec = scalar_uniform(9.0, 4), laplace_spec(1.0, 1)
         else:
@@ -113,15 +115,26 @@ class TestStreamLayout:
             return drawn[-1]
 
         monkeypatch.setattr(samp, "sample", keep)
-        m = 7
-        hs = np.random.default_rng(8).normal(0.0, 1.0,
-                                             (len(MIXED), m * lat.dimension))
-        encode_rows(hs, lat, samp, MIXED, noise_seed)
-        (got,) = drawn
-        for k, sr in enumerate(MIXED):
-            g = layout_stream(noise_seed, sr.user, sr.round_index, NOISE_TAG)
-            assert np.array_equal(got[k * m:(k + 1) * m],
-                                  PpnSampler.sample(samp, m, g))
+        dim = lat.dimension
+        for m, calls in ((7, 1), (_BLOCK + 3, 2 * len(MIXED))):
+            drawn.clear()
+            hs = np.random.default_rng(8).normal(0.0, 1.0,
+                                                 (len(MIXED), m * dim))
+            idx, _, overloaded = encode_rows(hs, lat, samp, MIXED,
+                                             noise_seed)
+            assert len(drawn) == calls
+            want = np.concatenate([
+                PpnSampler.sample(samp, m, layout_stream(
+                    noise_seed, sr.user, sr.round_index, NOISE_TAG))
+                for sr in MIXED])
+            assert np.array_equal(np.concatenate(drawn), want)
+            # The encoded output is the quantized sum with that PPN.
+            x = (scale_rows(hs, m)[:, None] * hs).reshape(-1, dim)
+            x += dither_block(MIXED, lat, len(MIXED) * m)
+            x += want
+            _, want_idx, want_over = quantize_clipped(lat, x)
+            assert np.array_equal(idx.ravel(), want_idx)
+            assert np.array_equal(overloaded.ravel(), want_over)
 
     def test_row_reset_clears_buffered_words(self):
         rows = _KeyedStreams(MIXED, NOISE_TAG)
@@ -138,6 +151,58 @@ class TestStreamLayout:
             # cleared both.
             state = gen.bit_generator.state
             assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+
+
+class TestStreamOffsets:
+    """A stream read from draw o on equals the layout stream after o draws."""
+
+    OFFSETS = [0, 1, 3, 4, 5, 4 * _BLOCK + 3]
+    # round_index 2^64 - 1: the first counter step carries into the tag
+    # word, and advancing must carry as the sequential draws do.
+    ROWS = MIXED + [SharedRandomness(seed=6, user=2,
+                                     round_index=2 ** 64 - 1)]
+
+    @staticmethod
+    def after(sr, tag, offset):
+        want = layout_stream(sr.seed, sr.user, sr.round_index, tag)
+        want.bit_generator.random_raw(offset)
+        return want
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_positioned_row_follows_layout(self, offset):
+        for gen, sr in zip(_KeyedStreams(self.ROWS, NOISE_TAG, (offset,)),
+                           self.ROWS):
+            want = self.after(sr, NOISE_TAG, offset)
+            assert np.array_equal(gen.random(11), want.random(11))
+            assert np.array_equal(gen.integers(0, 2 ** 20, size=3),
+                                  want.integers(0, 2 ** 20, size=3))
+
+    def test_reads_start_at_their_offsets(self):
+        starts = (5, 4 * _BLOCK + 3, 2)
+        rows = _KeyedStreams(self.ROWS, NOISE_TAG, starts)
+        for reader, sr in zip(rows, self.ROWS):
+            for start in starts:
+                out = np.empty((3, 2))
+                reader.random(out=out)
+                want = self.after(sr, NOISE_TAG, start)
+                assert np.array_equal(out, want.random((3, 2)))
+
+    @pytest.mark.parametrize("lat", [scalar_uniform(4.0, 3),
+                                     hexagonal_lattice(3.0, 3)],
+                             ids=["L=1", "L=2"])
+    @pytest.mark.parametrize("start", [1, 3, _BLOCK + 1])
+    def test_dither_block_from_start(self, lat, start):
+        per = 6
+        got = dither_block(self.ROWS, lat, len(self.ROWS) * per, start)
+        for k, sr in enumerate(self.ROWS):
+            u = self.after(sr, DITHER_TAG, start * lat.dimension).random(
+                (per, lat.dimension))
+            x = u @ lat.generator.T
+            assert np.array_equal(got[k * per:(k + 1) * per],
+                                  x - nearest_point(lat, x))
+            whole = dither_block(sr, lat, start + per)
+            assert np.array_equal(got[k * per:(k + 1) * per],
+                                  whole[start:])
 
 
 class TestSdq:

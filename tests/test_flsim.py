@@ -538,6 +538,26 @@ class TestRunExperiment:
             with pytest.raises(DivergenceError):
                 run_experiment(self._cfg(eta=50.0, rounds=200))
 
+    def test_logistic_divergence_detected(self):
+        # The margins fall below -709, where exp(-margin) overflows: the
+        # sigmoid takes its limit 0 and the run ends in DivergenceError.
+        cfg = FlConfig(task=TaskSpec(kind="logistic", model_dim=6,
+                                     samples_per_user=40),
+                       users=4, tau=2, rounds=200, eta=50.0,
+                       baseline="plain")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError):
+                run_experiment(cfg)
+
+    def test_sigmoid_limit_where_exp_overflows(self):
+        task = build_task(TaskSpec(kind="logistic", model_dim=2,
+                                   samples_per_user=3), 1, np.ones(1), 0)
+        x = task.xs[0, 0]
+        w = -1000.0 * x / (x @ x)  # margin about -1000: exp(1000) overflows
+        grad = task.sample_grad(0, w, 0)
+        lam = task.spec.reg_lambda
+        assert np.array_equal(grad, (0.0 - task.ys[0, 0]) * x + lam * w)
+
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError):
             run_experiment(self._cfg(baseline="magic", rounds=2))

@@ -32,6 +32,11 @@ The outputs, all keyed on --seed:
   all differ (seeds negative and at or above 2^63 among them; one row all
   zero, one with a norm whose square overflows), for the scalar and
   hexagonal codecs.
+- `batch.<family>.long.*`: the same for one call on 3 rows of
+  LONG_SUBVECTORS sub-vectors each (an odd d for the 2-D codecs), whose
+  seeds, users and rounds all differ, for all three codecs: longer than
+  two of the blocks `encode_rows` codes a row in, so these lines show
+  that coding in blocks gives what whole-array passes give.
 - `verify.<check>`: the report lines `jopeq verify` prints for each of
   the first five checks of `checks.CHECKS` (criterion 6, about 27 s, is
   left out).
@@ -52,6 +57,8 @@ from pathlib import Path
 SWEEP_SMALL = {"sweep.rates": "1,4", "sweep.epsilons": "3", "fl.rounds": "25"}
 FL_ROUNDS = 60
 VERIFY_CHECKS = 5
+# Two blocks of encode_rows's 2^14 sub-vectors and a 3-sub-vector tail.
+LONG_SUBVECTORS = 2 * (1 << 14) + 3
 
 
 def digest(*arrays) -> str:
@@ -139,6 +146,8 @@ def uplink_digests(flsim, codec, privacy, shared_randomness, seed: int):
         if cspec.family != "square":
             yield from batch_digests(codec, shared_randomness, lat, samp,
                                      cspec.family, seed)
+        yield from long_batch_digests(codec, shared_randomness, lat, samp,
+                                      cspec.family, seed)
 
 
 def batch_digests(codec, shared_randomness, lat, samp, family, seed: int):
@@ -154,6 +163,24 @@ def batch_digests(codec, shared_randomness, lat, samp, family, seed: int):
     idx, zetas, overloaded = codec.encode_rows(hs, lat, samp, srs,
                                                noise_seed=-seed - 2)
     name = f"batch.{family}"
+    yield f"{name}.indices", digest(idx, overloaded)
+    yield f"{name}.zetas", digest(zetas)
+    yield f"{name}.decoded", digest(codec.decode_rows(idx, zetas, lat, srs,
+                                                      d))
+
+
+def long_batch_digests(codec, shared_randomness, lat, samp, family,
+                       seed: int):
+    import numpy as np
+
+    k, d = 3, LONG_SUBVECTORS * lat.dimension - (lat.dimension - 1)
+    hs = np.random.default_rng([seed, 0xBB]).normal(0.0, 1.0, (k, d))
+    seeds = [seed + 3, -seed - 9, seed + 2 ** 63 + 1]
+    srs = [shared_randomness(seed=s, user=5 * i + 2, round_index=11 * i + 1)
+           for i, s in enumerate(seeds)]
+    idx, zetas, overloaded = codec.encode_rows(hs, lat, samp, srs,
+                                               noise_seed=seed + 17)
+    name = f"batch.{family}.long"
     yield f"{name}.indices", digest(idx, overloaded)
     yield f"{name}.zetas", digest(zetas)
     yield f"{name}.decoded", digest(codec.decode_rows(idx, zetas, lat, srs,
