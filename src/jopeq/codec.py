@@ -38,10 +38,11 @@ _NOISE_TAG = 0x9019
 
 _HEADER = struct.Struct(">HBBdI")
 
-# Most sub-vectors `encode_rows` and `decode_rows` code in one block. The
-# dozen (n, L) arrays a block works on, 128 KB each at L = 1, then fit a
-# core's 2 MB L2 cache; the 8 MB arrays of a whole 2^20-coordinate update
-# did not. Smaller blocks pay more per-block numpy calls: 2^12 was slower.
+# Most sub-vectors `encode_rows` and `decode_rows` code in one block, a
+# measured choice: encode plus decode of one 2^20-coordinate scalar update
+# took 89-95 ms in blocks of 2^12, 66-70 ms in blocks of 2^14, 62-67 ms in
+# blocks of 2^16 and 92-96 ms as one whole row (medians of 6 rounds on a
+# 2-vCPU x86 host), so blocks of 2^16 were a little faster still.
 _BLOCK = 1 << 14
 
 
@@ -190,10 +191,10 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
     built for a lattice of `lat`'s family and generator (ValueError).
 
     The rows are coded in the blocks of `_blocks`. Each block reads its
-    rows' streams at its own offsets (see `jopeq.dither`): the dither of
-    sub-vector i at draw i L of the dither stream, and its PPN cell uniform
-    at draw i and jitter at draws M + i L, ..., M + (i+1) L - 1 of the
-    PPN stream. So the indices do not depend on the block size.
+    rows' streams at its own offsets (see `jopeq.dither`): the dither
+    from `dither_block`'s start and the PPN from the offsets of
+    `PpnSampler.read_starts`. So the indices do not depend on the block
+    size.
 
     Returns (indices, zetas, overloaded) of shapes (K, M), (K,) and (K, M).
     """
@@ -231,13 +232,10 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
         x += dither_block(srs[r0:r1], lat, rows * n,
                           lo).reshape(rows, n, dim)
         if sampler is not None:
-            # A slice [lo, hi) of a row reads its cell uniforms from draw
-            # lo and its jitter from draw M + lo L of the row's stream;
-            # whole rows read both in sequence from draw 0.
             rngs = ([np.random.default_rng() for _ in range(rows)]
                     if noise is None else
                     _KeyedStreams(noise[r0:r1], _NOISE_TAG,
-                                  (0,) if n == m else (lo, m + lo * dim)))
+                                  sampler.read_starts(lo, hi, m)))
             x += sampler.sample(rows * n, rngs).reshape(rows, n, dim)
         _, bi, bo = quantize_clipped(lat, x)
         idx[r0:r1, lo:hi] = bi

@@ -285,8 +285,9 @@ class PpnSampler:
         calls, and is done before the next one is taken from `rng`, which
         is iterated once. So `rng` may also be a sized iterable that
         yields one generator object again with its state reset per row,
-        or an object whose `random(out=...)` reads each call at its own
-        stream offset, as the keyed streams of `codec.encode_rows` do.
+        or an object whose i-th `random(out=...)` call reads from its own
+        stream offset: `codec.encode_rows` positions the reads of a slice
+        of a row at the offsets of `read_starts`.
         """
         rngs = [rng] if isinstance(rng, np.random.Generator) else rng
         per, rest = divmod(int(count), len(rngs))
@@ -303,16 +304,34 @@ class PpnSampler:
             g.random(out=jr)
         cells = _cell_lookup(self._cdf, self._guide, u.reshape(-1))
         jit = jit.reshape(-1, d)
-        if d == 1:
-            # origin + step (cell + jitter), in place: the same operations
-            # in the same order, without unravelling a 1-D index.
-            jit[:, 0] += cells
-            jit *= self.step[0]
-            jit += self.origin[0]
-            return jit
-        for a, i in enumerate(np.unravel_index(cells, self.density.shape)):
-            jit[:, a] = self.origin[a] + self.step[a] * (i + jit[:, a])
+        # The grid index of each cell of the C-order table: each trailing
+        # axis takes the remainder by its size, and the leading axis the
+        # quotient left over (np.unravel_index's result, without its
+        # division on the one axis of L = 1).
+        index = []
+        for n in self.density.shape[:0:-1]:
+            cells, i = np.divmod(cells, n)
+            index.insert(0, i)
+        index.insert(0, cells)
+        for a, i in enumerate(index):
+            # origin + step (index + jitter), in place.
+            col = jit[:, a]
+            col += i
+            col *= self.step[a]
+            col += self.origin[a]
         return jit
+
+    def read_starts(self, lo: int, hi: int, m: int) -> tuple:
+        """
+        Stream offsets of `sample`'s two reads when it draws sub-vectors
+        lo, ..., hi-1 of a row of M from that row's stream, which holds all
+        M cell uniforms and then all M L jitter draws: the cell uniforms
+        start at draw lo and the jitter at draw M + lo L. A whole row reads
+        both in sequence from draw 0, given as (0,).
+        """
+        if lo == 0 and hi == m:
+            return (0,)
+        return (lo, m + lo * self.lattice.dimension)
 
 
 def _cdf_tables(prob: np.ndarray):

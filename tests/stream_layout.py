@@ -1,0 +1,30 @@
+"""
+The keyed stream layout (see jopeq.dither), built directly, and the mixed
+rows the stream tests use.
+"""
+
+import numpy as np
+
+from jopeq.dither import SharedRandomness
+
+# The stream layout that user and server both regenerate from: key
+# (seed mod 2^64, user), counter (round, tag, 0, 0), one domain tag per
+# stream.
+DITHER_TAG, NOISE_TAG = 0xD17E, 0x9019
+# Rows of one batch whose seeds, users and rounds all differ; the seeds
+# include a negative one and two at or above 2^63. The last row's round is
+# 2^64 - 1: its first counter step carries into the tag word, and a
+# stream advanced to an offset must carry as the sequential draws do.
+MIXED = [SharedRandomness(seed=3, user=0, round_index=0),
+         SharedRandomness(seed=-7, user=4, round_index=11),
+         SharedRandomness(seed=2 ** 63 + 5, user=9, round_index=250),
+         SharedRandomness(seed=2 ** 64 - 1, user=1, round_index=2),
+         SharedRandomness(seed=6, user=2, round_index=2 ** 64 - 1)]
+
+
+def layout_stream(seed, user, round_index, tag):
+    """The stream of (seed, user, round) under tag, built directly."""
+    return np.random.Generator(np.random.Philox(
+        key=[np.uint64(seed & (2 ** 64 - 1)), np.uint64(user)],
+        counter=[np.uint64(round_index), np.uint64(tag), np.uint64(0),
+                 np.uint64(0)]))

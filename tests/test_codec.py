@@ -13,6 +13,7 @@ from jopeq.dither import SharedRandomness
 from jopeq.lattice import (_nearest_coords, hexagonal_lattice, scalar_uniform,
                            square_lattice)
 from jopeq.privacy import build_ppn_sampler, laplace_spec, t_spec
+from stream_layout import DITHER_TAG, MIXED, NOISE_TAG, layout_stream
 
 
 def _roundtrip(h, lat, seed=0, sampler=None):
@@ -281,23 +282,6 @@ class TestSnr:
         assert snr([h], [ht]) == pytest.approx(10.0, abs=0.2)
 
 
-# The stream layout (see jopeq.dither): key (seed mod 2^64, user), counter
-# (round, tag, 0, 0), one domain tag per stream.
-DITHER_TAG, NOISE_TAG = 0xD17E, 0x9019
-MIXED = [SharedRandomness(seed=3, user=0, round_index=0),
-         SharedRandomness(seed=-7, user=4, round_index=11),
-         SharedRandomness(seed=2 ** 63 + 5, user=9, round_index=250),
-         SharedRandomness(seed=2 ** 64 - 1, user=1,
-                          round_index=2 ** 64 - 1)]
-
-
-def _layout_stream(seed, user, round_index, tag):
-    return np.random.Generator(np.random.Philox(
-        key=[np.uint64(seed & (2 ** 64 - 1)), np.uint64(user)],
-        counter=[np.uint64(round_index), np.uint64(tag), np.uint64(0),
-                 np.uint64(0)]))
-
-
 def _residual_whole(lat, u):
     """The dither map as whole (K, M, L) products with G."""
     x = u @ lat.generator.T
@@ -340,11 +324,11 @@ def _encode_whole(hs, lat, samp, srs, noise_seed):
     zetas = scale_rows(hs, m)
     x = np.zeros((k, m, dim))
     x.reshape(k, -1)[:, :d] = zetas[:, None] * hs
-    u = np.stack([_layout_stream(sr.seed, sr.user, sr.round_index,
+    u = np.stack([layout_stream(sr.seed, sr.user, sr.round_index,
                                  DITHER_TAG).random((m, dim)) for sr in srs])
     x += _residual_whole(lat, u)
     if samp is not None:
-        x += np.stack([_ppn_whole(samp, m, _layout_stream(
+        x += np.stack([_ppn_whole(samp, m, layout_stream(
             noise_seed, sr.user, sr.round_index, NOISE_TAG)) for sr in srs])
     idx, overloaded = _quantize_whole(lat, x.reshape(-1, dim))
     idx, overloaded = idx.reshape(k, m), overloaded.reshape(k, m)
@@ -357,7 +341,7 @@ def _encode_whole(hs, lat, samp, srs, noise_seed):
 def _decode_whole(idx, zetas, lat, srs, original_dim):
     k, m = idx.shape
     dim = lat.dimension
-    u = np.stack([_layout_stream(sr.seed, sr.user, sr.round_index,
+    u = np.stack([layout_stream(sr.seed, sr.user, sr.round_index,
                                  DITHER_TAG).random((m, dim)) for sr in srs])
     sub = (lat.codebook[idx] - _residual_whole(lat, u)) / zetas[:, None, None]
     return sub.reshape(k, -1)[:, :original_dim]

@@ -9,25 +9,7 @@ from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
                            scalar_uniform)
 from jopeq.privacy import PpnSampler, build_ppn_sampler, laplace_spec, t_spec
 from jopeq.stattests import correlation_test, ks_test
-
-# The stream layout that user and server both regenerate from: key
-# (seed mod 2^64, user), counter (round, tag, 0, 0), one domain tag per
-# stream.
-DITHER_TAG, NOISE_TAG = 0xD17E, 0x9019
-# Rows of one batch whose seeds, users and rounds all differ; the seeds
-# include a negative one and two at or above 2^63.
-MIXED = [SharedRandomness(seed=3, user=0, round_index=0),
-         SharedRandomness(seed=-7, user=4, round_index=11),
-         SharedRandomness(seed=2 ** 63 + 5, user=9, round_index=250),
-         SharedRandomness(seed=2 ** 64 - 1, user=1, round_index=2)]
-
-
-def layout_stream(seed, user, round_index, tag):
-    """The stream of (seed, user, round) under tag, built directly."""
-    return np.random.Generator(np.random.Philox(
-        key=[np.uint64(seed & (2 ** 64 - 1)), np.uint64(user)],
-        counter=[np.uint64(round_index), np.uint64(tag), np.uint64(0),
-                 np.uint64(0)]))
+from stream_layout import DITHER_TAG, MIXED, NOISE_TAG, layout_stream
 
 
 class TestSharedStream:
@@ -157,10 +139,6 @@ class TestStreamOffsets:
     """A stream read from draw o on equals the layout stream after o draws."""
 
     OFFSETS = [0, 1, 3, 4, 5, 4 * _BLOCK + 3]
-    # round_index 2^64 - 1: the first counter step carries into the tag
-    # word, and advancing must carry as the sequential draws do.
-    ROWS = MIXED + [SharedRandomness(seed=6, user=2,
-                                     round_index=2 ** 64 - 1)]
 
     @staticmethod
     def after(sr, tag, offset):
@@ -170,8 +148,8 @@ class TestStreamOffsets:
 
     @pytest.mark.parametrize("offset", OFFSETS)
     def test_positioned_row_follows_layout(self, offset):
-        for gen, sr in zip(_KeyedStreams(self.ROWS, NOISE_TAG, (offset,)),
-                           self.ROWS):
+        for gen, sr in zip(_KeyedStreams(MIXED, NOISE_TAG, (offset,)),
+                           MIXED):
             want = self.after(sr, NOISE_TAG, offset)
             assert np.array_equal(gen.random(11), want.random(11))
             assert np.array_equal(gen.integers(0, 2 ** 20, size=3),
@@ -179,8 +157,8 @@ class TestStreamOffsets:
 
     def test_reads_start_at_their_offsets(self):
         starts = (5, 4 * _BLOCK + 3, 2)
-        rows = _KeyedStreams(self.ROWS, NOISE_TAG, starts)
-        for reader, sr in zip(rows, self.ROWS):
+        rows = _KeyedStreams(MIXED, NOISE_TAG, starts)
+        for reader, sr in zip(rows, MIXED):
             for start in starts:
                 out = np.empty((3, 2))
                 reader.random(out=out)
@@ -193,8 +171,8 @@ class TestStreamOffsets:
     @pytest.mark.parametrize("start", [1, 3, _BLOCK + 1])
     def test_dither_block_from_start(self, lat, start):
         per = 6
-        got = dither_block(self.ROWS, lat, len(self.ROWS) * per, start)
-        for k, sr in enumerate(self.ROWS):
+        got = dither_block(MIXED, lat, len(MIXED) * per, start)
+        for k, sr in enumerate(MIXED):
             u = self.after(sr, DITHER_TAG, start * lat.dimension).random(
                 (per, lat.dimension))
             x = u @ lat.generator.T
@@ -203,6 +181,28 @@ class TestStreamOffsets:
             whole = dither_block(sr, lat, start + per)
             assert np.array_equal(got[k * per:(k + 1) * per],
                                   whole[start:])
+
+    @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
+    @pytest.mark.parametrize("lo,hi", [(0, 9), (1, 5), (3, 9), (0, 4)])
+    def test_ppn_slice_reads_its_part_of_the_row(self, family, lo, hi):
+        # A row of M = 9 vectors drawn whole, then sliced, equals the slice
+        # drawn alone from the offsets of read_starts.
+        if family == "scalar":
+            lat, spec = scalar_uniform(9.0, 4), laplace_spec(1.0, 1)
+        else:
+            lat, spec = hexagonal_lattice(9.0, 3), t_spec(3.0, 2, 3.0)
+        samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        m = 9
+        starts = samp.read_starts(lo, hi, m)
+        assert starts == ((0,) if (lo, hi) == (0, m) else
+                          (lo, m + lo * lat.dimension))
+        got = samp.sample(len(MIXED) * (hi - lo),
+                          _KeyedStreams(MIXED, NOISE_TAG, starts))
+        want = np.concatenate([
+            samp.sample(m, layout_stream(sr.seed, sr.user, sr.round_index,
+                                         NOISE_TAG))[lo:hi]
+            for sr in MIXED])
+        assert np.array_equal(got, want)
 
 
 class TestSdq:
