@@ -11,7 +11,10 @@ input, so with a valid PPN sampler it realizes the target LDP mechanism.
 """
 
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +42,15 @@ _NOISE_TAG = 0x9019
 _HEADER = struct.Struct(">HBBdI")
 
 # Most sub-vectors `encode_rows` and `decode_rows` code in one block, a
-# measured choice: encode plus decode of one 2^20-coordinate scalar update
-# took 89-95 ms in blocks of 2^12, 66-70 ms in blocks of 2^14, 62-67 ms in
-# blocks of 2^16 and 92-96 ms as one whole row (medians of 6 rounds on a
-# 2-vCPU x86 host), so blocks of 2^16 were a little faster still.
+# measured choice. With the blocks run on both CPUs of a 2-vCPU x86 host,
+# encode plus decode of one 2^20-coordinate scalar update took 108 ms in
+# blocks of 2^12 (more calls per sub-vector, which hold the GIL), 62-66
+# ms in blocks of 2^13, 43 ms in blocks of 2^14, 36 ms in blocks of 2^15,
+# 33 ms in blocks of 2^16 and 91-92 ms as one whole row (medians of 6
+# rounds, two processes). Larger blocks are faster, but each running
+# block holds its temporaries at once: blocks of 2^15 raised the peak RSS
+# of the 2-D benchmark (`perfbench/run.py --workload uplink-2d`) from
+# 151.1 to 153.1-153.3 MB.
 _BLOCK = 1 << 14
 
 
@@ -183,6 +191,70 @@ def _blocks(k: int, m: int):
                 yield r, r + 1, lo, min(lo + _BLOCK, m)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The helper threads of `_run_blocks`, at most one per CPU but one. An
+# executor starts no thread until its first submit, so importing starts
+# none. It is built here, once: a pool made on first use would rebind a
+# module attribute at run time, under any wrapper of the module's names.
+_POOL = ThreadPoolExecutor(max_workers=max(1, (os.cpu_count() or 1) - 1),
+                           thread_name_prefix="jopeq-block")
+
+
+def _run_blocks(code, blocks) -> None:
+    """
+    Call code(r0, r1, lo, hi) once for each block of `blocks`, on up to
+    one thread per CPU: the calling thread and n - 1 helpers of `_POOL`
+    (n the CPU count, at most the block count) each take the next block
+    not yet taken until none is left; a single block runs inline. So code
+    must write only its own block's part of the outputs, and read nothing
+    another block writes. numpy's ufuncs, takes and Generator draws
+    release the GIL on block-sized arrays, so the blocks run in parallel.
+    An exception in any block is raised here, after every helper that
+    started is done; blocks not yet taken are then skipped.
+    """
+    blocks = list(blocks)
+    n = min(_cpus(), len(blocks)) if len(blocks) > 1 else 1
+    if n == 1:
+        for block in blocks:
+            code(*block)
+        return
+    todo = iter(blocks)
+    lock = threading.Lock()
+
+    def share():
+        try:
+            while True:
+                with lock:
+                    block = next(todo, None)
+                if block is None:
+                    return
+                code(*block)
+        except BaseException:
+            with lock:
+                for _ in todo:  # leave nothing for the other threads
+                    pass
+            raise
+
+    helpers = [_POOL.submit(share) for _ in range(n - 1)]
+    try:
+        share()
+    finally:
+        # A helper not started by now would find nothing left: cancelled,
+        # it never runs, and is not waited for (no pool thread may be left
+        # to take it, as in a child forked after the pool ran).
+        started = [helper for helper in helpers if not helper.cancel()]
+        wait(started)
+    for helper in started:
+        helper.result()
+
+
 def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
                 noise_seed: int | None = None):
     """
@@ -190,11 +262,13 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
     row is encoded as `encode` encodes it alone. A sampler must have been
     built for a lattice of `lat`'s family and generator (ValueError).
 
-    The rows are coded in the blocks of `_blocks`. Each block reads its
-    rows' streams at its own offsets (see `jopeq.dither`): the dither
-    from `dither_block`'s start and the PPN from the offsets of
-    `PpnSampler.read_starts`. So the indices do not depend on the block
-    size.
+    The rows are coded in the blocks of `_blocks`, concurrently on up to
+    one thread per CPU (`_run_blocks`). Each block reads its rows' streams
+    at its own offsets (see `jopeq.dither`): the dither from
+    `dither_block`'s start and the PPN from the offsets of
+    `PpnSampler.read_starts`. And each writes only its own part of the
+    outputs. So the outputs depend neither on the block size nor on the
+    number of CPUs or the order in which the blocks run.
 
     Returns (indices, zetas, overloaded) of shapes (K, M), (K,) and (K, M).
     """
@@ -221,7 +295,8 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
               for sr in srs])
     idx = np.empty((k, m), dtype=np.int64)
     overloaded = np.empty((k, m), dtype=bool)
-    for r0, r1, lo, hi in _blocks(k, m):
+
+    def code(r0, r1, lo, hi):
         rows, n = r1 - r0, hi - lo
         c0, c1 = lo * dim, min(hi * dim, d)
         x = np.empty((rows, n, dim))
@@ -240,6 +315,8 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
         _, bi, bo = quantize_clipped(lat, x)
         idx[r0:r1, lo:hi] = bi
         overloaded[r0:r1, lo:hi] = bo
+
+    _run_blocks(code, _blocks(k, m))
 
     # A zero-norm row has no zeta: it is sent as the zero-point sentinel.
     zero = ~np.any(hs, axis=1)
@@ -273,7 +350,10 @@ def decode_rows(indices, zetas, lat: Lattice, srs,
     """
     Decode a (K, M) batch of indices, row k with zetas[k] and shared stream
     srs[k]; returns the (K, original_dim) updates, each row as `decode`
-    decodes it alone. The rows are decoded in `encode_rows`'s blocks.
+    decodes it alone. All indices are checked against the codebook before
+    any block is decoded (CorruptPayloadError). The rows are decoded in
+    `encode_rows`'s blocks, concurrently as there, so the output does not
+    depend on the number of CPUs or the order in which the blocks run.
     """
     idx = np.asarray(indices)
     zetas = np.asarray(zetas)
@@ -282,18 +362,21 @@ def decode_rows(indices, zetas, lat: Lattice, srs,
         raise ValueError(f"{len(srs)} shared streams for {k} rows")
     dim = lat.dimension
     width = min(original_dim, m * dim)
+    if idx.size and (idx.min() < 0 or idx.max() >= len(lat.codebook)):
+        raise CorruptPayloadError("index out of codebook range")
     out = np.empty((k, width))
-    for r0, r1, lo, hi in _blocks(k, m):
-        block = idx[r0:r1, lo:hi]
-        if np.any(block < 0) or np.any(block >= len(lat.codebook)):
-            raise CorruptPayloadError("index out of codebook range")
+
+    def code(r0, r1, lo, hi):
         rows, n = r1 - r0, hi - lo
-        sub = np.take(lat.codebook, block, axis=0)  # as codebook[block]
+        # as codebook[idx[r0:r1, lo:hi]]
+        sub = np.take(lat.codebook, idx[r0:r1, lo:hi], axis=0)
         sub -= dither_block(srs[r0:r1], lat, rows * n,
                             lo).reshape(rows, n, dim)
         sub /= zetas[r0:r1, None, None]
         c0, c1 = min(lo * dim, width), min(hi * dim, width)
         out[r0:r1, c0:c1] = sub.reshape(rows, -1)[:, :c1 - c0]
+
+    _run_blocks(code, _blocks(k, m))
     return out
 
 

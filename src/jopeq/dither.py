@@ -18,7 +18,9 @@ is counter-based (Salmon et al., SC 2011), so the layout state advanced
 by o // 4 counter steps (`Philox.advance`, which carries from the round
 word into the tag word as sequential draws do) and o % 4 words discarded
 is the stream after o draws. That lets a long row be coded in blocks, each
-reading its stream at its own offset.
+reading its stream at its own offset, and so `codec.encode_rows` and
+`decode_rows` code the blocks of one update concurrently: the output does
+not depend on the number of cores or on the order in which blocks run.
 """
 
 from dataclasses import dataclass

@@ -202,17 +202,43 @@ def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
         return np.floor(c, out=c)
     # Rectangular frame: u in units of delta, v in units of delta*sqrt(3);
     # the shifted coset's nearest point is (floor(u), floor(v)) + 1/2.
-    u = x[..., 0] / lat.delta_q
-    v = x[..., 1] / (lat.delta_q * np.sqrt(3.0))
-    a0, k0 = np.floor(u + 0.5), np.floor(v + 0.5)
+    # As (n, 2), so that every intermediate is an array, never a scalar.
+    xs = x.reshape(-1, 2)
+    u = xs[:, 0] / lat.delta_q
+    v = xs[:, 1] / (lat.delta_q * np.sqrt(3.0))
+    a0 = u + 0.5
+    np.floor(a0, out=a0)
+    k0 = v + 0.5
+    np.floor(k0, out=k0)
     a1, k1 = np.floor(u), np.floor(v)
-    d0 = (u - a0) ** 2 + 3.0 * (v - k0) ** 2
-    d1 = (u - a1 - 0.5) ** 2 + 3.0 * (v - k1 - 0.5) ** 2
+    # Squared distances, in place and in the order of
+    # d0 = (u - a0)^2 + 3 (v - k0)^2 and
+    # d1 = (u - a1 - 1/2)^2 + 3 (v - k1 - 1/2)^2, each square as t * t
+    # (numpy's t ** 2), so the comparison is bit for bit the same.
+    d0 = u - a0
+    d0 *= d0
+    t = v - k0
+    t *= t
+    t *= 3.0
+    d0 += t
+    d1 = np.subtract(u, a1, out=u)
+    d1 -= 0.5
+    d1 *= d1
+    t = np.subtract(v, k1, out=v)
+    t -= 0.5
+    t *= t
+    t *= 3.0
+    d1 += t
     shifted = d1 < d0
-    a = np.where(shifted, a1, a0)
-    k = np.where(shifted, k1, k0)
+    # The nearer point (a, k), the unshifted one on a tie, into a0, k0.
+    np.copyto(a0, a1, where=shifted)
+    np.copyto(k0, k1, where=shifted)
     # delta*(a, sqrt(3) k) = G (a - k, 2k); its shift is G (a - k, 2k + 1).
-    return np.stack([a - k, 2.0 * k + shifted], axis=-1)
+    out = np.empty(xs.shape)
+    np.subtract(a0, k0, out=out[:, 0])
+    np.multiply(k0, 2.0, out=out[:, 1])
+    out[:, 1] += shifted
+    return out.reshape(x.shape)
 
 
 def _subvectors(lat: Lattice, x) -> np.ndarray:

@@ -1,11 +1,19 @@
 """Vector codec: scaling, packetization, wire format, and SNR accounting."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jopeq import codec
 from jopeq.codec import (_BLOCK, CorruptPayloadError, EncodedUpdate, decode,
                          decode_rows, encode, encode_rows, scale_coefficient,
                          scale_rows, snr)
@@ -427,3 +435,193 @@ class TestBlocks:
         with pytest.raises(ValueError, match="2 shared streams for 3 rows"):
             decode_rows(np.zeros((3, 4), dtype=np.int64), np.ones(3), lat,
                         MIXED[:2], 4)
+
+
+# Sub-vectors per row of the long batches below: two blocks and a tail.
+LONG = 2 * _BLOCK + 3
+
+
+def _long_batch(family):
+    """
+    encode_rows and decode_rows of one batch of len(MIXED) rows of LONG
+    sub-vectors (an odd d for the 2-D codecs), with the mixed streams;
+    returns (indices, zetas, overloaded, decoded).
+    """
+    lat, samp = _codec(family)
+    d = LONG * lat.dimension - (lat.dimension - 1)
+    hs = np.random.default_rng([LONG, lat.dimension]).normal(
+        0.0, 1.0, (len(MIXED), d))
+    hs[:, ::97] *= 40.0
+    idx, zetas, overloaded = encode_rows(hs, lat, samp, MIXED, -11)
+    return idx, zetas, overloaded, decode_rows(idx, zetas, lat, MIXED, d)
+
+
+# Run in a child process: saves `_long_batch` of each family and the CPU
+# count the codec sees, pinned to one CPU (every block then runs inline)
+# when argv[2] is "1".
+_BATCH_CHILD = """
+import os, sys
+if sys.argv[2] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from jopeq import codec
+from test_codec import _long_batch
+np.savez(sys.argv[1], cpus=codec._cpus(),
+         **{f"{f}{i}": a for f in ("scalar", "square", "hexagonal")
+            for i, a in enumerate(_long_batch(f))})
+"""
+
+
+def _exit_unless_long_batch_is(family, want):
+    """Exit 1 unless `_long_batch` of family equals want, byte for byte."""
+    got = _long_batch(family)
+    sys.exit(0 if all(g.tobytes() == w.tobytes()
+                      for g, w in zip(got, want)) else 1)
+
+
+class TestConcurrentBlocks:
+    """
+    The blocks of one call run on several threads; the outputs do not
+    depend on how many, or on the order in which the blocks run.
+    """
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or codec._cpus() < 2,
+                        reason="needs CPU affinity and two CPUs")
+    def test_output_does_not_depend_on_core_count(self, tmp_path):
+        # Both sides in a child process with single-threaded BLAS, as
+        # tools/output_digest.py and the benchmark run: a multi-threaded
+        # BLAS dot product sums in another order with the CPU count.
+        here = Path(__file__).resolve().parent
+        src = Path(codec.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), str(here)]))
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS"), "1"))
+        runs = []
+        for pinned in ("0", "1"):
+            out = tmp_path / f"pinned{pinned}.npz"
+            subprocess.run([sys.executable, "-c", _BATCH_CHILD, str(out),
+                            pinned], env=env, check=True, timeout=300)
+            runs.append(np.load(out))
+        every, one = runs
+        with every, one:
+            assert int(every["cpus"]) == codec._cpus()
+            assert int(one["cpus"]) == 1
+            assert every.files == one.files
+            for name in set(every.files) - {"cpus"}:
+                got, want = one[name], every[name]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_child_forked_after_the_pool_ran(self):
+        # The child has none of the pool's threads: its calling thread
+        # codes every block, and no call waits for a helper that never
+        # starts.
+        want = _long_batch("scalar")
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_unless_long_batch_is, args=("scalar", want))
+        child.start()
+        child.join(timeout=120)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        assert not alive
+        assert child.exitcode == 0
+
+    @staticmethod
+    def watch_blocks(monkeypatch, fail_in=None):
+        """
+        Wrap the codec's dither_block, which every block calls once: count
+        the blocks begun and the blocks running, and hold each one 5 ms.
+        fail_in "caller": the first block the calling thread runs holds
+        20 ms, while the helpers work on, then raises; "helper": the first
+        block a helper runs raises at once.
+        """
+        real = codec.dither_block
+        state = {"begun": 0, "running": 0}
+        lock = threading.Lock()
+        failed = []
+
+        def watched(srs, lat, count, start=0):
+            main = threading.current_thread() is threading.main_thread()
+            with lock:
+                state["begun"] += 1
+                state["running"] += 1
+                fail = (fail_in == ("caller" if main else "helper")
+                        and not failed)
+                if fail:
+                    failed.append(start)
+            try:
+                time.sleep(0.02 if fail and main else 0.005)
+                if fail:
+                    raise RuntimeError(f"{fail_in} block failed")
+                return real(srs, lat, count, start)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        monkeypatch.setattr(codec, "dither_block", watched)
+        return state
+
+    @pytest.mark.parametrize("bad", [-1, None])
+    def test_corrupt_index_in_last_block(self, monkeypatch, bad):
+        lat, _ = _codec("scalar")
+        hs = np.random.default_rng(3).normal(0.0, 1.0, (3, LONG))
+        idx, zetas, _ = encode_rows(hs, lat, None, MIXED[:3])
+        idx[-1, -1] = len(lat.codebook) if bad is None else bad
+        state = self.watch_blocks(monkeypatch)
+        with pytest.raises(CorruptPayloadError,
+                           match="index out of codebook range"):
+            decode_rows(idx, zetas, lat, MIXED[:3], LONG)
+        # Found before any block ran, so no helper is left writing.
+        assert state == {"begun": 0, "running": 0}
+
+    @pytest.mark.parametrize("fail_in", ["caller", "helper"])
+    def test_error_in_a_block_waits_for_every_helper(self, monkeypatch,
+                                                      fail_in):
+        if fail_in == "helper" and codec._cpus() < 2:
+            pytest.skip("no helper thread on one CPU")
+        lat, _ = _codec("scalar")
+        k = len(MIXED)
+        hs = np.random.default_rng(4).normal(0.0, 1.0, (k, LONG))
+        blocks = len(list(codec._blocks(k, LONG)))
+        state = self.watch_blocks(monkeypatch, fail_in)
+        with pytest.raises(RuntimeError, match=f"{fail_in} block failed"):
+            encode_rows(hs, lat, None, MIXED)
+        assert state["running"] == 0
+        # The blocks not yet taken when the failure came were skipped.
+        assert state["begun"] < blocks
+
+    def test_concurrent_callers(self):
+        # More callers than CPUs, each coding multi-block batches through
+        # the one pool, with threads switched as often as possible.
+        want = _long_batch("hexagonal")
+        errors, done = [], []
+
+        def caller():
+            try:
+                for _ in range(2):
+                    got = _long_batch("hexagonal")
+                    assert all(g.tobytes() == w.tobytes()
+                               for g, w in zip(got, want))
+                done.append(1)
+            except BaseException as err:  # reported below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller)
+                       for _ in range(codec._cpus() + 2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert not errors, errors
+        assert len(done) == len(callers)

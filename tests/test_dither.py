@@ -84,17 +84,25 @@ class TestStreamLayout:
     def test_ppn_rows_follow_layout(self, family, noise_seed, monkeypatch):
         # Both draw one cell uniform and then L jitter uniforms per vector.
         # With m > _BLOCK each row is coded in slices, each with its own
-        # sample call; in call order the draws are the rows in order.
+        # sample call. The blocks may run concurrently, in any order: each
+        # draw is keyed by the block it served, its first row and its
+        # first sub-vector, and in key order the draws are the rows in
+        # order.
         if family == "scalar":
             lat, spec = scalar_uniform(9.0, 4), laplace_spec(1.0, 1)
         else:
             lat, spec = hexagonal_lattice(9.0, 3), t_spec(3.0, 2, 3.0)
         samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
-        drawn = []
+        row_of = {sr.user: k for k, sr in enumerate(MIXED)}
+        drawn = {}
 
         def keep(count, rng):
-            drawn.append(PpnSampler.sample(samp, count, rng))
-            return drawn[-1]
+            # A whole row reads from draw 0, a slice from its first cell
+            # uniform's offset, which is its first sub-vector.
+            key = (row_of[rng._srs[0].user], rng._starts[0])
+            assert key not in drawn
+            drawn[key] = PpnSampler.sample(samp, count, rng)
+            return drawn[key]
 
         monkeypatch.setattr(samp, "sample", keep)
         dim = lat.dimension
@@ -109,7 +117,8 @@ class TestStreamLayout:
                 PpnSampler.sample(samp, m, layout_stream(
                     noise_seed, sr.user, sr.round_index, NOISE_TAG))
                 for sr in MIXED])
-            assert np.array_equal(np.concatenate(drawn), want)
+            assert np.array_equal(
+                np.concatenate([drawn[key] for key in sorted(drawn)]), want)
             # The encoded output is the quantized sum with that PPN.
             x = (scale_rows(hs, m)[:, None] * hs).reshape(-1, dim)
             x += dither_block(MIXED, lat, len(MIXED) * m)
