@@ -35,9 +35,10 @@ __all__ = ["SharedRandomness", "dither_block", "sdq"]
 # space (other streams derived from the same seed must use other tags).
 _DITHER_TAG = 0xD17E
 
-# The seed of the Philox each `_KeyedStreams` iteration builds, whose state
-# is set before any draw: a seed sequence made once spares each build the
-# OS-entropy read of an unseeded one (5.5 against 8.4 us a build).
+# The seed of the Philox each `_KeyedStreams` iteration builds (and of the
+# PCG64 of `seeding._Pcg64Rows`), whose state is set before any draw: a
+# seed sequence made once spares each build the OS-entropy read of an
+# unseeded one (5.5 against 8.4 us a build).
 _PLACEHOLDER_SEED = np.random.SeedSequence(0)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from . import codec, privacy
+from . import codec, privacy, seeding
 from .dither import SharedRandomness
 from .lattice import Lattice, hexagonal_lattice, scalar_uniform, square_lattice
 
@@ -44,6 +44,11 @@ BASELINES = ("plain", "sdq", "ppn", "separate", "jopeq")
 
 # SeedSequence spawn tags for the simulator's independent streams.
 _TAG_DATA, _TAG_SGD, _TAG_PPN_ONLY = 101, 102, 103
+# Local-SGD seed rows hashed by one `seeding.default_rngs` call: enough to
+# spread its fixed cost (about 0.2 ms) thin, few enough that its arrays
+# stay near 100 KB (a run's 2,500 rows at once took 0.6 MB, which showed
+# in the peak resident memory).
+_SGD_HASH_ROWS = 512
 
 
 class DivergenceError(RuntimeError):
@@ -315,7 +320,9 @@ def local_sgd(task: Task, k, w: np.ndarray, tau: int, eta_fn,
     generators, one per user: then the result is the (K, d) batch whose
     row r equals local_sgd(task, k[r], w, tau, eta_fn, t_start, rng[r])
     bit for bit, taken as one (K, d) step per local iteration. Each user
-    draws its tau sample picks from its own generator.
+    draws its tau sample picks from its own generator before the next is
+    taken from `rng`, which is iterated once: it may be a sized iterable
+    that yields one generator reset per row, as `_sgd_rngs` gives.
 
     grad_norms, if given, is a float array with one entry per user (in
     the order of k); each entry is raised in place to the largest norm of
@@ -323,7 +330,7 @@ def local_sgd(task: Task, k, w: np.ndarray, tau: int, eta_fn,
     """
     solo = np.ndim(k) == 0
     users = np.asarray([k] if solo else k, dtype=np.intp)
-    rngs = [rng] if solo else list(rng)
+    rngs = [rng] if solo else rng
     if len(rngs) != len(users):
         raise ValueError(f"{len(rngs)} generators for {len(users)} users")
     n = task.ys.shape[1]
@@ -343,9 +350,19 @@ def local_sgd(task: Task, k, w: np.ndarray, tau: int, eta_fn,
     return h[0] if solo else h
 
 
-def _sgd_rngs(seed: int, users, r: int) -> list:
-    """Round r's local-SGD generators, one per user."""
-    return [np.random.default_rng([seed, _TAG_SGD, k, r]) for k in users]
+def _sgd_rngs(seed: int, users: int, rounds: int):
+    """
+    Each round's local-SGD generators, default_rng([seed, _TAG_SGD, k, r])
+    for users k, their seeds hashed _SGD_HASH_ROWS rows at a time.
+    """
+    per = max(1, _SGD_HASH_ROWS // users)
+    for r0 in range(0, rounds, per):
+        rs = np.arange(r0, min(r0 + per, rounds))
+        rngs = seeding.default_rngs([seed, _TAG_SGD,
+                                     np.tile(np.arange(users), len(rs)),
+                                     np.repeat(rs, users)])
+        for i in range(len(rs)):
+            yield rngs[i * users:(i + 1) * users]
 
 
 def fedavg_round(w: np.ndarray, updates, alphas) -> np.ndarray:
@@ -401,9 +418,9 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     users = range(task.users)
     w = np.zeros(task.model_dim)
     best = np.zeros(task.users)
-    for r in range(cfg.rounds):
-        hs = local_sgd(task, users, w, cfg.tau, eta_fn, r * cfg.tau,
-                       _sgd_rngs(cfg.seed, users, r), grad_norms=best)
+    for r, rngs in enumerate(_sgd_rngs(cfg.seed, task.users, cfg.rounds)):
+        hs = local_sgd(task, users, w, cfg.tau, eta_fn, r * cfg.tau, rngs,
+                       grad_norms=best)
         w = fedavg_round(w, hs, task.alphas)
     return 1.1 * best
 
@@ -429,6 +446,9 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
     if baseline in ("ppn", "separate"):
         m = -(-d // lat.dimension)
         zetas = codec.scale_rows(hs, m)
+        # A default_rng per key: for 10 keys these take half the time of
+        # one `seeding.default_rngs` call, and a hash per run would need
+        # every round's keys here.
         # No name holds the noise, so it is freed before the sdq stage.
         hs = hs + np.stack([
             privacy.mechanism_reference_sample(spec, m,
@@ -469,9 +489,8 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     w0_dist2 = float(np.sum((w - task.w_opt) ** 2))
     out = []
     users = range(task.users)
-    for r in range(cfg.rounds):
-        hs = local_sgd(task, users, w, cfg.tau, eta_fn, r * cfg.tau,
-                       _sgd_rngs(cfg.seed, users, r))
+    for r, rngs in enumerate(_sgd_rngs(cfg.seed, task.users, cfg.rounds)):
+        hs = local_sgd(task, users, w, cfg.tau, eta_fn, r * cfg.tau, rngs)
         hts, ovs = uplink(
             cfg.baseline, hs, lat, spec, sampler,
             [SharedRandomness(seed=cfg.seed, user=k, round_index=r)

@@ -14,6 +14,7 @@ from jopeq.flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
                          heterogeneity_gap, local_sgd, run_experiment,
                          theorem6_bound, theorem7_bound, uplink)
 from jopeq.privacy import build_ppn_sampler, mechanism_reference_sample
+from jopeq.seeding import default_rngs
 
 # Independently computed value of the convergence bound at
 # (sigma2=2, psi=0.3, rho_s=4, rho_c=0.5, alphas=0.1 x10, xis=2 x10,
@@ -242,6 +243,117 @@ class TestCalibrateXi:
         task = build_task(cfg.task, cfg.users, cfg.alpha_vector(), cfg.seed)
         assert np.array_equal(calibrate_xi(task, cfg),
                               _calibrate_xi_alone(task, cfg))
+
+
+def _assert_default_rngs(rngs, entropies):
+    """Each generator of `rngs` is np.random.default_rng of its entropy."""
+    assert len(rngs) == len(entropies)
+    for g, e in zip(rngs, entropies):
+        ref = np.random.default_rng(e)
+        assert g.bit_generator.state == ref.bit_generator.state, e
+        for n in (2, 50, 2 ** 40):
+            assert (g.integers(0, n, size=4).tolist()
+                    == ref.integers(0, n, size=4).tolist()), e
+
+
+def _columns(rows):
+    """default_rngs's form of equal-length entropy rows: one array per int."""
+    return [np.array(col, dtype=object) for col in zip(*rows)]
+
+
+class TestDefaultRngs:
+    # Ints of 1 to 6 32-bit words, at the word boundaries.
+    INTS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+            2 ** 96 + 3, 2 ** 128 + 2 ** 64 + 1, 2 ** 160 + 7]
+
+    def test_single_ints(self):
+        ints = np.array(self.INTS, dtype=object)
+        _assert_default_rngs(default_rngs([ints]), self.INTS)
+        for e in self.INTS:
+            _assert_default_rngs(default_rngs([e]), [e])
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_rows_of_1_to_6_words(self, width):
+        rows = np.arange(3 * width).reshape(3, width) * 977 + width
+        _assert_default_rngs(default_rngs(list(rows.T)), rows.tolist())
+
+    def test_mixed_word_counts_in_one_call(self):
+        rows = [[0, 5, 7], [2 ** 32, 5, 7], [2 ** 64 - 1, 2 ** 32 - 1, 0],
+                [2 ** 64, 2 ** 63, 1], [2 ** 160 + 7, 0, 2 ** 32],
+                [3, 2 ** 40, 9], [0, 0, 0], [1, 2, 3]]
+        _assert_default_rngs(default_rngs(_columns(rows)), rows)
+
+    def test_ints_shared_by_all_rows(self):
+        ks = np.array([0, 2 ** 32, 5, 2 ** 64 - 1], dtype=np.uint64)
+        for seed in (3, 2 ** 40, 2 ** 64):
+            _assert_default_rngs(default_rngs([seed, 102, ks, 7]),
+                                 [[seed, 102, int(k), 7] for k in ks])
+
+    @pytest.mark.parametrize("rows", [[[-1]], [[3, -2, 5]], [[1], [-1]],
+                                      [[-(2 ** 64)]]])
+    def test_negative_entropy_raises(self, rows):
+        for e in rows:
+            if min(e) < 0:
+                with pytest.raises(ValueError):
+                    np.random.default_rng(e)
+        with pytest.raises(ValueError):
+            default_rngs(_columns(rows))
+        with pytest.raises(ValueError):
+            default_rngs([np.array(col) for col in zip(*rows)])
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 40 + 11, 2 ** 63, 2 ** 64 - 1,
+                                      2 ** 64])
+    @pytest.mark.parametrize("hash_rows", [1, 7, 512])
+    def test_sgd_rngs(self, seed, hash_rows, monkeypatch):
+        # 1 and 7 hash the seeds of 1 and 2 rounds at a time.
+        monkeypatch.setattr(flsim, "_SGD_HASH_ROWS", hash_rows)
+        rounds = list(flsim._sgd_rngs(seed, 3, 5))
+        assert len(rounds) == 5
+        for r, rngs in enumerate(rounds):
+            _assert_default_rngs(
+                rngs, [[seed, flsim._TAG_SGD, k, r] for k in range(3)])
+
+    def test_sgd_rngs_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            next(flsim._sgd_rngs(-1, 3, 4))
+
+    def test_local_sgd_iterates_reset_generators_once(self):
+        task = _small_task(users=3)
+        eta_fn = lambda t: 0.1  # noqa: E731
+        w = np.random.default_rng(4).normal(size=task.model_dim)
+        for r, rngs in enumerate(flsim._sgd_rngs(9, 3, 3)):
+            got = local_sgd(task, range(3), w, 5, eta_fn, 0, rngs)
+            want = local_sgd(task, range(3), w, 5, eta_fn, 0, [
+                np.random.default_rng([9, flsim._TAG_SGD, k, r])
+                for k in range(3)])
+            assert np.array_equal(got, want)
+
+
+def test_no_generator_seeded_per_round(monkeypatch):
+    # calibrate_xi and run_experiment hash their local-SGD seeds once per
+    # run: the seedings they make do not grow with the rounds.
+    counts = {}
+    for name in ("default_rng", "SeedSequence"):
+        real = getattr(np.random, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+
+    def seedings(rounds):
+        counts.update(default_rng=0, SeedSequence=0)
+        cfg = FlConfig(task=TaskSpec(model_dim=4, samples_per_user=20),
+                       users=3, tau=2, rounds=rounds, seed=5)
+        task = build_task(cfg.task, cfg.users, cfg.alpha_vector(), cfg.seed)
+        run_experiment(cfg, task, calibrate_xi(task, cfg))
+        return dict(counts)
+
+    few = seedings(5)
+    assert few["default_rng"] >= 1  # build_task's seedings are counted
+    assert seedings(50) == few
 
 
 class TestAggregation:

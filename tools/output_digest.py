@@ -19,6 +19,9 @@ The outputs, all keyed on --seed:
 - `fl.logistic.<baseline>`: the same for 60 rounds on the logistic task
   (fixed schedule, otherwise FlConfig's defaults), its xi from
   `calibrate_xi`.
+- `fl.bigseed.<baseline>`: the same for 60 rounds of sdq and jopeq on the
+  linear task at seed 2^40 + --seed, whose local-SGD entropy rows
+  [seed, tag, user, round] are 5 words long, not 4.
 - `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
@@ -56,6 +59,8 @@ from pathlib import Path
 
 SWEEP_SMALL = {"sweep.rates": "1,4", "sweep.epsilons": "3", "fl.rounds": "25"}
 FL_ROUNDS = 60
+# A seed of two 32-bit words, for the `fl.bigseed.*` lines.
+BIG_SEED = 2 ** 40
 VERIFY_CHECKS = 5
 # Two blocks of encode_rows's 2^14 sub-vectors and a 3-sub-vector tail.
 LONG_SUBVECTORS = 2 * (1 << 14) + 3
@@ -98,6 +103,10 @@ def fl_digests(flsim, seed: int):
     yield from shared_task_digests(
         flsim, "fl.logistic",
         replace(base, task=flsim.TaskSpec(kind="logistic")))
+    big = replace(base, seed=BIG_SEED + seed)
+    for baseline in ("sdq", "jopeq"):
+        ms = flsim.run_experiment(replace(big, baseline=baseline))
+        yield f"fl.bigseed.{baseline}", metrics_digest(ms)
 
 
 def shared_task_digests(flsim, prefix: str, cfg):
