@@ -1,5 +1,5 @@
 """
-The invariant checks of acceptance criteria 1-6, run by both the
+The invariant checks of acceptance criteria 1-8, run by both the
 acceptance suite and `jopeq verify`. `CHECKS` lists them in criterion
 order. Each takes only a seed and returns its `TestReport`s; every seed
 it uses is a fixed pin plus `seed`, so seed 0 draws the acceptance
@@ -11,14 +11,15 @@ from dataclasses import replace
 import numpy as np
 from scipy import stats
 
-from . import codec, flsim, privacy
+from . import cli, codec, flsim, privacy
 from .dither import SharedRandomness, dither_block, sdq
 from .lattice import scalar_uniform
 from .stattests import TestReport, energy_distance_test, ks_test
 
 __all__ = ["CHECKS", "sdq_distortion_law", "scalar_total_law",
            "vector_total_law", "privacy_for_free_threshold",
-           "weights_distortion_bound", "convergence_bound_and_rate"]
+           "weights_distortion_bound", "convergence_bound_and_rate",
+           "snr_figure_shape", "learning_figure_spirit"]
 
 _TASK_LINEAR = flsim.TaskSpec(kind="linear", model_dim=10,
                               samples_per_user=50, heterogeneity=1.0,
@@ -192,6 +193,79 @@ def convergence_bound_and_rate(seed: int) -> list[TestReport]:
     ]
 
 
+def snr_figure_shape(seed: int) -> list[TestReport]:
+    """
+    Criterion 7: on the SNR sweep of the built-in default config (rates
+    1-8, 200,000 coordinates, sweep seed `seed`), for each epsilon the
+    jopeq-minus-separate gap is >= 0 at R = 1 and 2 and non-increasing in
+    R; jopeq varies < 3 dB and separate > 3 dB from R = 1 to 4; and the
+    jopeq curve never falls by more than 0.3 dB from one rate to the next.
+    """
+    # JOPEQ_* variables must not change what the check measures.
+    cfg = dict(cli._DEFAULTS)
+    rates, epsilons = range(1, 9), (3.0, 3.5, 4.0)
+    snr = {(b, e, r): cli.snr_sweep_point((cfg, r, e, b, seed))[3]
+           for b in ("jopeq", "separate") for e in epsilons for r in rates}
+    reports = []
+    for e in epsilons:
+        joint = [snr[("jopeq", e, r)] for r in rates]
+        sep = [snr[("separate", e, r)] for r in rates]
+        gaps = [j - s for j, s in zip(joint, sep)]
+        steps = list(zip(gaps, gaps[1:]))
+        rises = list(zip(joint, joint[1:]))
+        j_var, s_var = abs(joint[3] - joint[0]), abs(sep[3] - sep[0])
+        # Lower bounds (the low-rate gap, the separate variation and the
+        # jopeq wiggle) pass at or above their critical values.
+        reports += [
+            TestReport(f"snr-gap-low-rates-eps{e:g}", min(gaps[:2]), 0.0, 2,
+                       gaps[0] >= 0.0 and gaps[1] >= 0.0),
+            TestReport(f"snr-gap-rise-eps{e:g}",
+                       max(g2 - g1 for g1, g2 in steps), 1e-9, len(gaps),
+                       all(g1 >= g2 - 1e-9 for g1, g2 in steps)),
+            TestReport(f"snr-jopeq-variation-eps{e:g}", j_var, 3.0, 2,
+                       j_var < 3.0),
+            TestReport(f"snr-separate-variation-eps{e:g}", s_var, 3.0, 2,
+                       s_var > 3.0),
+            TestReport(f"snr-jopeq-wiggle-eps{e:g}",
+                       min(b2 - b1 for b1, b2 in rises), -0.3, len(joint),
+                       all(b2 >= b1 - 0.3 for b1, b2 in rises)),
+        ]
+    return reports
+
+
+def learning_figure_spirit(seed: int) -> list[TestReport]:
+    """
+    Criterion 8: over five 300-round logistic runs (FL seeds `seed` to
+    `seed + 4`) at the privacy-for-free support, the mean final loss gap
+    of jopeq is at most 1.10 times the better of sdq and ppn, and below
+    that of separate.
+    """
+    # At gamma = sqrt(24) 2^R / eps the quantization distortion alone
+    # realizes the eps = 4 mechanism.
+    task_spec = replace(_TASK_LINEAR, kind="logistic")
+    codec_spec = flsim.CodecSpec(family="scalar", rate=1, epsilon=4.0,
+                                 gamma=float(np.sqrt(24.0)) * 2 / 4.0)
+    finals = {b: [] for b in ("sdq", "ppn", "jopeq", "separate")}
+    for s in range(seed, 5 + seed):
+        base = flsim.FlConfig(task=task_spec, codec=codec_spec,
+                              baseline="plain", users=10, tau=4, rounds=300,
+                              eta=0.05, schedule="fixed", seed=s)
+        task = flsim.build_task(task_spec, 10, base.alpha_vector(), s)
+        xis = flsim.calibrate_xi(task, base)
+        for b in finals:
+            ms = flsim.run_experiment(replace(base, baseline=b), task, xis)
+            finals[b].append(float(np.mean(
+                [m.loss_gap for m in ms[-len(ms) // 5:]])))
+    mean = {b: float(np.mean(v)) for b, v in finals.items()}
+    ratio = mean["jopeq"] / min(mean["sdq"], mean["ppn"])
+    return [
+        TestReport("jopeq-over-best-single-constraint", ratio, 1.10, 5,
+                   ratio <= 1.10),
+        TestReport("jopeq-over-separate", mean["jopeq"] / mean["separate"],
+                   1.0, 5, mean["jopeq"] < mean["separate"]),
+    ]
+
+
 CHECKS = {
     "sdq-distortion-law": sdq_distortion_law,
     "scalar-total-law": scalar_total_law,
@@ -199,4 +273,6 @@ CHECKS = {
     "privacy-for-free-threshold": privacy_for_free_threshold,
     "weights-distortion-bound": weights_distortion_bound,
     "convergence-bound-and-rate": convergence_bound_and_rate,
+    "snr-figure-shape": snr_figure_shape,
+    "learning-figure-spirit": learning_figure_spirit,
 }

@@ -8,6 +8,9 @@ index. Decode: regenerate the dither from the shared seed, subtract it
 from the indexed codebook point and rescale. The end-to-end distortion per
 sub-vector is zeta^-1 (n + e) with e cell-uniform and independent of the
 input, so with a valid PPN sampler it realizes the target LDP mechanism.
+
+zeta is sent in the clear, and it reveals the update's norm ||h|| exactly:
+the LDP guarantee covers the scaled sub-vectors only, not ||h||.
 """
 
 import math
@@ -107,7 +110,9 @@ class EncodedUpdate:
     def from_bytes(cls, payload: bytes, lat: Lattice) -> "EncodedUpdate":
         """
         Parse the documented byte layout against a configured lattice,
-        whose dimension and rate must equal the header's.
+        whose dimension and rate must equal the header's. The payload must
+        be exactly the header and ceil(M w / 8) index bytes, its pad bits
+        zero.
         """
         if len(payload) < _HEADER.size:
             raise CorruptPayloadError("payload shorter than header")
@@ -118,10 +123,15 @@ class EncodedUpdate:
             raise CorruptPayloadError(
                 f"payload rate {rate}, lattice rate {lat.nominal_rate}")
         w = lat.index_bits
-        body = np.frombuffer(payload, dtype=np.uint8, offset=_HEADER.size)
-        bits = np.unpackbits(body)
-        if len(bits) < m * w:
+        size = _HEADER.size + -(-m * w // 8)
+        if len(payload) < size:
             raise CorruptPayloadError("payload truncated")
+        if len(payload) > size:
+            raise CorruptPayloadError("trailing bytes after the indices")
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8,
+                                           offset=_HEADER.size))
+        if np.any(bits[m * w:]):
+            raise CorruptPayloadError("nonzero pad bits")
         vals = bits[:m * w].reshape(m, w).astype(np.uint64)
         idx = (vals << np.arange(w)[::-1].astype(np.uint64)).sum(axis=1)
         idx = idx.astype(np.int64)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from jopeq import checks, privacy
+from jopeq import checks, cli, privacy
 from jopeq.cli import CSV_VERSION, load_config, main, snr_sweep_point
 from jopeq.stattests import TestReport as Report
 
@@ -186,3 +186,19 @@ class TestVerify:
         clean_env.setattr(checks, "CHECKS", {"g": good})
         assert main(["verify"]) == 0
         assert capsys.readouterr().out.splitlines() == [str(good(0)[0])]
+
+    def test_snr_figure_check_ignores_environment(self, clean_env):
+        clean_env.setenv("JOPEQ_CODEC_FAMILY", "square")
+        clean_env.setenv("JOPEQ_CODEC_NU", "5")
+        seen = []
+
+        def point(args):
+            cfg, rate, epsilon, baseline, seed = args
+            seen.append((dict(cfg), seed))
+            return rate, epsilon, baseline, 0.0
+
+        clean_env.setattr(cli, "snr_sweep_point", point)
+        checks.snr_figure_shape(4)
+        assert len(seen) == 2 * 3 * 8
+        assert all(cfg == cli._DEFAULTS and seed == 4 for cfg, seed in seen)
+        assert seen[0][0]["codec.family"] == "scalar"

@@ -204,6 +204,15 @@ class TestWireFormat:
             EncodedUpdate.from_bytes(blob[:-2], lat)
         with pytest.raises(CorruptPayloadError):
             EncodedUpdate.from_bytes(blob, square_lattice(9.0, 4))
+        with pytest.raises(CorruptPayloadError, match="trailing"):
+            EncodedUpdate.from_bytes(blob + b"\xff" * 5, lat)
+        # 63 indices of 5 bits leave 5 pad bits in the last byte.
+        assert lat.index_bits == 5
+        padded = _roundtrip(h[:63], lat)[0].to_bytes()
+        EncodedUpdate.from_bytes(padded, lat)
+        with pytest.raises(CorruptPayloadError, match="pad"):
+            EncodedUpdate.from_bytes(padded[:-1] + bytes([padded[-1] | 1]),
+                                     lat)
 
     def test_rate_mismatch_rejected(self):
         # The zero update is sent as the zero point, index 8 of 17: as 4-bit

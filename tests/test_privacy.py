@@ -40,6 +40,24 @@ class TestBudgetAlgebra:
                              exponent="half-sum")
         assert val == pytest.approx(T_EPS_HALF_SUM, rel=1e-12)
 
+    def test_half_sum_is_the_t_density_privacy_loss(self):
+        # The privacy loss of the t_3(0, I_2) mechanism at sensitivity
+        # sqrt(2) is the sup over x of |log f(x) - log f(x - Delta e_1)|,
+        # here on a grid of step 0.02. The "half-sum" exponent (nu+d)/2 gives
+        # it; the default one, (nu+d)^2, gives 2(nu+d) = 10 times as much.
+        from scipy import stats
+
+        delta = math.sqrt(2.0)
+        t3 = stats.multivariate_t(loc=np.zeros(2), shape=np.eye(2), df=3.0)
+        g = np.linspace(-8.0, 8.0, 801)
+        x = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        sup = np.max(np.abs(t3.logpdf(x) - t3.logpdf(x - [delta, 0.0])))
+        half_sum = t_mech_epsilon(3.0, np.eye(2), delta, exponent="half-sum")
+        assert sup == pytest.approx(half_sum, rel=1e-5)
+        assert sup <= half_sum
+        assert t_mech_epsilon(3.0, np.eye(2), delta) == pytest.approx(
+            10.0 * half_sum, rel=1e-12)
+
     def test_budget_monotone_in_sensitivity(self):
         assert (t_mech_epsilon(3.0, np.eye(2), 1.0)
                 < t_mech_epsilon(3.0, np.eye(2), 2.0))
