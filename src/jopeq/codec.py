@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dither import SharedRandomness, _KeyedStreams, dither_block
-from .lattice import Lattice, quantize_clipped
+from .lattice import Lattice, _scratch_size, quantize_clipped
 from .privacy import PpnSampler
 
 __all__ = [
@@ -44,17 +44,20 @@ _NOISE_TAG = 0x9019
 
 _HEADER = struct.Struct(">HBBdI")
 
-# Most sub-vectors `encode_rows` and `decode_rows` code in one block, a
-# measured choice. With the blocks run on both CPUs of a 2-vCPU x86 host,
-# encode plus decode of one 2^20-coordinate scalar update took 108 ms in
-# blocks of 2^12 (more calls per sub-vector, which hold the GIL), 62-66
-# ms in blocks of 2^13, 43 ms in blocks of 2^14, 36 ms in blocks of 2^15,
-# 33 ms in blocks of 2^16 and 91-92 ms as one whole row (medians of 6
-# rounds, two processes). Larger blocks are faster, but each running
-# block holds its temporaries at once: blocks of 2^15 raised the peak RSS
-# of the 2-D benchmark (`perfbench/run.py --workload uplink-2d`) from
-# 151.1 to 153.1-153.3 MB.
-_BLOCK = 1 << 14
+# Most coordinates `encode_rows` and `decode_rows` code in one block
+# (2^16 scalar or 2^15 two-dimensional sub-vectors), a measured choice.
+# With the blocks run on both CPUs of a 2-vCPU x86 host, encode plus
+# decode of one 2^20-coordinate scalar update took 31 ms in blocks of
+# 2^14 coordinates, 25-26 ms in blocks of 2^15, 24 ms in blocks of 2^16,
+# 23-24 ms in blocks of 2^17 and 25 ms in blocks of 2^18, against 46 ms as
+# one whole row, and 40 ms in blocks of 2^16 on one CPU (medians of 6
+# rounds, two processes); a 2^18-coordinate hexagonal update took 12.7 ms
+# in blocks of 2^15 coordinates and 10.2 ms in blocks of 2^16. A running
+# block holds its sum, `lattice._scratch_size` floats of scratch and a
+# few small buffers, and writes its indices and overload flags in place:
+# tracemalloc saw 2.0 to 2.75 times the block's bytes at its peak
+# (`tests/test_codec.py::TestBlockMemory` bounds it by 3).
+_BLOCK = 1 << 16
 
 
 class CorruptPayloadError(ValueError):
@@ -112,11 +115,17 @@ class EncodedUpdate:
         Parse the documented byte layout against a configured lattice,
         whose dimension and rate must equal the header's. The payload must
         be exactly the header and ceil(M w / 8) index bytes, its pad bits
-        zero.
+        zero; zeta must be finite and positive, and the overload count at
+        most M.
         """
         if len(payload) < _HEADER.size:
             raise CorruptPayloadError("payload shorter than header")
         m, dim, rate, zeta, overloads = _HEADER.unpack_from(payload)
+        if not 0.0 < zeta < math.inf:
+            raise CorruptPayloadError(f"zeta {zeta} not finite and positive")
+        if overloads > m:
+            raise CorruptPayloadError(
+                f"{overloads} overloads among {m} sub-vectors")
         if dim != lat.dimension:
             raise CorruptPayloadError("lattice dimension mismatch")
         if rate != lat.nominal_rate:
@@ -184,21 +193,25 @@ def scale_rows(hs: np.ndarray, m_subvectors: int) -> np.ndarray:
                          for h in hs])
 
 
-def _blocks(k: int, m: int):
+def _blocks(k: int, m: int, dim: int):
     """
-    The blocks in which a (K, M) grid of sub-vectors is coded, as (r0, r1,
-    lo, hi): sub-vectors lo, ..., hi-1 of rows r0, ..., r1-1. When M <=
-    _BLOCK a block is a group of whole rows, at most _BLOCK sub-vectors in
-    all; else it is a slice of at most _BLOCK sub-vectors of one row.
+    The blocks in which a (K, M) grid of sub-vectors of dimension dim is
+    coded, as (r0, r1, lo, hi): sub-vectors lo, ..., hi-1 of rows r0, ...,
+    r1-1. A block holds at most S = _BLOCK // dim sub-vectors. When M <= S
+    it is a group of whole rows; else a row is cut into ceil(M / S) slices
+    whose sizes differ by at most one, so none is a one-sub-vector slice of
+    a longer row (see `lattice._products`).
     """
-    if m <= _BLOCK:
-        rows = _BLOCK // max(m, 1)
+    per = _BLOCK // dim
+    if m <= per:
+        rows = per // max(m, 1)
         for r0 in range(0, k, rows):
             yield r0, min(r0 + rows, k), 0, m
     else:
+        parts = -(-m // per)
         for r in range(k):
-            for lo in range(0, m, _BLOCK):
-                yield r, r + 1, lo, min(lo + _BLOCK, m)
+            for i in range(parts):
+                yield r, r + 1, i * m // parts, (i + 1) * m // parts
 
 
 def _cpus() -> int:
@@ -274,8 +287,8 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
 
     The rows are coded in the blocks of `_blocks`, concurrently on up to
     one thread per CPU (`_run_blocks`). Each block reads its rows' streams
-    at its own offsets (see `jopeq.dither`): the dither from
-    `dither_block`'s start and the PPN from the offsets of
+    at its own offsets (see `jopeq.dither`): the dither from its first
+    sub-vector's offset and the PPN from the offsets of
     `PpnSampler.read_starts`. And each writes only its own part of the
     outputs. So the outputs depend neither on the block size nor on the
     number of CPUs or the order in which the blocks run.
@@ -305,28 +318,49 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
               for sr in srs])
     idx = np.empty((k, m), dtype=np.int64)
     overloaded = np.empty((k, m), dtype=bool)
+    ppn = sampler is not None and not sampler.degenerate
 
     def code(r0, r1, lo, hi):
         rows, n = r1 - r0, hi - lo
-        c0, c1 = lo * dim, min(hi * dim, d)
-        x = np.empty((rows, n, dim))
-        flat = x.reshape(rows, -1)
-        flat[:, c1 - c0:] = 0.0
-        np.multiply(zetas[r0:r1, None], hs[r0:r1, c0:c1],
-                    out=flat[:, :c1 - c0])
-        x += dither_block(srs[r0:r1], lat, rows * n,
-                          lo).reshape(rows, n, dim)
-        if sampler is not None:
+        width = min(hi * dim, d) - lo * dim
+        # The block's own parts of the outputs (whole rows or a slice of
+        # one row, so contiguous), which are its scratch until quantized.
+        part = slice(r0 * m + lo, (r1 - 1) * m + hi)
+        cells, mask = idx.reshape(-1)[part], overloaded.reshape(-1)[part]
+        # x takes the sum (zeta h + dither) + PPN and scratch its terms: the
+        # dither draws into scratch and maps into x, zeta h goes into
+        # scratch and is added, then the PPN is drawn into scratch and
+        # added. An L = 1 block's PPN would not fit in scratch with its
+        # cell uniforms, so it goes first, into x; then the dither draws
+        # into the bytes of cells and maps into scratch, and x += scratch.
+        # The values are the same either way (x + y = y + x).
+        x = np.empty((rows * n, dim))
+        scratch = np.empty(_scratch_size(rows * n, dim))
+        if ppn:
             rngs = ([np.random.default_rng() for _ in range(rows)]
                     if noise is None else
                     _KeyedStreams(noise[r0:r1], _NOISE_TAG,
                                   sampler.read_starts(lo, hi, m)))
-            x += sampler.sample(rows * n, rngs).reshape(rows, n, dim)
-        _, bi, bo = quantize_clipped(lat, x)
-        idx[r0:r1, lo:hi] = bi
-        overloaded[r0:r1, lo:hi] = bo
+        terms, draws = x, scratch
+        if ppn and dim == 1:
+            sampler.sample(rows * n, rngs, out=x,
+                           scratch=(scratch, cells, mask))
+            terms, draws = scratch.reshape(-1, 1), cells.view(np.float64)
+        dither_block(srs[r0:r1], lat, rows * n, lo, out=terms, scratch=draws)
+        zh = draws[:rows * n * dim].reshape(rows, -1)[:, :width]
+        np.multiply(zetas[r0:r1, None], hs[r0:r1, lo * dim:lo * dim + width],
+                    out=zh)
+        terms.reshape(rows, -1)[:, :width] += zh
+        if terms is not x:
+            x += terms
+        elif ppn:
+            jit = scratch[:x.size].reshape(x.shape)
+            sampler.sample(rows * n, rngs, out=jit,
+                           scratch=(scratch[x.size:], cells, mask))
+            x += jit
+        quantize_clipped(lat, x, out=(cells, mask), scratch=scratch)
 
-    _run_blocks(code, _blocks(k, m))
+    _run_blocks(code, _blocks(k, m, dim))
 
     # A zero-norm row has no zeta: it is sent as the zero-point sentinel.
     zero = ~np.any(hs, axis=1)
@@ -378,15 +412,19 @@ def decode_rows(indices, zetas, lat: Lattice, srs,
 
     def code(r0, r1, lo, hi):
         rows, n = r1 - r0, hi - lo
-        # as codebook[idx[r0:r1, lo:hi]]
-        sub = np.take(lat.codebook, idx[r0:r1, lo:hi], axis=0)
-        sub -= dither_block(srs[r0:r1], lat, rows * n,
-                            lo).reshape(rows, n, dim)
-        sub /= zetas[r0:r1, None, None]
+        dith = np.empty((rows * n, dim))
+        scratch = np.empty(_scratch_size(rows * n, dim))
+        dither_block(srs[r0:r1], lat, rows * n, lo, out=dith, scratch=scratch)
+        # as codebook[idx[r0:r1, lo:hi]]; every index was checked above.
+        sub = scratch[:dith.size].reshape(dith.shape)
+        lat.codebook.take(idx[r0:r1, lo:hi].reshape(-1), axis=0, out=sub,
+                          mode="clip")
+        sub -= dith
         c0, c1 = min(lo * dim, width), min(hi * dim, width)
-        out[r0:r1, c0:c1] = sub.reshape(rows, -1)[:, :c1 - c0]
+        np.divide(sub.reshape(rows, -1)[:, :c1 - c0], zetas[r0:r1, None],
+                  out=out[r0:r1, c0:c1])
 
-    _run_blocks(code, _blocks(k, m))
+    _run_blocks(code, _blocks(k, m, dim))
     return out
 
 

@@ -21,13 +21,24 @@ is the stream after o draws. That lets a long row be coded in blocks, each
 reading its stream at its own offset, and so `codec.encode_rows` and
 `decode_rows` code the blocks of one update concurrently: the output does
 not depend on the number of cores or on the order in which blocks run.
+
+The rounds of one (seed, user) do not get disjoint streams, though: the
+round sits in counter word 0, the word each counter step increments, so
+the stream of round r + 1 is the stream of round r after 4 draws. A row
+of M sub-vectors thus reuses, in round r + 1, the draws of round r from
+draw 4 on: in a scalar jopeq run, the PPN of sub-vectors 0, ..., M-5 of
+round r + 1 repeats that of sub-vectors 4, ..., M-1 of round r (user 3,
+noise seed 2, rounds 7 and 8, M = 10: 6 of 10 coordinates), and the
+shared dither shifts the same way. Moving the round out of word 0 changes
+every keyed draw (ROADMAP item 17).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, _cell_residual, quantize_clipped
+from .lattice import (Lattice, _cell_residual, _scratch_size,
+                      quantize_clipped)
 
 __all__ = ["SharedRandomness", "dither_block", "sdq"]
 
@@ -133,7 +144,9 @@ def _position(bit, sr: SharedRandomness, tag: int, offset: int) -> None:
         bit.random_raw(offset % 4)
 
 
-def dither_block(sr, lat: Lattice, count: int, start: int = 0) -> np.ndarray:
+def dither_block(sr, lat: Lattice, count: int, start: int = 0, *,
+                 out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """
     Dither vectors for sub-vector indices start, ..., start+count-1.
 
@@ -144,18 +157,29 @@ def dither_block(sr, lat: Lattice, count: int, start: int = 0) -> np.ndarray:
     streams, one per row of a batch: then count must be a multiple of K,
     and rows k count/K, ..., (k+1) count/K - 1 equal dither_block(sr[k],
     lat, count // K, start). The rows are drawn in order, each one fully
-    before the next, as `_KeyedStreams` requires.
+    before the next, as `_KeyedStreams` requires. A hexagonal block of one
+    vector per stream takes the one-row products of `lattice._products`,
+    as a row of one sub-vector does in any batch.
+
+    out, a (count, L) array, takes the result in place of a new array;
+    the draws go to scratch, `lattice._scratch_size` floats that are
+    spent, in place of a new buffer.
     """
     srs = [sr] if isinstance(sr, SharedRandomness) else sr
-    per, rest = divmod(int(count), len(srs))
+    count, dim = int(count), lat.dimension
+    per, rest = divmod(count, len(srs))
     if rest:
         raise ValueError(f"{count} sub-vectors do not split over "
                          f"{len(srs)} streams")
-    dim = lat.dimension
-    u = np.empty((len(srs), per, dim))
+    if out is None:
+        out = np.empty((count, dim))
+    if scratch is None:
+        scratch = np.empty(_scratch_size(count, dim))
+    u = scratch[:count * dim].reshape(len(srs), per * dim)
     for row, gen in zip(u, _KeyedStreams(srs, _DITHER_TAG, (start * dim,))):
         gen.random(out=row)
-    return _cell_residual(lat, u).reshape(-1, dim)
+    _cell_residual(lat, scratch, out, per == 1)
+    return out
 
 
 def sdq(lat: Lattice, x: np.ndarray, d: np.ndarray):

@@ -187,8 +187,8 @@ def hexagonal_lattice(gamma: float, rate: int) -> Lattice:
 
 def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     """
-    Integer coordinates of the nearest (unrestricted) lattice point, as
-    floats (integral values).
+    Integer coordinates of the nearest (unrestricted) lattice point to each
+    sub-vector of x, shape (..., L), as floats (integral values).
 
     Scalar and square: per-axis mid-tread rounding floor(x/delta + 1/2), so
     ties round half up on each axis. Hexagonal (Conway & Sloane 1982): the
@@ -196,49 +196,73 @@ def _nearest_coords(lat: Lattice, x: np.ndarray) -> np.ndarray:
     and its shift by delta*(1/2, sqrt(3)/2); round half up per axis in each
     and keep the nearer point, the unshifted one on a tie.
     """
+    xs = x.reshape(-1, lat.dimension)
+    coords = np.empty(xs.shape)
+    _nearest_coords_into(lat, xs, coords, np.empty(3 * len(xs)))
+    return coords.reshape(x.shape)
+
+
+def _nearest_coords_into(lat: Lattice, x: np.ndarray, coords: np.ndarray,
+                         tmp: np.ndarray) -> None:
+    """
+    `_nearest_coords` of the (n, L) array x into coords, shape (n, L),
+    which must not overlap x; a hexagonal lattice also takes 3 n floats of
+    tmp as scratch. Each value comes from the same operations, in the same
+    order, as it would from whole arrays, so it is the same bit for bit.
+    """
     if lat.family != "hexagonal":
-        c = x / lat.delta_q
-        c += 0.5
-        return np.floor(c, out=c)
-    # Rectangular frame: u in units of delta, v in units of delta*sqrt(3);
-    # the shifted coset's nearest point is (floor(u), floor(v)) + 1/2.
-    # As (n, 2), so that every intermediate is an array, never a scalar.
-    xs = x.reshape(-1, 2)
-    u = xs[:, 0] / lat.delta_q
-    v = xs[:, 1] / (lat.delta_q * np.sqrt(3.0))
-    a0 = u + 0.5
-    np.floor(a0, out=a0)
-    k0 = v + 0.5
-    np.floor(k0, out=k0)
-    a1, k1 = np.floor(u), np.floor(v)
-    # Squared distances, in place and in the order of
-    # d0 = (u - a0)^2 + 3 (v - k0)^2 and
-    # d1 = (u - a1 - 1/2)^2 + 3 (v - k1 - 1/2)^2, each square as t * t
-    # (numpy's t ** 2), so the comparison is bit for bit the same.
-    d0 = u - a0
+        np.divide(x, lat.delta_q, out=coords)
+        coords += 0.5
+        np.floor(coords, out=coords)
+        return
+    # Rectangular frame: u in units of delta, v in units of delta*sqrt(3),
+    # in the two columns of coords; the shifted coset's nearest point is
+    # (floor(u), floor(v)) + 1/2.
+    n = len(x)
+    u, v = coords[:, 0], coords[:, 1]
+    np.divide(x[:, 0], lat.delta_q, out=u)
+    np.divide(x[:, 1], lat.delta_q * np.sqrt(3.0), out=v)
+    d0, d1, t = tmp[:n], tmp[n:2 * n], tmp[2 * n:3 * n]
+    # d0 = (u - a0)^2 + 3 (v - k0)^2 with (a0, k0) = floor((u, v) + 1/2),
+    # d1 = (u - a1 - 1/2)^2 + 3 (v - k1 - 1/2)^2 with (a1, k1) =
+    # floor((u, v)); each square as t * t (numpy's t ** 2), so the
+    # comparison is bit for bit the same.
+    np.add(u, 0.5, out=d0)
+    np.floor(d0, out=d0)
+    np.subtract(u, d0, out=d0)
     d0 *= d0
-    t = v - k0
-    t *= t
-    t *= 3.0
-    d0 += t
-    d1 = np.subtract(u, a1, out=u)
+    np.add(v, 0.5, out=d1)
+    np.floor(d1, out=d1)
+    np.subtract(v, d1, out=d1)
+    d1 *= d1
+    d1 *= 3.0
+    d0 += d1
+    np.floor(u, out=d1)
+    np.subtract(u, d1, out=d1)
     d1 -= 0.5
     d1 *= d1
-    t = np.subtract(v, k1, out=v)
+    np.floor(v, out=t)
+    np.subtract(v, t, out=t)
     t -= 0.5
     t *= t
     t *= 3.0
     d1 += t
-    shifted = d1 < d0
-    # The nearer point (a, k), the unshifted one on a tie, into a0, k0.
-    np.copyto(a0, a1, where=shifted)
-    np.copyto(k0, k1, where=shifted)
+    shifted = t.view(bool)[:n]
+    np.less(d1, d0, out=shifted)
+    # The nearer point (a, k), the unshifted one on a tie, into d0, d1.
+    a, k = d0, d1
+    np.add(u, 0.5, out=a)
+    np.floor(a, out=a)
+    np.floor(u, out=k)
+    np.copyto(a, k, where=shifted)
+    np.add(v, 0.5, out=k)
+    np.floor(k, out=k)
+    np.floor(v, out=u)
+    np.copyto(k, u, where=shifted)
     # delta*(a, sqrt(3) k) = G (a - k, 2k); its shift is G (a - k, 2k + 1).
-    out = np.empty(xs.shape)
-    np.subtract(a0, k0, out=out[:, 0])
-    np.multiply(k0, 2.0, out=out[:, 1])
-    out[:, 1] += shifted
-    return out.reshape(x.shape)
+    np.subtract(a, k, out=u)
+    np.multiply(k, 2.0, out=v)
+    v += shifted
 
 
 def _subvectors(lat: Lattice, x) -> np.ndarray:
@@ -259,7 +283,90 @@ def nearest_point(lat: Lattice, x: np.ndarray) -> np.ndarray:
                      _nearest_coords(lat, _subvectors(lat, x)))
 
 
-def quantize_clipped(lat: Lattice, x: np.ndarray):
+def _scratch_size(n: int, dim: int) -> int:
+    """
+    Floats of scratch `quantize_clipped` and `_cell_residual` take for n
+    sub-vectors of dimension dim: the sub-vectors' own size, and for L = 2
+    one more float per sub-vector.
+    """
+    return n * dim + (n if dim == 2 else 0)
+
+
+def _pieces(lat: Lattice, n: int, scratch: np.ndarray):
+    """
+    The pieces in which a block of n sub-vectors goes through
+    `_nearest_coords_into`, and the scratch for them: yields (rows, coords,
+    tmp), a slice of the block's rows and views of the scratch for that
+    piece's coordinates and temporaries. Scaled-identity lattices take the
+    block whole, with no temporaries. A hexagonal one, whose search holds 5
+    floats per sub-vector, takes two halves of at least 2 rows each, so
+    that both fit in 3 n floats of scratch (one whole piece below 4 rows, on
+    scratch of its own if need be).
+    """
+    dim = lat.dimension
+    if lat.family != "hexagonal":
+        yield slice(0, n), scratch[:n * dim].reshape(n, dim), scratch[:0]
+        return
+    half = -(-n // 2) if n >= 4 else n
+    if len(scratch) < 5 * half:
+        scratch = np.empty(5 * half)
+    for lo in range(0, n, half):
+        r = min(half, n - lo)
+        yield (slice(lo, lo + r), scratch[:2 * r].reshape(r, 2),
+               scratch[2 * r:5 * r])
+
+
+def _products(lat: Lattice, a: np.ndarray, out: np.ndarray,
+              one_row: bool) -> None:
+    """
+    out = a @ G.T for the (n, 2) arrays of a hexagonal lattice. numpy
+    takes a one-row product through its vector path, whose last bit differs
+    from a matrix product's for about a fifth of rows, and the rows of
+    matrices of two or more rows do not depend on how many there are. So
+    with one_row each row is its own one-row product, as a row of one
+    sub-vector is in any batch, and else a is one matrix, which the caller
+    never cuts down to one row.
+    """
+    if one_row:
+        a, out = a[:, None], out[:, None]
+    np.matmul(a, lat.generator.T, out=out)
+
+
+def _index_into(lat: Lattice, coords: np.ndarray, idx: np.ndarray,
+                overloaded: np.ndarray, spare: np.ndarray) -> None:
+    """
+    Codebook index of each (n, L) row of integral coords into idx, and
+    into overloaded whether it lies outside the codebook, in which case idx
+    holds the index of the clipped coordinates' cell instead (or -1). For
+    L = 2, spare takes n ints; coords is spent.
+    """
+    n = len(coords)
+    top = 2 * lat._lmax
+    # The grid offset of each axis, clipped to the grid: outside means
+    # overloaded (a negative offset reads as a large unsigned one).
+    np.copyto(idx, coords[:, 0], casting="unsafe")
+    idx += lat._lmax
+    np.greater(idx.view(np.uint64), top, out=overloaded)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, top, out=idx)
+    flag = coords.reshape(-1).view(bool)[:n]
+    if lat.dimension == 2:
+        col = spare[:n].view(np.intp)
+        np.copyto(col, coords[:, 1], casting="unsafe")
+        col += lat._lmax
+        np.greater(col.view(np.uint64), top, out=flag)
+        overloaded |= flag
+        np.maximum(col, 0, out=col)
+        np.minimum(col, top, out=col)
+        idx *= top + 1
+        idx += col
+    lat._lookup.take(idx, out=idx, mode="clip")
+    np.less(idx, 0, out=flag)
+    overloaded |= flag
+
+
+def quantize_clipped(lat: Lattice, x: np.ndarray, *, out=None,
+                     scratch: np.ndarray | None = None):
     """
     Quantize each sub-vector of x, shape (..., L), to the nearest codebook
     point.
@@ -268,44 +375,71 @@ def quantize_clipped(lat: Lattice, x: np.ndarray):
     overloaded is True iff the unrestricted nearest lattice point lies
     outside the codebook, in which case the point is the nearest codebook
     point instead.
+
+    With out = (index, overloaded), 1-D intp and bool arrays of one entry
+    per sub-vector, they take the results in place of new arrays, and no
+    points are gathered: point is None. scratch, `_scratch_size` floats,
+    is spent in place of a new buffer.
     """
     x = _subvectors(lat, x)
-    batch_shape = x.shape[:-1]
     flat = x.reshape(-1, lat.dimension)
-    shifted = _nearest_coords(lat, flat).astype(np.int64)
-    shifted += lat._lmax
-    clipped = np.clip(shifted, 0, 2 * lat._lmax)
-    idx = lat._lookup[tuple(clipped.T)]
-    overloaded = idx < 0
-    # Axis by axis: np.any over the short last axis is a slow reduction.
-    for a in range(lat.dimension):
-        overloaded |= clipped[:, a] != shifted[:, a]
-
+    n = len(flat)
+    if out is None:
+        idx, overloaded = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+    else:
+        idx, overloaded = out
+    if scratch is None:
+        scratch = np.empty(_scratch_size(n, lat.dimension))
+    for rows, coords, tmp in _pieces(lat, n, scratch):
+        _nearest_coords_into(lat, flat[rows], coords, tmp)
+        spare = scratch[coords.size:] if lat.family != "hexagonal" else tmp
+        _index_into(lat, coords, idx[rows], overloaded[rows], spare)
     if np.any(overloaded):
+        # The nearest codebook point by brute force. Two rows at least:
+        # a one-row product (`_products`) may differ in its last bit.
         bad = flat[overloaded]
-        d2 = (np.sum(bad ** 2, axis=1)[:, None]
-              - 2.0 * bad @ lat.codebook.T
+        pad = bad if len(bad) > 1 else np.repeat(bad, 2, axis=0)
+        d2 = (np.sum(pad ** 2, axis=1)[:, None]
+              - 2.0 * pad @ lat.codebook.T
               + np.sum(lat.codebook ** 2, axis=1)[None, :])
-        idx[overloaded] = np.argmin(d2, axis=1)
-
+        idx[overloaded] = np.argmin(d2, axis=1)[:len(bad)]
+    if out is not None:
+        return None, idx, overloaded
     # np.take copies the rows several times faster than codebook[idx].
+    batch_shape = x.shape[:-1]
     return (np.take(lat.codebook, idx, axis=0).reshape(x.shape),
             idx.reshape(batch_shape), overloaded.reshape(batch_shape))
 
 
-def _cell_residual(lat: Lattice, u: np.ndarray) -> np.ndarray:
+def _cell_residual(lat: Lattice, scratch: np.ndarray, out: np.ndarray,
+                   one_row: bool) -> None:
     """
-    Map unit-cube coordinates u, shape (..., L), to G u - Q_L(G u) in the
-    basic cell; u uniform over [0, 1)^L gives a cell-uniform result. The
-    hexagonal products with G run once per (n, L) matrix of the leading
-    axes, and their rows do not depend on n: so stacking K such matrices
-    into (K, n, L), or cutting one into blocks of rows, leaves each row's
-    result bit-identical to mapping its whole matrix alone. The
-    scaled-identity families scale by the spacing instead, elementwise.
+    Map unit-cube coordinates u to G u - Q_L(G u) in the basic cell; u
+    uniform over [0, 1)^L gives a cell-uniform result. The (n, L)
+    coordinates u lie in scratch[:n L] on entry, and out receives the (n, L)
+    residuals; scratch, of `_scratch_size` floats, is spent.
+    The hexagonal products with G are those of `_products`: with one_row,
+    one per row, else of matrices of at least two rows, so each row's
+    result is what mapping its row of a whole batch gives, bit for bit.
+    The scaled-identity families scale by the spacing instead,
+    elementwise.
     """
-    x = _generate(lat.family, lat.generator, u)
-    x -= _generate(lat.family, lat.generator, _nearest_coords(lat, x))
-    return x
+    n, dim = out.shape
+    u = scratch[:n * dim].reshape(n, dim)
+    if lat.family != "hexagonal":
+        g = lat.generator[0, 0]
+        np.multiply(u, g, out=out)
+        c = u  # spent
+        _nearest_coords_into(lat, out, c, c[:0])
+        c *= g
+        out -= c
+        return
+    _products(lat, u, out, one_row)
+    for rows, coords, tmp in _pieces(lat, n, scratch):
+        _nearest_coords_into(lat, out[rows], coords, tmp)
+        point = tmp[:coords.size].reshape(coords.shape)
+        _products(lat, coords, point, one_row)
+        out[rows] -= point
 
 
 def cell_variance_per_coord(lat: Lattice) -> float:

@@ -71,6 +71,10 @@ TABLE_HALF_WIDTH_SD = 8.0
 # a default 2-D one ~6 MB.
 TABLE_CACHE_ENTRIES = 8
 
+# Lanes `_cell_lookup_into` checks against the CDF per gather: its only
+# scratch is this many floats, not one per lane.
+_LOOKUP_CHUNK = 1 << 13
+
 # Built tables, least recently used first: key -> a sampler whose arrays
 # every sampler of that key shares. The lock guards the map, not a build:
 # two threads missing one key both build it, and the tables are equal.
@@ -275,7 +279,8 @@ class PpnSampler:
         return float(second * float(np.prod(self.step)) / d
                      + np.sum(self.step ** 2) / (12.0 * d))
 
-    def sample(self, count: int, rng) -> np.ndarray:
+    def sample(self, count: int, rng, *, out: np.ndarray | None = None,
+               scratch=None) -> np.ndarray:
         """
         Draw `count` PPN vectors, shape (count, L). `rng` may also be a
         sequence of K generators, one per row of a batch: then count must
@@ -288,31 +293,37 @@ class PpnSampler:
         or an object whose i-th `random(out=...)` call reads from its own
         stream offset: `codec.encode_rows` positions the reads of a slice
         of a row at the offsets of `read_starts`.
+
+        out, a (count, L) array, takes the result in place of a new array;
+        scratch = (u, cells, mask), count floats, intp and bools that are
+        spent, in place of new buffers.
         """
         rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-        per, rest = divmod(int(count), len(rngs))
-        if rest:
+        count, d = int(count), self.lattice.dimension
+        if count % len(rngs):
             raise ValueError(f"{count} vectors do not split over "
                              f"{len(rngs)} generators")
-        d = self.lattice.dimension
+        jit = np.empty((count, d)) if out is None else out
         if self.degenerate:
-            return np.zeros((count, d))
-        u = np.empty((len(rngs), per))
-        jit = np.empty((len(rngs), per, d))
-        for g, ur, jr in zip(rngs, u, jit):
+            jit.fill(0.0)
+            return jit
+        u, cells, mask = (scratch if scratch is not None else
+                          (np.empty(count), np.empty(count, dtype=np.intp),
+                           np.empty(count, dtype=bool)))
+        k = len(rngs)
+        for g, ur, jr in zip(rngs, u.reshape(k, -1), jit.reshape(k, -1)):
             g.random(out=ur)
             g.random(out=jr)
-        cells = _cell_lookup(self._cdf, self._guide, u.reshape(-1))
-        jit = jit.reshape(-1, d)
-        # The grid index of each cell of the C-order table: each trailing
+        _cell_lookup_into(self._cdf, self._guide, u, cells, mask)
+        # The grid index of each cell of the C-order table: the trailing
         # axis takes the remainder by its size, and the leading axis the
-        # quotient left over (np.unravel_index's result, without its
-        # division on the one axis of L = 1).
-        index = []
-        for n in self.density.shape[:0:-1]:
-            cells, i = np.divmod(cells, n)
-            index.insert(0, i)
-        index.insert(0, cells)
+        # quotient (np.unravel_index's result, without its division on the
+        # one axis of L = 1), into the spent cell uniforms.
+        index = [cells]
+        if d == 2:
+            index.insert(0, u.view(np.intp))
+            np.floor_divide(cells, self.density.shape[1], out=index[0])
+            np.remainder(cells, self.density.shape[1], out=cells)
         for a, i in enumerate(index):
             # origin + step (index + jitter), in place.
             col = jit[:, a]
@@ -352,20 +363,36 @@ def _cdf_tables(prob: np.ndarray):
 
 def _cell_lookup(cdf: np.ndarray, guide: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for u in [0, 1), via the guide."""
+    cells = np.empty(len(u), dtype=np.intp)
+    _cell_lookup_into(cdf, guide, u, cells, np.empty(len(u), dtype=bool))
+    return cells
+
+
+def _cell_lookup_into(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray,
+                      cells: np.ndarray, mask: np.ndarray) -> None:
     """
-    np.searchsorted(cdf, u, side="right") for u in [0, 1), via the guide.
+    `_cell_lookup` of the 1-D u into cells (intp, not overlapping u), with
+    mask (bools) as scratch.
 
     guide[floor(u G)] counts the CDF entries at or below floor(u G) / G <=
     u, so it is a lower bound of the answer, and the answer itself wherever
     its CDF entry exceeds u. Other lanes step one cell, again a lower
-    bound; only those still short are searched.
+    bound; only those still short are searched. The CDF entries are
+    gathered _LOOKUP_CHUNK lanes at a time, so the scratch stays small.
     """
-    cells = guide[(u * len(guide)).astype(np.intp)]
-    miss = np.flatnonzero(cdf[cells] <= u)
-    cells[miss] += 1
+    np.multiply(u, len(guide), out=cells, casting="unsafe")
+    guide.take(cells, out=cells, mode="clip")
+    entries = np.empty(min(len(u), _LOOKUP_CHUNK))
+    for lo in range(0, len(u), _LOOKUP_CHUNK):
+        part = slice(lo, lo + _LOOKUP_CHUNK)
+        got = entries[:len(cells[part])]
+        cdf.take(cells[part], out=got, mode="clip")
+        np.less_equal(got, u[part], out=mask[part])
+    cells += mask
+    miss = np.flatnonzero(mask)
     miss = miss[cdf[cells[miss]] <= u[miss]]
     cells[miss] = np.searchsorted(cdf, u[miss], side="right")
-    return cells
 
 
 def _table_key(spec: MechanismSpec, lat: Lattice, n: int,

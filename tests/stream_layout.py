@@ -1,10 +1,11 @@
 """
-The keyed stream layout (see jopeq.dither), built directly, and the mixed
-rows the stream tests use.
+The keyed stream layout (see jopeq.dither), built directly, the mixed rows
+the stream tests use, and the block size of the block tests.
 """
 
 import numpy as np
 
+from jopeq import codec
 from jopeq.dither import SharedRandomness
 
 # The stream layout that user and server both regenerate from: key
@@ -28,3 +29,14 @@ def layout_stream(seed, user, round_index, tag):
         key=[np.uint64(seed & (2 ** 64 - 1)), np.uint64(user)],
         counter=[np.uint64(round_index), np.uint64(tag), np.uint64(0),
                  np.uint64(0)]))
+
+
+# Sub-vectors per block in the block tests, which set the codec's budget
+# (`codec._BLOCK`, in coordinates) to BLOCK L for a lattice of dimension
+# L: smaller than the real budget, so that their inputs stay small.
+BLOCK = 1 << 14
+
+
+def small_blocks(monkeypatch, dim, block=BLOCK):
+    """Make the codec code blocks of `block` sub-vectors of dimension dim."""
+    monkeypatch.setattr(codec, "_BLOCK", block * dim)

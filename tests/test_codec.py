@@ -3,10 +3,12 @@
 import math
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,14 +16,16 @@ import numpy as np
 import pytest
 
 from jopeq import codec
-from jopeq.codec import (_BLOCK, CorruptPayloadError, EncodedUpdate, decode,
+from jopeq.codec import (CorruptPayloadError, EncodedUpdate, decode,
                          decode_rows, encode, encode_rows, scale_coefficient,
                          scale_rows, snr)
 from jopeq.dither import SharedRandomness
+from jopeq.flsim import CodecSpec
 from jopeq.lattice import (_nearest_coords, hexagonal_lattice, scalar_uniform,
                            square_lattice)
 from jopeq.privacy import build_ppn_sampler, laplace_spec, t_spec
-from stream_layout import DITHER_TAG, MIXED, NOISE_TAG, layout_stream
+from stream_layout import (BLOCK, DITHER_TAG, MIXED, NOISE_TAG, layout_stream,
+                           small_blocks)
 
 
 def _roundtrip(h, lat, seed=0, sampler=None):
@@ -214,6 +218,30 @@ class TestWireFormat:
             EncodedUpdate.from_bytes(padded[:-1] + bytes([padded[-1] | 1]),
                                      lat)
 
+    def test_header_overloads_and_zeta_checked(self):
+        # The header: u16 M, u8 L, u8 R, f64 zeta (bytes 4-12), u32
+        # overloads (bytes 12-16).
+        lat = scalar_uniform(9.0, 4)
+        h = np.random.default_rng(8).normal(0.0, 1.0, 64)
+        blob = _roundtrip(h, lat)[0].to_bytes()
+
+        def patched(zeta=None, overloads=None):
+            head = bytearray(blob)
+            if zeta is not None:
+                head[4:12] = struct.pack(">d", zeta)
+            if overloads is not None:
+                head[12:16] = struct.pack(">I", overloads)
+            return bytes(head)
+
+        assert EncodedUpdate.from_bytes(patched(overloads=64),
+                                        lat).overloads == 64
+        for bad in (65, 2 ** 32 - 1):
+            with pytest.raises(CorruptPayloadError, match="overloads"):
+                EncodedUpdate.from_bytes(patched(overloads=bad), lat)
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(CorruptPayloadError, match="zeta"):
+                EncodedUpdate.from_bytes(patched(zeta=bad), lat)
+
     def test_rate_mismatch_rejected(self):
         # The zero update is sent as the zero point, index 8 of 17: as 4-bit
         # fields its 5-bit codes read 4, 2, 1, 0, 8, all inside the rate-3
@@ -325,11 +353,13 @@ def _quantize_whole(lat, flat):
     overloaded = ~((idx >= 0)
                    & np.all(clipped == coords + lat._lmax, axis=-1))
     if np.any(overloaded):
+        # Products of two rows at least, as quantize_clipped takes them.
         bad = flat[overloaded]
-        d2 = (np.sum(bad ** 2, axis=1)[:, None]
-              - 2.0 * bad @ lat.codebook.T
+        pad = np.repeat(bad, 2, axis=0)
+        d2 = (np.sum(pad ** 2, axis=1)[:, None]
+              - 2.0 * pad @ lat.codebook.T
               + np.sum(lat.codebook ** 2, axis=1)[None, :])
-        idx[overloaded] = np.argmin(d2, axis=1)
+        idx[overloaded] = np.argmin(d2, axis=1)[::2]
     return idx, overloaded
 
 
@@ -377,7 +407,8 @@ def _codec(family):
 class TestBlocks:
     """
     encode_rows and decode_rows code in blocks of at most _BLOCK
-    sub-vectors; their outputs equal, byte for byte, whole-array passes.
+    coordinates (here BLOCK sub-vectors); their outputs equal, byte for
+    byte, whole-array passes.
     """
 
     def check(self, lat, samp, hs, srs, noise_seed=-11):
@@ -395,11 +426,12 @@ class TestBlocks:
         return got
 
     @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
-    @pytest.mark.parametrize("m", [_BLOCK // 2, _BLOCK - 1, _BLOCK,
-                                   _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("m", [BLOCK // 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 3])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_equal_to_whole_array_passes(self, family, m, k):
+    def test_equal_to_whole_array_passes(self, family, m, k, monkeypatch):
         lat, samp = _codec(family)
+        small_blocks(monkeypatch, lat.dimension)
         dim = lat.dimension
         d = m * dim - (dim - 1)  # an odd d pads the last 2-D sub-vector
         hs = np.random.default_rng([m, k]).normal(0.0, 1.0, (k, d))
@@ -410,26 +442,68 @@ class TestBlocks:
         _, _, overloaded = self.check(lat, samp, hs, srs)
         assert overloaded.any()
 
+    def test_equal_to_whole_array_passes_at_the_real_budget(self):
+        # Two rows, each cut into two slices of the real budget's blocks.
+        lat, samp = _codec("hexagonal")
+        m = codec._BLOCK // lat.dimension + 1
+        hs = np.random.default_rng(9).normal(0.0, 1.0, (2, 2 * m - 1))
+        assert len(list(codec._blocks(2, m, lat.dimension))) == 4
+        self.check(lat, samp, hs, MIXED[1:3])
+
     @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
-    def test_without_ppn(self, family):
+    def test_one_subvector_tail(self, family, monkeypatch):
+        # Rows one sub-vector longer than a block. A slice of that one
+        # sub-vector would take one-row hexagonal products, whose last bit
+        # differs from the whole row's for about a fifth of rows.
+        lat, samp = _codec(family)
+        small_blocks(monkeypatch, lat.dimension, 64)
+        m, k = 65, 40
+        hs = np.random.default_rng(10).normal(0.0, 1.0,
+                                              (k, m * lat.dimension))
+        srs = [SharedRandomness(seed=12, user=i, round_index=i % 7)
+               for i in range(k)]
+        self.check(lat, samp, hs, srs)
+
+    @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
+    def test_one_overloaded_subvector_in_a_block(self, family, monkeypatch):
+        # Block 0 of a row holds one overloaded sub-vector and block 1
+        # three: the brute-force search of block 0 is a one-row product
+        # unless it is padded, and the whole row's is not.
+        make = scalar_uniform if family == "scalar" else hexagonal_lattice
+        lat = make(1.0, 3)
+        dim = lat.dimension
+        small_blocks(monkeypatch, dim, 64)
+        m = 128
+        hs = np.random.default_rng(11).normal(0.0, 0.01, (1, m * dim))
+        for i in (10, 70, 90, 110):
+            hs[0, i * dim:(i + 1) * dim] = 1.0
+        _, _, overloaded = self.check(lat, None, hs, MIXED[:1])
+        assert overloaded[0, :64].sum() == 1
+        assert overloaded[0, 64:].sum() == 3
+
+    @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
+    def test_without_ppn(self, family, monkeypatch):
         lat, _ = _codec(family)
-        d = (_BLOCK + 2) * lat.dimension
+        small_blocks(monkeypatch, lat.dimension)
+        d = (BLOCK + 2) * lat.dimension
         hs = np.random.default_rng(5).normal(0.0, 1.0, (2, d))
         self.check(lat, None, hs, MIXED[:2])
 
-    def test_degenerate_sampler(self):
+    def test_degenerate_sampler(self, monkeypatch):
+        small_blocks(monkeypatch, 1)
         lat = scalar_uniform(9.0, 1)
         samp = build_ppn_sampler(laplace_spec(50.0, 1), lat,
                                  allow_degenerate=True)
         assert samp.degenerate
-        hs = np.random.default_rng(6).normal(0.0, 1.0, (2, _BLOCK + 9))
+        hs = np.random.default_rng(6).normal(0.0, 1.0, (2, BLOCK + 9))
         self.check(lat, samp, hs, MIXED[1:3])
 
-    def test_fresh_noise_shapes(self):
+    def test_fresh_noise_shapes(self, monkeypatch):
         # Fresh OS entropy: only the shapes and the decoded width can be
         # checked.
         lat, samp = _codec("hexagonal")
-        d = 2 * _BLOCK + 5
+        small_blocks(monkeypatch, lat.dimension)
+        d = 2 * BLOCK + 5
         hs = np.random.default_rng(7).normal(0.0, 1.0, (3, d))
         idx, zetas, overloaded = encode_rows(hs, lat, samp, MIXED[:3])
         m = -(-d // 2)
@@ -445,16 +519,72 @@ class TestBlocks:
             decode_rows(np.zeros((3, 4), dtype=np.int64), np.ones(3), lat,
                         MIXED[:2], 4)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 64, 65, 127, 129, 200])
+    def test_blocks_cover_rows_in_near_equal_slices(self, m, monkeypatch):
+        small_blocks(monkeypatch, 2, 64)
+        blocks = list(codec._blocks(3, m, 2))
+        cover = np.zeros((3, m), dtype=int)
+        for r0, r1, lo, hi in blocks:
+            assert (r1 - r0) * (hi - lo) <= 64
+            assert r1 - r0 == 1 or (lo, hi) == (0, m)
+            assert hi - lo >= min(m, 2)
+            cover[r0:r1, lo:hi] += 1
+        assert (cover == 1).all()
+
+
+class TestBlockMemory:
+    """
+    A running block holds at most three times its own bytes: its sum,
+    scratch of `lattice._scratch_size` floats, and the lookup's chunk;
+    its index and overload flag are written in place in the outputs.
+    """
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    def test_temporaries_at_most_three_blocks(self, family, monkeypatch):
+        # The benchmark's codecs (few overloads, whose brute-force search
+        # holds a row of distances each), on small PPN tables.
+        monkeypatch.setattr(codec, "_cpus", lambda: 1)
+        if family == "scalar":
+            cspec = CodecSpec(family="scalar", rate=4, epsilon=2.0)
+        else:
+            cspec = CodecSpec(family=family, rate=4, epsilon=3.0,
+                              mechanism="t", nu=3.0)
+        lat, spec = cspec.build()
+        samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        dim = lat.dimension
+        m = 2 * (codec._BLOCK // dim)  # two full blocks
+        block_bytes = codec._BLOCK * 8
+        hs = np.random.default_rng(12).normal(0.0, 1.0, (1, m * dim))
+        srs = MIXED[:1]
+        encode_rows(hs, lat, samp, srs, 5)  # warm: first-call caches
+        peak, (idx, zetas, overloaded) = self.peak(
+            lambda: encode_rows(hs, lat, samp, srs, 5))
+        assert overloaded.mean() < 1e-3
+        outputs = idx.nbytes + zetas.nbytes + overloaded.nbytes
+        assert peak - outputs <= 3 * block_bytes
+        peak, out = self.peak(
+            lambda: decode_rows(idx, zetas, lat, srs, m * dim))
+        assert peak - out.nbytes <= 3 * block_bytes
+
 
 # Sub-vectors per row of the long batches below: two blocks and a tail.
-LONG = 2 * _BLOCK + 3
+LONG = 2 * BLOCK + 3
 
 
 def _long_batch(family):
     """
     encode_rows and decode_rows of one batch of len(MIXED) rows of LONG
-    sub-vectors (an odd d for the 2-D codecs), with the mixed streams;
-    returns (indices, zetas, overloaded, decoded).
+    sub-vectors (an odd d for the 2-D codecs), with the mixed streams, in
+    the caller's blocks; returns (indices, zetas, overloaded, decoded).
     """
     lat, samp = _codec(family)
     d = LONG * lat.dimension - (lat.dimension - 1)
@@ -465,19 +595,21 @@ def _long_batch(family):
     return idx, zetas, overloaded, decode_rows(idx, zetas, lat, MIXED, d)
 
 
-# Run in a child process: saves `_long_batch` of each family and the CPU
-# count the codec sees, pinned to one CPU (every block then runs inline)
-# when argv[2] is "1".
+# Run in a child process: saves `_long_batch` of each family, in blocks of
+# BLOCK sub-vectors, and the CPU count the codec sees, pinned to one CPU
+# (every block then runs inline) when argv[2] is "1".
 _BATCH_CHILD = """
 import os, sys
 if sys.argv[2] == "1":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from jopeq import codec
-from test_codec import _long_batch
-np.savez(sys.argv[1], cpus=codec._cpus(),
-         **{f"{f}{i}": a for f in ("scalar", "square", "hexagonal")
-            for i, a in enumerate(_long_batch(f))})
+from test_codec import BLOCK, _long_batch
+runs = {}
+for f in ("scalar", "square", "hexagonal"):
+    codec._BLOCK = BLOCK * (1 if f == "scalar" else 2)
+    runs.update({f"{f}{i}": a for i, a in enumerate(_long_batch(f))})
+np.savez(sys.argv[1], cpus=codec._cpus(), **runs)
 """
 
 
@@ -524,10 +656,11 @@ class TestConcurrentBlocks:
                 assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_child_forked_after_the_pool_ran(self):
+    def test_child_forked_after_the_pool_ran(self, monkeypatch):
         # The child has none of the pool's threads: its calling thread
         # codes every block, and no call waits for a helper that never
         # starts.
+        small_blocks(monkeypatch, 1)
         want = _long_batch("scalar")
         child = multiprocessing.get_context("fork").Process(
             target=_exit_unless_long_batch_is, args=("scalar", want))
@@ -554,7 +687,7 @@ class TestConcurrentBlocks:
         lock = threading.Lock()
         failed = []
 
-        def watched(srs, lat, count, start=0):
+        def watched(srs, lat, count, start=0, **buffers):
             main = threading.current_thread() is threading.main_thread()
             with lock:
                 state["begun"] += 1
@@ -567,7 +700,7 @@ class TestConcurrentBlocks:
                 time.sleep(0.02 if fail and main else 0.005)
                 if fail:
                     raise RuntimeError(f"{fail_in} block failed")
-                return real(srs, lat, count, start)
+                return real(srs, lat, count, start, **buffers)
             finally:
                 with lock:
                     state["running"] -= 1
@@ -577,6 +710,7 @@ class TestConcurrentBlocks:
 
     @pytest.mark.parametrize("bad", [-1, None])
     def test_corrupt_index_in_last_block(self, monkeypatch, bad):
+        small_blocks(monkeypatch, 1)
         lat, _ = _codec("scalar")
         hs = np.random.default_rng(3).normal(0.0, 1.0, (3, LONG))
         idx, zetas, _ = encode_rows(hs, lat, None, MIXED[:3])
@@ -593,10 +727,11 @@ class TestConcurrentBlocks:
                                                       fail_in):
         if fail_in == "helper" and codec._cpus() < 2:
             pytest.skip("no helper thread on one CPU")
+        small_blocks(monkeypatch, 1)
         lat, _ = _codec("scalar")
         k = len(MIXED)
         hs = np.random.default_rng(4).normal(0.0, 1.0, (k, LONG))
-        blocks = len(list(codec._blocks(k, LONG)))
+        blocks = len(list(codec._blocks(k, LONG, 1)))
         state = self.watch_blocks(monkeypatch, fail_in)
         with pytest.raises(RuntimeError, match=f"{fail_in} block failed"):
             encode_rows(hs, lat, None, MIXED)
@@ -604,9 +739,10 @@ class TestConcurrentBlocks:
         # The blocks not yet taken when the failure came were skipped.
         assert state["begun"] < blocks
 
-    def test_concurrent_callers(self):
+    def test_concurrent_callers(self, monkeypatch):
         # More callers than CPUs, each coding multi-block batches through
         # the one pool, with threads switched as often as possible.
+        small_blocks(monkeypatch, 2)
         want = _long_batch("hexagonal")
         errors, done = [], []
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from jopeq.codec import _BLOCK, encode_rows, scale_rows
+from jopeq.codec import encode_rows, scale_rows
 from jopeq.dither import SharedRandomness, _KeyedStreams, dither_block, sdq
 from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
                            scalar_uniform)
 from jopeq.privacy import PpnSampler, build_ppn_sampler, laplace_spec, t_spec
 from jopeq.stattests import correlation_test, ks_test
-from stream_layout import DITHER_TAG, MIXED, NOISE_TAG, layout_stream
+from stream_layout import (BLOCK, DITHER_TAG, MIXED, NOISE_TAG, layout_stream,
+                           small_blocks)
 
 
 class TestSharedStream:
@@ -83,7 +84,7 @@ class TestStreamLayout:
     @pytest.mark.parametrize("noise_seed", [-12345, 2 ** 63 + 77])
     def test_ppn_rows_follow_layout(self, family, noise_seed, monkeypatch):
         # Both draw one cell uniform and then L jitter uniforms per vector.
-        # With m > _BLOCK each row is coded in slices, each with its own
+        # With m > BLOCK each row is coded in slices, each with its own
         # sample call. The blocks may run concurrently, in any order: each
         # draw is keyed by the block it served, its first row and its
         # first sub-vector, and in key order the draws are the rows in
@@ -93,20 +94,24 @@ class TestStreamLayout:
         else:
             lat, spec = hexagonal_lattice(9.0, 3), t_spec(3.0, 2, 3.0)
         samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        small_blocks(monkeypatch, lat.dimension)
         row_of = {sr.user: k for k, sr in enumerate(MIXED)}
         drawn = {}
 
-        def keep(count, rng):
+        def keep(count, rng, **buffers):
             # A whole row reads from draw 0, a slice from its first cell
-            # uniform's offset, which is its first sub-vector.
+            # uniform's offset, which is its first sub-vector. The draw
+            # goes to the block's buffers, which it then spends: keep a
+            # copy.
             key = (row_of[rng._srs[0].user], rng._starts[0])
             assert key not in drawn
-            drawn[key] = PpnSampler.sample(samp, count, rng)
-            return drawn[key]
+            got = PpnSampler.sample(samp, count, rng, **buffers)
+            drawn[key] = got.copy()
+            return got
 
         monkeypatch.setattr(samp, "sample", keep)
         dim = lat.dimension
-        for m, calls in ((7, 1), (_BLOCK + 3, 2 * len(MIXED))):
+        for m, calls in ((7, 1), (BLOCK + 3, 2 * len(MIXED))):
             drawn.clear()
             hs = np.random.default_rng(8).normal(0.0, 1.0,
                                                  (len(MIXED), m * dim))
@@ -147,7 +152,7 @@ class TestStreamLayout:
 class TestStreamOffsets:
     """A stream read from draw o on equals the layout stream after o draws."""
 
-    OFFSETS = [0, 1, 3, 4, 5, 4 * _BLOCK + 3]
+    OFFSETS = [0, 1, 3, 4, 5, 4 * BLOCK + 3]
 
     @staticmethod
     def after(sr, tag, offset):
@@ -165,7 +170,7 @@ class TestStreamOffsets:
                                   want.integers(0, 2 ** 20, size=3))
 
     def test_reads_start_at_their_offsets(self):
-        starts = (5, 4 * _BLOCK + 3, 2)
+        starts = (5, 4 * BLOCK + 3, 2)
         rows = _KeyedStreams(MIXED, NOISE_TAG, starts)
         for reader, sr in zip(rows, MIXED):
             for start in starts:
@@ -177,7 +182,7 @@ class TestStreamOffsets:
     @pytest.mark.parametrize("lat", [scalar_uniform(4.0, 3),
                                      hexagonal_lattice(3.0, 3)],
                              ids=["L=1", "L=2"])
-    @pytest.mark.parametrize("start", [1, 3, _BLOCK + 1])
+    @pytest.mark.parametrize("start", [1, 3, BLOCK + 1])
     def test_dither_block_from_start(self, lat, start):
         per = 6
         got = dither_block(MIXED, lat, len(MIXED) * per, start)

@@ -227,6 +227,20 @@ class TestQuantizeClipped:
         assert over
         assert np.linalg.norm(point) <= lat.support_radius + 1e-9
 
+    def test_overload_search_does_not_depend_on_the_batch(self):
+        # A point outside the codebook within an ulp of two codebook points'
+        # bisector: on one x86-64 host a one-row product with the codebook
+        # took numpy's vector path and named another nearest point than
+        # the same row in a matrix did. The search never takes one-row
+        # products, so a point's index does not depend on which other
+        # points overload with it.
+        lat = hexagonal_lattice(1.0, 3)
+        tie = [0.11903910085799466, -1.1652023537060643]
+        _, alone, over = quantize_clipped(lat, np.array([tie]))
+        _, batch, _ = quantize_clipped(lat, np.array([tie, [5.0, 5.0]]))
+        assert over[0]
+        assert alone[0] == batch[0]
+
     def test_achieved_rate_reported(self):
         # The achieved rate log2(|codebook|) / L is near the nominal rate,
         # and the index width is the least that holds every index.

@@ -65,8 +65,9 @@ BIG_SEED = 2 ** 40
 # that a registry grown or reordered digests the same checks.
 VERIFY_CHECKS = ("sdq-distortion-law", "scalar-total-law", "vector-total-law",
                  "privacy-for-free-threshold", "weights-distortion-bound")
-# Two blocks of encode_rows's 2^14 sub-vectors and a 3-sub-vector tail.
-LONG_SUBVECTORS = 2 * (1 << 14) + 3
+# Two of encode_rows's blocks of 2^16 scalar sub-vectors (four of 2^15
+# sub-vectors of L = 2) and a 3-sub-vector tail.
+LONG_SUBVECTORS = 2 * (1 << 16) + 3
 
 
 def digest(*arrays) -> str:
