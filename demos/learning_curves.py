@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from jopeq.flsim import (BASELINES, CodecSpec, FlConfig, TaskSpec,
-                         build_task, calibrate_xi, run_experiment)
+                         build_task, run_experiment)
 
 
 def main() -> None:
@@ -32,11 +32,10 @@ def main() -> None:
                     users=10, tau=4, rounds=300, eta=0.05,
                     schedule="fixed", seed=0)
     task = build_task(task_spec, base.users, base.alpha_vector(), base.seed)
-    xis = calibrate_xi(task, base)
 
     curves = {}
     for b in BASELINES:
-        ms = run_experiment(replace(base, baseline=b), task, xis)
+        ms = run_experiment(replace(base, baseline=b), task)
         curves[b] = [m.loss_gap for m in ms]
 
     checkpoints = [0, 9, 29, 99, 199, 299]

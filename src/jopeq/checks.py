@@ -251,9 +251,8 @@ def learning_figure_spirit(seed: int) -> list[TestReport]:
                               baseline="plain", users=10, tau=4, rounds=300,
                               eta=0.05, schedule="fixed", seed=s)
         task = flsim.build_task(task_spec, 10, base.alpha_vector(), s)
-        xis = flsim.calibrate_xi(task, base)
         for b in finals:
-            ms = flsim.run_experiment(replace(base, baseline=b), task, xis)
+            ms = flsim.run_experiment(replace(base, baseline=b), task)
             finals[b].append(float(np.mean(
                 [m.loss_gap for m in ms[-len(ms) // 5:]])))
     mean = {b: float(np.mean(v)) for b, v in finals.items()}

@@ -165,7 +165,6 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, jobs: int) -> int:
     base_cfg = _fl_config(cfg, "plain", seed)
     task = flsim.build_task(base_cfg.task, base_cfg.users,
                             base_cfg.alpha_vector(), seed)
-    xis = flsim.calibrate_xi(task, base_cfg)
     curve_path = out_dir / "learning_curves.csv"
     with open(curve_path, "w") as fh:
         fh.write(f"{CSV_VERSION} learning_curves\n")
@@ -173,7 +172,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, jobs: int) -> int:
         for baseline in ["plain", "sdq", "ppn", "separate", "jopeq"]:
             metrics = flsim.run_experiment(replace(base_cfg,
                                                    baseline=baseline),
-                                           task, xis)
+                                           task)
             for m in metrics:
                 acc = 1.0 / (1.0 + m.loss_gap)
                 fh.write(f"{m.round_index},{baseline},{m.loss_gap:.10e},"

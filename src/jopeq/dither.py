@@ -9,28 +9,22 @@ makes the quantization error cell-uniform and independent of the input.
 
 Stream layout: the stream of (seed, user, round) under a domain tag is
 Philox-4x64 with key (seed mod 2^64, user) and initial counter
-(round, tag, 0, 0), read from an empty output buffer. Regeneration rests
+(0, 0, round, tag), read from an empty output buffer. Regeneration rests
 on this layout being the contract: any two parties that agree on it draw
 the same numbers, however each one sets up its generator. Draw o of a
 stream (a 64-bit word; a uniform double takes one) is part of the
 contract too, and it can be read without the draws before it: Philox
 is counter-based (Salmon et al., SC 2011), so the layout state advanced
-by o // 4 counter steps (`Philox.advance`, which carries from the round
-word into the tag word as sequential draws do) and o % 4 words discarded
-is the stream after o draws. That lets a long row be coded in blocks, each
+by o // 4 counter steps (`Philox.advance`) and o % 4 words discarded is
+the stream after o draws. That lets a long row be coded in blocks, each
 reading its stream at its own offset, and so `codec.encode_rows` and
 `decode_rows` code the blocks of one update concurrently: the output does
 not depend on the number of cores or on the order in which blocks run.
 
-The rounds of one (seed, user) do not get disjoint streams, though: the
-round sits in counter word 0, the word each counter step increments, so
-the stream of round r + 1 is the stream of round r after 4 draws. A row
-of M sub-vectors thus reuses, in round r + 1, the draws of round r from
-draw 4 on: in a scalar jopeq run, the PPN of sub-vectors 0, ..., M-5 of
-round r + 1 repeats that of sub-vectors 4, ..., M-1 of round r (user 3,
-noise seed 2, rounds 7 and 8, M = 10: 6 of 10 coordinates), and the
-shared dither shifts the same way. Moving the round out of word 0 changes
-every keyed draw (ROADMAP item 17).
+A counter step increments word 0, which carries into word 1 after 2^64
+steps (2^66 draws); both start at 0, so a carry reaches the round only
+after 2^128 steps. The rounds of one (seed, user) and the tags of one
+round thus read disjoint streams.
 """
 
 from dataclasses import dataclass
@@ -46,10 +40,10 @@ __all__ = ["SharedRandomness", "dither_block", "sdq"]
 # space (other streams derived from the same seed must use other tags).
 _DITHER_TAG = 0xD17E
 
-# The seed of the Philox each `_KeyedStreams` iteration builds (and of the
-# PCG64 of `seeding._Pcg64Rows`), whose state is set before any draw: a
-# seed sequence made once spares each build the OS-entropy read of an
-# unseeded one (5.5 against 8.4 us a build).
+# The seed of the Philox each `_KeyedStreams` iteration builds, whose
+# state is set before any draw: a seed sequence made once spares each
+# build the OS-entropy read of an unseeded one (5.5 against 8.4 us a
+# build).
 _PLACEHOLDER_SEED = np.random.SeedSequence(0)
 
 
@@ -79,7 +73,7 @@ class _KeyedStreams:
 
     Iterating yields, for row k = 0, ..., K-1, the stream of srs[k] under
     `tag`: key (srs[k].seed mod 2^64, srs[k].user), counter
-    (srs[k].round_index, tag, 0, 0). It is one Generator over one Philox
+    (0, 0, srs[k].round_index, tag). It is one Generator over one Philox
     whose state is reset before each row, which costs a fraction of
     building a Philox per row. So each row's generator must be used fully
     before the next one is taken. The Philox is made per iteration and is
@@ -135,7 +129,7 @@ def _position(bit, sr: SharedRandomness, tag: int, offset: int) -> None:
     bit.state = {
         "bit_generator": "Philox",
         "state": {"key": [sr.seed & (2 ** 64 - 1), sr.user],
-                  "counter": [sr.round_index, tag, 0, 0]},
+                  "counter": [0, 0, sr.round_index, tag]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0,
     }

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from . import codec, privacy, seeding
-from .dither import SharedRandomness
+from . import codec, privacy
+from .dither import SharedRandomness, _KeyedStreams
 from .lattice import Lattice, hexagonal_lattice, scalar_uniform, square_lattice
 
 __all__ = [
@@ -42,13 +42,11 @@ __all__ = [
 
 BASELINES = ("plain", "sdq", "ppn", "separate", "jopeq")
 
-# SeedSequence spawn tags for the simulator's independent streams.
+# Entropy words of the data and ppn-noise generators, and the domain tag
+# of the keyed local-SGD stream (see jopeq.dither).
 _TAG_DATA, _TAG_SGD, _TAG_PPN_ONLY = 101, 102, 103
-# Local-SGD seed rows hashed by one `seeding.default_rngs` call: enough to
-# spread its fixed cost (about 0.2 ms) thin, few enough that its arrays
-# stay near 100 KB (a run's 2,500 rows at once took 0.6 MB, which showed
-# in the peak resident memory).
-_SGD_HASH_ROWS = 512
+# xi_k is this factor times the largest stochastic-gradient norm seen.
+_XI_MARGIN = 1.1
 
 
 class DivergenceError(RuntimeError):
@@ -309,20 +307,17 @@ def heterogeneity_gap(task: Task) -> float:
     return task.f_opt - total
 
 
-def local_sgd(task: Task, k, w: np.ndarray, tau: int, eta_fn,
-              t_start: int, rng, grad_norms: np.ndarray | None = None
-              ) -> np.ndarray:
+def local_sgd(task: Task, k, w: np.ndarray, eta_fn, t_start: int, picks,
+              grad_norms: np.ndarray | None = None) -> np.ndarray:
     """
-    tau single-sample SGD steps from w at user k; returns the update
-    h = w_end - w, of shape (d,).
+    Single-sample SGD steps from w at user k, one on each sample index of
+    the (tau,) array `picks`; returns the update h = w_end - w, of shape
+    (d,).
 
-    `k` may also be a sequence of K users with `rng` a sequence of K
-    generators, one per user: then the result is the (K, d) batch whose
-    row r equals local_sgd(task, k[r], w, tau, eta_fn, t_start, rng[r])
-    bit for bit, taken as one (K, d) step per local iteration. Each user
-    draws its tau sample picks from its own generator before the next is
-    taken from `rng`, which is iterated once: it may be a sized iterable
-    that yields one generator reset per row, as `_sgd_rngs` gives.
+    `k` may also be a sequence of K users with `picks` a (K, tau) array,
+    row r user k[r]'s picks: then the result is the (K, d) batch whose
+    row r equals local_sgd(task, k[r], w, eta_fn, t_start, picks[r]) bit
+    for bit, taken as one (K, d) step per local iteration.
 
     grad_norms, if given, is a float array with one entry per user (in
     the order of k); each entry is raised in place to the largest norm of
@@ -330,16 +325,15 @@ def local_sgd(task: Task, k, w: np.ndarray, tau: int, eta_fn,
     """
     solo = np.ndim(k) == 0
     users = np.asarray([k] if solo else k, dtype=np.intp)
-    rngs = [rng] if solo else rng
-    if len(rngs) != len(users):
-        raise ValueError(f"{len(rngs)} generators for {len(users)} users")
-    n = task.ys.shape[1]
-    # One sized draw gives the same picks as tau scalar draws.
-    picks = np.array([g.integers(0, n, size=tau) for g in rngs],
-                     dtype=np.intp).reshape(len(users), tau)
+    picks = np.asarray(picks, dtype=np.intp)
+    if solo:
+        picks = picks[None]
+    if picks.ndim != 2 or len(picks) != len(users):
+        raise ValueError(f"picks of shape {picks.shape} for {len(users)} "
+                         f"users")
     wk = np.repeat(w[None, :], len(users), axis=0)
-    for j in range(tau):
-        g = task.sample_grad(users, wk, picks[:, j])
+    for j, i in enumerate(picks.T):
+        g = task.sample_grad(users, wk, i)
         if grad_norms is not None:
             # sqrt of each row's dot product, as np.linalg.norm of a row;
             # fmax leaves an entry as it is when the norm is NaN.
@@ -350,19 +344,17 @@ def local_sgd(task: Task, k, w: np.ndarray, tau: int, eta_fn,
     return h[0] if solo else h
 
 
-def _sgd_rngs(seed: int, users: int, rounds: int):
+def _sgd_picks(seed: int, users: int, rounds: int, tau: int,
+               n: int) -> np.ndarray:
     """
-    Each round's local-SGD generators, default_rng([seed, _TAG_SGD, k, r])
-    for users k, their seeds hashed _SGD_HASH_ROWS rows at a time.
+    The local-SGD sample picks of a whole run, as a (users, rounds, tau)
+    array: user k's are one integers(0, n, size=(rounds, tau)) call on
+    the keyed stream of (seed, k, round 0) under _TAG_SGD. The draws are
+    sequential, so a shorter run's picks are a prefix of a longer run's.
     """
-    per = max(1, _SGD_HASH_ROWS // users)
-    for r0 in range(0, rounds, per):
-        rs = np.arange(r0, min(r0 + per, rounds))
-        rngs = seeding.default_rngs([seed, _TAG_SGD,
-                                     np.tile(np.arange(users), len(rs)),
-                                     np.repeat(rs, users)])
-        for i in range(len(rs)):
-            yield rngs[i * users:(i + 1) * users]
+    srs = [SharedRandomness(seed=seed, user=k) for k in range(users)]
+    return np.stack([g.integers(0, n, size=(rounds, tau))
+                     for g in _KeyedStreams(srs, _TAG_SGD)])
 
 
 def fedavg_round(w: np.ndarray, updates, alphas) -> np.ndarray:
@@ -412,17 +404,20 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     """
     Per-user gradient-norm constants xi_k: 1.1 times the largest
     stochastic-gradient norm observed on a plain (uncoded) training pass
-    with the same seeds and schedule.
+    with the same picks and schedule. `run_experiment` measures xi on the
+    run it bounds; this pass can give it a floor.
     """
     eta_fn = _eta_fn(cfg, task)
     users = range(task.users)
+    picks = _sgd_picks(cfg.seed, task.users, cfg.rounds, cfg.tau,
+                       task.ys.shape[1])
     w = np.zeros(task.model_dim)
     best = np.zeros(task.users)
-    for r, rngs in enumerate(_sgd_rngs(cfg.seed, task.users, cfg.rounds)):
-        hs = local_sgd(task, users, w, cfg.tau, eta_fn, r * cfg.tau, rngs,
+    for r in range(cfg.rounds):
+        hs = local_sgd(task, users, w, eta_fn, r * cfg.tau, picks[:, r],
                        grad_norms=best)
         w = fedavg_round(w, hs, task.alphas)
-    return 1.1 * best
+    return _XI_MARGIN * best
 
 
 def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
@@ -446,9 +441,6 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
     if baseline in ("ppn", "separate"):
         m = -(-d // lat.dimension)
         zetas = codec.scale_rows(hs, m)
-        # A default_rng per key: for 10 keys these take half the time of
-        # one `seeding.default_rngs` call, and a hash per run would need
-        # every round's keys here.
         # No name holds the noise, so it is freed before the sdq stage.
         hs = hs + np.stack([
             privacy.mechanism_reference_sample(spec, m,
@@ -468,15 +460,16 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     """
     Run one experiment; deterministic given cfg.seed.
 
-    Returns per-round metrics including the Theorem-6/7 right-hand sides
-    evaluated from the calibrated constants. Pass a prebuilt task/xis to
-    share them (and the calibration cost) across baselines.
+    Returns per-round metrics including the Theorem-6/7 right-hand sides,
+    evaluated after the last round with xi_k = 1.1 times the largest
+    stochastic-gradient norm of user k in this run, so the theorems'
+    hypothesis ||g|| <= xi holds of the run they bound. xis, if given, is
+    a per-user floor on xi. Pass a prebuilt task to share it across
+    baselines.
     """
     alphas = cfg.alpha_vector()
     if task is None:
         task = build_task(cfg.task, cfg.users, alphas, cfg.seed)
-    if xis is None:
-        xis = calibrate_xi(task, cfg)
     eta_fn = _eta_fn(cfg, task)
 
     lat, spec = cfg.codec.build()
@@ -487,10 +480,14 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
 
     w = np.zeros(task.model_dim)
     w0_dist2 = float(np.sum((w - task.w_opt) ** 2))
-    out = []
+    rounds = []
+    norms = np.zeros(task.users)
     users = range(task.users)
-    for r, rngs in enumerate(_sgd_rngs(cfg.seed, task.users, cfg.rounds)):
-        hs = local_sgd(task, users, w, cfg.tau, eta_fn, r * cfg.tau, rngs)
+    picks = _sgd_picks(cfg.seed, task.users, cfg.rounds, cfg.tau,
+                       task.ys.shape[1])
+    for r in range(cfg.rounds):
+        hs = local_sgd(task, users, w, eta_fn, r * cfg.tau, picks[:, r],
+                       grad_norms=norms)
         hts, ovs = uplink(
             cfg.baseline, hs, lat, spec, sampler,
             [SharedRandomness(seed=cfg.seed, user=k, round_index=r)
@@ -503,18 +500,25 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
             raise DivergenceError(
                 f"loss gap {gap:.3g} at round {r} (baseline={cfg.baseline}, "
                 f"eta={cfg.eta}, schedule={cfg.schedule})")
+        snr_db = (codec.snr(hs, hts) if cfg.baseline != "plain" else
+                  float("inf"))
+        rounds.append((gap, snr_db, float(np.sum((w_next - w_true) ** 2)),
+                       ovs))
+        w = w_next
+
+    xis = np.maximum(0.0 if xis is None else xis, _XI_MARGIN * norms)
+    out = []
+    for r, (gap, snr_db, distortion, ovs) in enumerate(rounds):
         etas = [eta_fn(r * cfg.tau + j) for j in range(cfg.tau)]
         out.append(RoundMetrics(
             round_index=r,
             loss_gap=gap,
-            snr_db=codec.snr(hs, hts) if cfg.baseline != "plain" else
-            float("inf"),
-            weights_distortion=float(np.sum((w_next - w_true) ** 2)),
+            snr_db=snr_db,
+            weights_distortion=distortion,
             thm6_rhs=theorem6_bound(sigma2_bound, etas, alphas, xis, cfg.tau),
             thm7_rhs=theorem7_bound(sigma2_bound, task.psi, task.rho_s,
                                     task.rho_c, alphas, xis, cfg.tau,
                                     w0_dist2, (r + 1) * cfg.tau),
             overloads=ovs,
         ))
-        w = w_next
     return out

@@ -9,13 +9,13 @@ from jopeq import codec
 from jopeq.dither import SharedRandomness
 
 # The stream layout that user and server both regenerate from: key
-# (seed mod 2^64, user), counter (round, tag, 0, 0), one domain tag per
-# stream.
-DITHER_TAG, NOISE_TAG = 0xD17E, 0x9019
+# (seed mod 2^64, user), counter (0, 0, round, tag), one domain tag per
+# stream (the local-SGD picks read round 0 of theirs).
+DITHER_TAG, NOISE_TAG, SGD_TAG = 0xD17E, 0x9019, 102
 # Rows of one batch whose seeds, users and rounds all differ; the seeds
-# include a negative one and two at or above 2^63. The last row's round is
-# 2^64 - 1: its first counter step carries into the tag word, and a
-# stream advanced to an offset must carry as the sequential draws do.
+# include a negative one and two at or above 2^63, and the last row's
+# round is the largest, 2^64 - 1. (The round sits in counter word 2, so
+# no offset the tests reach carries into it.)
 MIXED = [SharedRandomness(seed=3, user=0, round_index=0),
          SharedRandomness(seed=-7, user=4, round_index=11),
          SharedRandomness(seed=2 ** 63 + 5, user=9, round_index=250),
@@ -27,8 +27,8 @@ def layout_stream(seed, user, round_index, tag):
     """The stream of (seed, user, round) under tag, built directly."""
     return np.random.Generator(np.random.Philox(
         key=[np.uint64(seed & (2 ** 64 - 1)), np.uint64(user)],
-        counter=[np.uint64(round_index), np.uint64(tag), np.uint64(0),
-                 np.uint64(0)]))
+        counter=[np.uint64(0), np.uint64(0), np.uint64(round_index),
+                 np.uint64(tag)]))
 
 
 # Sub-vectors per block in the block tests, which set the codec's budget

@@ -24,9 +24,24 @@ class TestSharedStream:
         sr = SharedRandomness(seed=11, user=1, round_index=3)
         lat = hexagonal_lattice(3.0, 3)
         block = dither_block(sr, lat, 4)
-        # Row i, the dither of sub-vector i, does not depend on the count.
+        # Row i, the dither of sub-vector i, does not depend on the count
+        # of two rows or more; a one-row block takes the one-row product
+        # (see test_stream_sequence_stacks_single_streams).
         for i in range(4):
-            assert np.array_equal(block[i], dither_block(sr, lat, i + 1)[i])
+            count = max(i + 1, 2)
+            assert np.array_equal(block[i], dither_block(sr, lat, count)[i])
+
+    @pytest.mark.parametrize("tag", [DITHER_TAG, NOISE_TAG])
+    def test_rounds_share_no_draw(self, tag):
+        # Rounds r and r + 1 of one (seed, user) read disjoint streams:
+        # none of the first 2^20 draws of one is among those of the other.
+        for seed, user, r in ((2, 3, 7), (-5, 0, 0), (2 ** 63 + 1, 9, 250)):
+            draws = [gen.bit_generator.random_raw(1 << 20) for gen in
+                     _KeyedStreams([SharedRandomness(seed, user, r),
+                                    SharedRandomness(seed, user, r + 1)],
+                                   tag)]
+            # (No 64-bit word repeats within either stream's draws here.)
+            assert len(np.intersect1d(*draws, assume_unique=True)) == 0
 
     @pytest.mark.parametrize("count", [1, 7])
     def test_stream_sequence_stacks_single_streams(self, count):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from jopeq.flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
                          heterogeneity_gap, local_sgd, run_experiment,
                          theorem6_bound, theorem7_bound, uplink)
 from jopeq.privacy import build_ppn_sampler, mechanism_reference_sample
-from jopeq.seeding import default_rngs
+from stream_layout import SGD_TAG, layout_stream
 
 # Independently computed value of the convergence bound at
 # (sigma2=2, psi=0.3, rho_s=4, rho_c=0.5, alphas=0.1 x10, xis=2 x10,
@@ -46,33 +47,42 @@ def _sample_grad_alone(task, k, w, i):
     return (p - yi) * xi + lam * w
 
 
-def _local_sgd_alone(task, k, w, tau, eta_fn, t_start, rng, best=None):
+def _local_sgd_alone(task, k, w, eta_fn, t_start, picks, best=None):
     """
-    One user's tau SGD steps with a scalar pick per step: the reference
+    One user's SGD steps, one per pick, from 1-D arrays: the reference
     for the stacked `local_sgd`. best[k], if given, is raised to the
     largest gradient norm.
     """
     wk = w.copy()
-    n = len(task.ys[k])
-    for j in range(tau):
-        i = int(rng.integers(0, n))
-        g = _sample_grad_alone(task, k, wk, i)
+    for j, i in enumerate(picks):
+        g = _sample_grad_alone(task, k, wk, int(i))
         if best is not None:
             best[k] = max(best[k], float(np.linalg.norm(g)))
         wk -= eta_fn(t_start + j) * g
     return wk - w
 
 
+def _layout_picks(cfg, task):
+    """
+    A run's local-SGD picks, (users, rounds, tau), read from each user's
+    layout stream (round 0 under the SGD tag) in one sized call.
+    """
+    return np.stack([
+        layout_stream(cfg.seed, k, 0, SGD_TAG).integers(
+            0, task.ys.shape[1], size=(cfg.rounds, cfg.tau))
+        for k in range(task.users)])
+
+
 def _calibrate_xi_alone(task, cfg):
     """calibrate_xi as a loop over users and steps: the reference."""
     eta_fn = flsim._eta_fn(cfg, task)
+    picks = _layout_picks(cfg, task)
     w = np.zeros(task.model_dim)
     best = np.zeros(task.users)
     for r in range(cfg.rounds):
-        hs = [_local_sgd_alone(
-            task, k, w, cfg.tau, eta_fn, r * cfg.tau,
-            np.random.default_rng([cfg.seed, flsim._TAG_SGD, k, r]), best)
-            for k in range(task.users)]
+        hs = [_local_sgd_alone(task, k, w, eta_fn, r * cfg.tau, picks[k, r],
+                               best)
+              for k in range(task.users)]
         w = fedavg_round(w, hs, task.alphas)
     return 1.1 * best
 
@@ -172,24 +182,20 @@ class TestLocalSgd:
     def test_zero_step_size_gives_zero_update(self):
         task = _small_task()
         w = np.random.default_rng(3).normal(size=task.model_dim)
-        h = local_sgd(task, 0, w, 4, lambda t: 0.0, 0,
-                      np.random.default_rng(4))
+        h = local_sgd(task, 0, w, lambda t: 0.0, 0, [5, 0, 59, 5])
         assert np.array_equal(h, np.zeros(task.model_dim))
 
     def test_single_step_is_one_gradient(self):
         task = _small_task()
         w = np.random.default_rng(5).normal(size=task.model_dim)
-        rng = np.random.default_rng(6)
-        h = local_sgd(task, 1, w, 1, lambda t: 0.1, 0, rng)
-        i = int(np.random.default_rng(6).integers(0, len(task.ys[1])))
-        assert np.allclose(h, -0.1 * task.sample_grad(1, w, i))
+        h = local_sgd(task, 1, w, lambda t: 0.1, 0, [17])
+        assert np.allclose(h, -0.1 * task.sample_grad(1, w, 17))
 
     def test_does_not_mutate_input(self):
         task = _small_task()
         w = np.ones(task.model_dim)
-        local_sgd(task, 0, w, 3, lambda t: 0.05, 0, np.random.default_rng(7))
-        local_sgd(task, [0, 1], w, 3, lambda t: 0.05, 0,
-                  [np.random.default_rng(7), np.random.default_rng(8)])
+        local_sgd(task, 0, w, lambda t: 0.05, 0, [1, 2, 3])
+        local_sgd(task, [0, 1], w, lambda t: 0.05, 0, [[1, 2, 3], [4, 5, 6]])
         assert np.array_equal(w, np.ones(task.model_dim))
 
     @pytest.mark.parametrize("users", [1, 10])
@@ -200,37 +206,38 @@ class TestLocalSgd:
         eta_fn = lambda t: 0.3 / (1.0 + t)  # noqa: E731
         for r in range(10):
             w = np.random.default_rng([9, r]).normal(size=task.model_dim)
-            keys = [[r, k] for k in range(users)]
-            got = local_sgd(task, range(users), w, tau, eta_fn, r * tau,
-                            [np.random.default_rng(key) for key in keys])
+            picks = np.random.default_rng([r]).integers(0, 50, (users, tau))
+            got = local_sgd(task, range(users), w, eta_fn, r * tau, picks)
             assert got.shape == (users, task.model_dim)
-            solo = [local_sgd(task, k, w, tau, eta_fn, r * tau,
-                              np.random.default_rng(key))
-                    for k, key in enumerate(keys)]
-            alone = [_local_sgd_alone(task, k, w, tau, eta_fn, r * tau,
-                                      np.random.default_rng(key))
-                     for k, key in enumerate(keys)]
+            solo = [local_sgd(task, k, w, eta_fn, r * tau, picks[k])
+                    for k in range(users)]
+            alone = [_local_sgd_alone(task, k, w, eta_fn, r * tau, picks[k])
+                     for k in range(users)]
             assert np.array_equal(got, np.stack(solo))
             assert np.array_equal(got, np.stack(alone))
 
-    def test_generator_count_must_match_users(self):
+    def test_pick_rows_must_match_users(self):
         task = _small_task()
-        with pytest.raises(ValueError):
-            local_sgd(task, [0, 1, 2], np.zeros(task.model_dim), 2,
-                      lambda t: 0.1, 0, [np.random.default_rng(1)])
+        w = np.zeros(task.model_dim)
+        for users, picks in (([0, 1, 2], [[1, 2]]), ([0, 1], [1, 2]),
+                             (0, [[1, 2]]), (0, 1)):
+            with pytest.raises(ValueError):
+                local_sgd(task, users, w, lambda t: 0.1, 0, picks)
 
     @pytest.mark.parametrize("n", [2, 3, 50, 2 ** 31 - 1, 2 ** 32,
                                    2 ** 32 + 1, 2 ** 40])
     def test_sized_picks_equal_scalar_picks(self, n):
-        # local_sgd draws a user's tau picks in one sized call; they are
-        # the picks of tau scalar calls on the same generator.
+        # A run draws each user's picks in one sized call; they are the
+        # picks of scalar calls, round by round, on the user's stream, so
+        # a shorter run's picks are a prefix of a longer run's.
         for seed in range(50):
             for tau in (1, 4, 7):
-                sized = np.random.default_rng([seed, n]).integers(
-                    0, n, size=tau)
-                rng = np.random.default_rng([seed, n])
-                scalar = [int(rng.integers(0, n)) for _ in range(tau)]
-                assert sized.tolist() == scalar
+                sized = flsim._sgd_picks(seed, 2, 3, tau, n)
+                assert sized.shape == (2, 3, tau)
+                for k in range(2):
+                    rng = layout_stream(seed, k, 0, SGD_TAG)
+                    scalar = [int(rng.integers(0, n)) for _ in range(3 * tau)]
+                    assert sized[k].ravel().tolist() == scalar
 
 
 class TestCalibrateXi:
@@ -245,93 +252,8 @@ class TestCalibrateXi:
                               _calibrate_xi_alone(task, cfg))
 
 
-def _assert_default_rngs(rngs, entropies):
-    """Each generator of `rngs` is np.random.default_rng of its entropy."""
-    assert len(rngs) == len(entropies)
-    for g, e in zip(rngs, entropies):
-        ref = np.random.default_rng(e)
-        assert g.bit_generator.state == ref.bit_generator.state, e
-        for n in (2, 50, 2 ** 40):
-            assert (g.integers(0, n, size=4).tolist()
-                    == ref.integers(0, n, size=4).tolist()), e
-
-
-def _columns(rows):
-    """default_rngs's form of equal-length entropy rows: one array per int."""
-    return [np.array(col, dtype=object) for col in zip(*rows)]
-
-
-class TestDefaultRngs:
-    # Ints of 1 to 6 32-bit words, at the word boundaries.
-    INTS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
-            2 ** 96 + 3, 2 ** 128 + 2 ** 64 + 1, 2 ** 160 + 7]
-
-    def test_single_ints(self):
-        ints = np.array(self.INTS, dtype=object)
-        _assert_default_rngs(default_rngs([ints]), self.INTS)
-        for e in self.INTS:
-            _assert_default_rngs(default_rngs([e]), [e])
-
-    @pytest.mark.parametrize("width", range(1, 7))
-    def test_rows_of_1_to_6_words(self, width):
-        rows = np.arange(3 * width).reshape(3, width) * 977 + width
-        _assert_default_rngs(default_rngs(list(rows.T)), rows.tolist())
-
-    def test_mixed_word_counts_in_one_call(self):
-        rows = [[0, 5, 7], [2 ** 32, 5, 7], [2 ** 64 - 1, 2 ** 32 - 1, 0],
-                [2 ** 64, 2 ** 63, 1], [2 ** 160 + 7, 0, 2 ** 32],
-                [3, 2 ** 40, 9], [0, 0, 0], [1, 2, 3]]
-        _assert_default_rngs(default_rngs(_columns(rows)), rows)
-
-    def test_ints_shared_by_all_rows(self):
-        ks = np.array([0, 2 ** 32, 5, 2 ** 64 - 1], dtype=np.uint64)
-        for seed in (3, 2 ** 40, 2 ** 64):
-            _assert_default_rngs(default_rngs([seed, 102, ks, 7]),
-                                 [[seed, 102, int(k), 7] for k in ks])
-
-    @pytest.mark.parametrize("rows", [[[-1]], [[3, -2, 5]], [[1], [-1]],
-                                      [[-(2 ** 64)]]])
-    def test_negative_entropy_raises(self, rows):
-        for e in rows:
-            if min(e) < 0:
-                with pytest.raises(ValueError):
-                    np.random.default_rng(e)
-        with pytest.raises(ValueError):
-            default_rngs(_columns(rows))
-        with pytest.raises(ValueError):
-            default_rngs([np.array(col) for col in zip(*rows)])
-
-    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32,
-                                      2 ** 40 + 11, 2 ** 63, 2 ** 64 - 1,
-                                      2 ** 64])
-    @pytest.mark.parametrize("hash_rows", [1, 7, 512])
-    def test_sgd_rngs(self, seed, hash_rows, monkeypatch):
-        # 1 and 7 hash the seeds of 1 and 2 rounds at a time.
-        monkeypatch.setattr(flsim, "_SGD_HASH_ROWS", hash_rows)
-        rounds = list(flsim._sgd_rngs(seed, 3, 5))
-        assert len(rounds) == 5
-        for r, rngs in enumerate(rounds):
-            _assert_default_rngs(
-                rngs, [[seed, flsim._TAG_SGD, k, r] for k in range(3)])
-
-    def test_sgd_rngs_negative_seed_raises(self):
-        with pytest.raises(ValueError):
-            next(flsim._sgd_rngs(-1, 3, 4))
-
-    def test_local_sgd_iterates_reset_generators_once(self):
-        task = _small_task(users=3)
-        eta_fn = lambda t: 0.1  # noqa: E731
-        w = np.random.default_rng(4).normal(size=task.model_dim)
-        for r, rngs in enumerate(flsim._sgd_rngs(9, 3, 3)):
-            got = local_sgd(task, range(3), w, 5, eta_fn, 0, rngs)
-            want = local_sgd(task, range(3), w, 5, eta_fn, 0, [
-                np.random.default_rng([9, flsim._TAG_SGD, k, r])
-                for k in range(3)])
-            assert np.array_equal(got, want)
-
-
 def test_no_generator_seeded_per_round(monkeypatch):
-    # calibrate_xi and run_experiment hash their local-SGD seeds once per
+    # calibrate_xi and run_experiment draw their local-SGD picks once per
     # run: the seedings they make do not grow with the rounds.
     counts = {}
     for name in ("default_rng", "SeedSequence"):
@@ -465,13 +387,13 @@ def _rounds_one_user_at_a_time(cfg, task, xis):
     lat, spec = cfg.codec.build()
     sampler = (build_ppn_sampler(spec, lat, allow_degenerate=True)
                if cfg.baseline == "jopeq" else None)
+    picks = _layout_picks(cfg, task)
     w = np.zeros(task.model_dim)
     out = []
     for r in range(cfg.rounds):
         hs, hts, ovs = [], [], 0
         for k in range(task.users):
-            rng = np.random.default_rng([cfg.seed, flsim._TAG_SGD, k, r])
-            h = local_sgd(task, k, w, cfg.tau, eta_fn, r * cfg.tau, rng)
+            h = local_sgd(task, k, w, eta_fn, r * cfg.tau, picks[k, r])
             ht, ov = _uplink_alone(
                 cfg.baseline, h, lat, spec, sampler,
                 SharedRandomness(seed=cfg.seed, user=k, round_index=r),
@@ -620,6 +542,50 @@ class TestRunExperiment:
         got = [(m.loss_gap, m.snr_db, m.weights_distortion, m.overloads)
                for m in run_experiment(cfg, task, xis)]
         assert got == _rounds_one_user_at_a_time(cfg, task, xis)
+
+    def test_shorter_run_is_prefix(self):
+        # The bounds take xi from the whole run, so only they may differ.
+        cfg = self._cfg(baseline="jopeq", rounds=20)
+        long = run_experiment(cfg)
+        short = run_experiment(replace(cfg, rounds=7))
+        assert ([(m.loss_gap, m.snr_db, m.weights_distortion, m.overloads)
+                 for m in short] ==
+                [(m.loss_gap, m.snr_db, m.weights_distortion, m.overloads)
+                 for m in long[:7]])
+
+    @pytest.mark.parametrize("floor", [None, "calibrated", "large"])
+    @pytest.mark.parametrize("baseline", ["plain", "ppn", "jopeq"])
+    def test_bounds_use_xi_of_their_run(self, baseline, floor, monkeypatch):
+        # Theorems 6 and 7 assume ||g|| <= xi_k for every stochastic
+        # gradient of user k in the run they bound; xis is only a floor.
+        cfg = self._cfg(baseline=baseline, rounds=30, schedule="decay")
+        task = build_task(cfg.task, cfg.users, cfg.alpha_vector(), cfg.seed)
+        xis = {None: None, "calibrated": calibrate_xi(task, cfg),
+               "large": np.full(cfg.users, 1e3)}[floor]
+        seen = np.zeros(cfg.users)
+        used = []
+        real_grad = flsim.Task.sample_grad
+
+        def grad(self, k, w, i):
+            g = real_grad(self, k, w, i)
+            np.maximum.at(seen, k, np.linalg.norm(g, axis=-1))
+            return g
+
+        def bound(real, at):  # xis is positional argument `at`
+            def wrapped(*args):
+                used.append(np.array(args[at]))
+                return real(*args)
+            return wrapped
+
+        monkeypatch.setattr(flsim.Task, "sample_grad", grad)
+        monkeypatch.setattr(flsim, "theorem6_bound", bound(theorem6_bound, 3))
+        monkeypatch.setattr(flsim, "theorem7_bound", bound(theorem7_bound, 5))
+        run_experiment(cfg, task, xis)
+        assert len(used) == 2 * cfg.rounds and np.all(seen > 0.0)
+        want = 1.1 * seen if xis is None else np.maximum(xis, 1.1 * seen)
+        for xi in used:
+            assert np.all(seen <= xi)
+            assert np.allclose(xi, want, rtol=1e-12, atol=0.0)
 
     def test_seed_changes_trajectory(self):
         a = run_experiment(self._cfg(rounds=10, seed=0))

@@ -17,11 +17,7 @@ The outputs, all keyed on --seed:
   `fl-train` config (decay schedule, scalar R = 4, epsilon 2, 10 users,
   tau 4).
 - `fl.logistic.<baseline>`: the same for 60 rounds on the logistic task
-  (fixed schedule, otherwise FlConfig's defaults), its xi from
-  `calibrate_xi`.
-- `fl.bigseed.<baseline>`: the same for 60 rounds of sdq and jopeq on the
-  linear task at seed 2^40 + --seed, whose local-SGD entropy rows
-  [seed, tag, user, round] are 5 words long, not 4.
+  (fixed schedule, otherwise FlConfig's defaults).
 - `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
@@ -59,8 +55,6 @@ from pathlib import Path
 
 SWEEP_SMALL = {"sweep.rates": "1,4", "sweep.epsilons": "3", "fl.rounds": "25"}
 FL_ROUNDS = 60
-# A seed of two 32-bit words, for the `fl.bigseed.*` lines.
-BIG_SEED = 2 ** 40
 # The checks of `checks.CHECKS` whose reports are digested, by name, so
 # that a registry grown or reordered digests the same checks.
 VERIFY_CHECKS = ("sdq-distortion-law", "scalar-total-law", "vector-total-law",
@@ -107,19 +101,14 @@ def fl_digests(flsim, seed: int):
     yield from shared_task_digests(
         flsim, "fl.logistic",
         replace(base, task=flsim.TaskSpec(kind="logistic")))
-    big = replace(base, seed=BIG_SEED + seed)
-    for baseline in ("sdq", "jopeq"):
-        ms = flsim.run_experiment(replace(big, baseline=baseline))
-        yield f"fl.bigseed.{baseline}", metrics_digest(ms)
 
 
 def shared_task_digests(flsim, prefix: str, cfg):
-    """Every baseline on one task and one calibrate_xi, as `jopeq sweep`."""
+    """Every baseline on one task, as `jopeq sweep`."""
     task = flsim.build_task(cfg.task, cfg.users, cfg.alpha_vector(),
                             cfg.seed)
-    xis = flsim.calibrate_xi(task, cfg)
     for baseline in flsim.BASELINES:
-        ms = flsim.run_experiment(replace(cfg, baseline=baseline), task, xis)
+        ms = flsim.run_experiment(replace(cfg, baseline=baseline), task)
         yield f"{prefix}.{baseline}", metrics_digest(ms)
 
 
