@@ -104,12 +104,10 @@ def _codec_spec(cfg: dict, rate: int | None = None,
     )
 
 
-def _fl_config(cfg: dict, baseline: str, seed: int,
-               rate: int | None = None,
-               epsilon: float | None = None) -> flsim.FlConfig:
+def _fl_config(cfg: dict, baseline: str, seed: int) -> flsim.FlConfig:
     return flsim.FlConfig(
         task=_task_spec(cfg),
-        codec=_codec_spec(cfg, rate, epsilon),
+        codec=_codec_spec(cfg),
         baseline=baseline,
         users=int(cfg["fl.users"]),
         tau=int(cfg["fl.tau"]),

@@ -199,8 +199,9 @@ def _blocks(k: int, m: int, dim: int):
     coded, as (r0, r1, lo, hi): sub-vectors lo, ..., hi-1 of rows r0, ...,
     r1-1. A block holds at most S = _BLOCK // dim sub-vectors. When M <= S
     it is a group of whole rows; else a row is cut into ceil(M / S) slices
-    whose sizes differ by at most one, so none is a one-sub-vector slice of
-    a longer row (see `lattice._products`).
+    whose sizes differ by at most one. The cut does not change the output:
+    each sub-vector is coded alone, by elementwise products with the
+    lattice generator.
     """
     per = _BLOCK // dim
     if m <= per:

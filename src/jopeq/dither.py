@@ -151,9 +151,9 @@ def dither_block(sr, lat: Lattice, count: int, start: int = 0, *,
     streams, one per row of a batch: then count must be a multiple of K,
     and rows k count/K, ..., (k+1) count/K - 1 equal dither_block(sr[k],
     lat, count // K, start). The rows are drawn in order, each one fully
-    before the next, as `_KeyedStreams` requires. A hexagonal block of one
-    vector per stream takes the one-row products of `lattice._products`,
-    as a row of one sub-vector does in any batch.
+    before the next, as `_KeyedStreams` requires. Row i does not depend on
+    count or on the other streams: the products with the lattice generator
+    are elementwise (`lattice._generate`).
 
     out, a (count, L) array, takes the result in place of a new array;
     the draws go to scratch, `lattice._scratch_size` floats that are
@@ -172,7 +172,7 @@ def dither_block(sr, lat: Lattice, count: int, start: int = 0, *,
     u = scratch[:count * dim].reshape(len(srs), per * dim)
     for row, gen in zip(u, _KeyedStreams(srs, _DITHER_TAG, (start * dim,))):
         gen.random(out=row)
-    _cell_residual(lat, scratch, out, per == 1)
+    _cell_residual(lat, scratch, out)
     return out
 
 

@@ -91,16 +91,27 @@ class Lattice:
         return int(self._lookup[(self._lmax,) * self.dimension])
 
 
-def _generate(family: str, generator: np.ndarray, coords) -> np.ndarray:
+def _generate(family: str, generator: np.ndarray, coords,
+              out: np.ndarray | None = None) -> np.ndarray:
     """
-    G l for each vector l of coords, shape (..., L). The scaled-identity
-    families multiply by the spacing: the matrix product's off-diagonal
-    terms are exact zeros, so the result is the same, bit for bit, without
-    the product or a cast of integer coordinates.
+    G l for each vector l of coords, shape (..., L), into out if given
+    (which must not overlap coords for a hexagonal lattice). The product is
+    taken elementwise in a fixed order, so it is the same bit for bit on any
+    host and for any count of vectors: the scaled-identity families multiply
+    by the spacing, and the upper-triangular hexagonal G gives
+    (g00 l0 + g01 l1, g11 l1).
     """
-    if family == "hexagonal":
-        return coords @ generator.T
-    return coords * generator[0, 0]
+    if family != "hexagonal":
+        return np.multiply(coords, generator[0, 0], out=out)
+    if out is None:
+        out = np.empty(coords.shape)
+    (g00, g01), (_, g11) = generator
+    x0, x1 = out[..., 0], out[..., 1]
+    np.multiply(coords[..., 0], g00, out=x0)
+    np.multiply(coords[..., 1], g01, out=x1)
+    x0 += x1
+    np.multiply(coords[..., 1], g11, out=x1)
+    return out
 
 
 def _build(base: np.ndarray, delta_q: float, gamma: float, rate: int,
@@ -316,22 +327,6 @@ def _pieces(lat: Lattice, n: int, scratch: np.ndarray):
                scratch[2 * r:5 * r])
 
 
-def _products(lat: Lattice, a: np.ndarray, out: np.ndarray,
-              one_row: bool) -> None:
-    """
-    out = a @ G.T for the (n, 2) arrays of a hexagonal lattice. numpy
-    takes a one-row product through its vector path, whose last bit differs
-    from a matrix product's for about a fifth of rows, and the rows of
-    matrices of two or more rows do not depend on how many there are. So
-    with one_row each row is its own one-row product, as a row of one
-    sub-vector is in any batch, and else a is one matrix, which the caller
-    never cuts down to one row.
-    """
-    if one_row:
-        a, out = a[:, None], out[:, None]
-    np.matmul(a, lat.generator.T, out=out)
-
-
 def _index_into(lat: Lattice, coords: np.ndarray, idx: np.ndarray,
                 overloaded: np.ndarray, spare: np.ndarray) -> None:
     """
@@ -395,14 +390,12 @@ def quantize_clipped(lat: Lattice, x: np.ndarray, *, out=None,
         spare = scratch[coords.size:] if lat.family != "hexagonal" else tmp
         _index_into(lat, coords, idx[rows], overloaded[rows], spare)
     if np.any(overloaded):
-        # The nearest codebook point by brute force. Two rows at least:
-        # a one-row product (`_products`) may differ in its last bit.
+        # The nearest codebook point by brute force, by the sum of squared
+        # per-axis differences: each row's distances are its own.
         bad = flat[overloaded]
-        pad = bad if len(bad) > 1 else np.repeat(bad, 2, axis=0)
-        d2 = (np.sum(pad ** 2, axis=1)[:, None]
-              - 2.0 * pad @ lat.codebook.T
-              + np.sum(lat.codebook ** 2, axis=1)[None, :])
-        idx[overloaded] = np.argmin(d2, axis=1)[:len(bad)]
+        d2 = sum((bad[:, a, None] - lat.codebook[:, a]) ** 2
+                 for a in range(lat.dimension))
+        idx[overloaded] = np.argmin(d2, axis=1)
     if out is not None:
         return None, idx, overloaded
     # np.take copies the rows several times faster than codebook[idx].
@@ -411,34 +404,25 @@ def quantize_clipped(lat: Lattice, x: np.ndarray, *, out=None,
             idx.reshape(batch_shape), overloaded.reshape(batch_shape))
 
 
-def _cell_residual(lat: Lattice, scratch: np.ndarray, out: np.ndarray,
-                   one_row: bool) -> None:
+def _cell_residual(lat: Lattice, scratch: np.ndarray,
+                   out: np.ndarray) -> None:
     """
     Map unit-cube coordinates u to G u - Q_L(G u) in the basic cell; u
     uniform over [0, 1)^L gives a cell-uniform result. The (n, L)
     coordinates u lie in scratch[:n L] on entry, and out receives the (n, L)
-    residuals; scratch, of `_scratch_size` floats, is spent.
-    The hexagonal products with G are those of `_products`: with one_row,
-    one per row, else of matrices of at least two rows, so each row's
-    result is what mapping its row of a whole batch gives, bit for bit.
-    The scaled-identity families scale by the spacing instead,
-    elementwise.
+    residuals; scratch, of `_scratch_size` floats, is spent. The products
+    with G are `_generate`'s, so each row's result is what mapping that row
+    alone gives, bit for bit.
     """
     n, dim = out.shape
-    u = scratch[:n * dim].reshape(n, dim)
-    if lat.family != "hexagonal":
-        g = lat.generator[0, 0]
-        np.multiply(u, g, out=out)
-        c = u  # spent
-        _nearest_coords_into(lat, out, c, c[:0])
-        c *= g
-        out -= c
-        return
-    _products(lat, u, out, one_row)
+    _generate(lat.family, lat.generator, scratch[:n * dim].reshape(n, dim),
+              out)
     for rows, coords, tmp in _pieces(lat, n, scratch):
         _nearest_coords_into(lat, out[rows], coords, tmp)
-        point = tmp[:coords.size].reshape(coords.shape)
-        _products(lat, coords, point, one_row)
+        # A scaled-identity piece has no temporaries: it scales its
+        # coordinates in place.
+        point = tmp[:coords.size].reshape(coords.shape) if tmp.size else coords
+        _generate(lat.family, lat.generator, coords, point)
         out[rows] -= point
 
 
@@ -497,13 +481,16 @@ def _hexagon_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
         for j in range(6):
             a, b = verts[j], verts[(j + 1) % 6]
             edge = b - a
-            elen = np.linalg.norm(edge)
+            elen = math.hypot(*edge)
             u = edge / elen
             n = np.array([u[1], -u[0]])  # outward for CCW vertex order
             mid = 0.5 * (a + b)
-            seg = elen * np.exp(1j * (k @ mid)) * np.sinc((k @ u) * elen
-                                                          / (2.0 * np.pi))
-            acc += (k @ n) / (1j * knorm2[big]) * seg
+            # k . v as an elementwise sum, not a BLAS product.
+            k_mid, k_u, k_n = (k[:, 0] * v[0] + k[:, 1] * v[1]
+                               for v in (mid, u, n))
+            seg = elen * np.exp(1j * k_mid) * np.sinc(k_u * elen
+                                                      / (2.0 * np.pi))
+            acc += k_n / (1j * knorm2[big]) * seg
         out[big] = np.real(acc) / area
 
     return out.reshape(shape)

@@ -142,12 +142,11 @@ def t_spec(epsilon: float, dimension: int, nu: float,
                          s2=s2, sensitivity=float(sensitivity))
 
 
-def t_mech_epsilon(nu: float, sigma: np.ndarray | float, delta: float,
-                   d: int | None = None,
+def t_mech_epsilon(nu: float, d: int, delta: float,
                    exponent: str = T_MECH_EXPONENT_VERBATIM) -> float:
     """
-    Privacy budget of the t_nu(0, Sigma) mechanism at whitened
-    sensitivity delta.
+    Privacy budget of the d-dimensional t_nu(0, Sigma) mechanism at
+    whitened sensitivity delta; Sigma enters only through the whitening.
 
     exp(eps) = [(1 + c^2/nu) / (1 + (c-delta)^2/nu)]^p with
     c = (delta + sqrt(delta^2 + 4 nu)) / 2 and p = (nu+d)^2 (verbatim
@@ -155,12 +154,6 @@ def t_mech_epsilon(nu: float, sigma: np.ndarray | float, delta: float,
     """
     if nu <= 0 or delta < 0:
         raise InfeasibleParametersError("need nu > 0 and delta >= 0")
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if d is None:
-        d = sigma.shape[0]
-    eigs = np.linalg.eigvalsh(sigma)
-    if np.any(eigs <= 0):
-        raise InfeasibleParametersError("Sigma must be positive definite")
     c = 0.5 * (delta + math.sqrt(delta * delta + 4.0 * nu))
     ratio = (1.0 + c * c / nu) / (1.0 + (c - delta) ** 2 / nu)
     if exponent == T_MECH_EXPONENT_VERBATIM:
@@ -176,16 +169,15 @@ def solve_t_params(epsilon: float, d: int, delta: float, nu: float,
                    exponent: str = T_MECH_EXPONENT_VERBATIM) -> float:
     """
     Scale s^2 with Sigma = s^2 I_d such that the t mechanism meets the
-    budget: t_mech_epsilon(nu, s^2 I, delta/s) = epsilon within relative
+    budget: t_mech_epsilon(nu, d, delta/s) = epsilon within relative
     1e-9, by bracketed root finding on s in [1e-6, 1e6].
     """
     if epsilon <= 0:
         raise InfeasibleParametersError("epsilon must be positive")
-    eye = np.eye(d)
 
     def gap(log_s: float) -> float:
-        s = math.exp(log_s)
-        return t_mech_epsilon(nu, s * s * eye, delta / s, d, exponent) - epsilon
+        return t_mech_epsilon(nu, d, delta / math.exp(log_s),
+                              exponent) - epsilon
 
     lo, hi = math.log(1e-6), math.log(1e6)
     if gap(lo) * gap(hi) > 0:
@@ -193,7 +185,7 @@ def solve_t_params(epsilon: float, d: int, delta: float, nu: float,
             f"no scale in [1e-6, 1e6] meets epsilon={epsilon}")
     log_s = optimize.brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
     s = math.exp(log_s)
-    achieved = t_mech_epsilon(nu, s * s * eye, delta / s, d, exponent)
+    achieved = t_mech_epsilon(nu, d, delta / s, exponent)
     if abs(achieved - epsilon) > 1e-9 * epsilon:
         raise InfeasibleParametersError("root finding did not converge")
     return s * s

@@ -1,5 +1,6 @@
 """
-The keyed stream layout (see jopeq.dither), built directly, the mixed rows
+The keyed stream layout (see jopeq.dither), built directly, the product
+with the lattice generator that maps its draws to dithers, the mixed rows
 the stream tests use, and the block size of the block tests.
 """
 
@@ -29,6 +30,19 @@ def layout_stream(seed, user, round_index, tag):
         key=[np.uint64(seed & (2 ** 64 - 1)), np.uint64(user)],
         counter=[np.uint64(0), np.uint64(0), np.uint64(round_index),
                  np.uint64(tag)]))
+
+
+def times_generator(lat, a):
+    """
+    G a for each vector a of shape (..., L), elementwise and in a fixed
+    order: (g00 a0 + g01 a1, g11 a1) for the upper-triangular hexagonal G,
+    the spacing times a for the scaled-identity families.
+    """
+    g = lat.generator
+    if lat.family != "hexagonal":
+        return a * g[0, 0]
+    return np.stack([a[..., 0] * g[0, 0] + a[..., 1] * g[0, 1],
+                     a[..., 1] * g[1, 1]], axis=-1)
 
 
 # Sub-vectors per block in the block tests, which set the codec's budget

@@ -25,7 +25,7 @@ from jopeq.lattice import (_nearest_coords, hexagonal_lattice, scalar_uniform,
                            square_lattice)
 from jopeq.privacy import build_ppn_sampler, laplace_spec, t_spec
 from stream_layout import (BLOCK, DITHER_TAG, MIXED, NOISE_TAG, layout_stream,
-                           small_blocks)
+                           small_blocks, times_generator)
 
 
 def _roundtrip(h, lat, seed=0, sampler=None):
@@ -329,8 +329,8 @@ class TestSnr:
 
 def _residual_whole(lat, u):
     """The dither map as whole (K, M, L) products with G."""
-    x = u @ lat.generator.T
-    return x - _nearest_coords(lat, x).astype(np.int64) @ lat.generator.T
+    x = times_generator(lat, u)
+    return x - times_generator(lat, _nearest_coords(lat, x))
 
 
 def _ppn_whole(samp, m, g):
@@ -353,13 +353,9 @@ def _quantize_whole(lat, flat):
     overloaded = ~((idx >= 0)
                    & np.all(clipped == coords + lat._lmax, axis=-1))
     if np.any(overloaded):
-        # Products of two rows at least, as quantize_clipped takes them.
         bad = flat[overloaded]
-        pad = np.repeat(bad, 2, axis=0)
-        d2 = (np.sum(pad ** 2, axis=1)[:, None]
-              - 2.0 * pad @ lat.codebook.T
-              + np.sum(lat.codebook ** 2, axis=1)[None, :])
-        idx[overloaded] = np.argmin(d2, axis=1)[::2]
+        d2 = np.sum((bad[:, None, :] - lat.codebook) ** 2, axis=-1)
+        idx[overloaded] = np.argmin(d2, axis=1)
     return idx, overloaded
 
 
@@ -452,9 +448,9 @@ class TestBlocks:
 
     @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
     def test_one_subvector_tail(self, family, monkeypatch):
-        # Rows one sub-vector longer than a block. A slice of that one
-        # sub-vector would take one-row hexagonal products, whose last bit
-        # differs from the whole row's for about a fifth of rows.
+        # Rows one sub-vector longer than a block: the blocks are cut
+        # evenly, and a one-sub-vector slice would code as the whole row
+        # does too.
         lat, samp = _codec(family)
         small_blocks(monkeypatch, lat.dimension, 64)
         m, k = 65, 40
@@ -467,8 +463,8 @@ class TestBlocks:
     @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
     def test_one_overloaded_subvector_in_a_block(self, family, monkeypatch):
         # Block 0 of a row holds one overloaded sub-vector and block 1
-        # three: the brute-force search of block 0 is a one-row product
-        # unless it is padded, and the whole row's is not.
+        # three: each block's brute-force search names the same nearest
+        # points as the whole row's.
         make = scalar_uniform if family == "scalar" else hexagonal_lattice
         lat = make(1.0, 3)
         dim = lat.dimension

@@ -10,7 +10,7 @@ from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
 from jopeq.privacy import PpnSampler, build_ppn_sampler, laplace_spec, t_spec
 from jopeq.stattests import correlation_test, ks_test
 from stream_layout import (BLOCK, DITHER_TAG, MIXED, NOISE_TAG, layout_stream,
-                           small_blocks)
+                           small_blocks, times_generator)
 
 
 class TestSharedStream:
@@ -24,12 +24,9 @@ class TestSharedStream:
         sr = SharedRandomness(seed=11, user=1, round_index=3)
         lat = hexagonal_lattice(3.0, 3)
         block = dither_block(sr, lat, 4)
-        # Row i, the dither of sub-vector i, does not depend on the count
-        # of two rows or more; a one-row block takes the one-row product
-        # (see test_stream_sequence_stacks_single_streams).
+        # Row i, the dither of sub-vector i, does not depend on the count.
         for i in range(4):
-            count = max(i + 1, 2)
-            assert np.array_equal(block[i], dither_block(sr, lat, count)[i])
+            assert np.array_equal(block[i], dither_block(sr, lat, i + 1)[i])
 
     @pytest.mark.parametrize("tag", [DITHER_TAG, NOISE_TAG])
     def test_rounds_share_no_draw(self, tag):
@@ -45,8 +42,7 @@ class TestSharedStream:
 
     @pytest.mark.parametrize("count", [1, 7])
     def test_stream_sequence_stacks_single_streams(self, count):
-        # One sub-vector per stream is the (1, L) product with G, which
-        # takes another BLAS path than a block of several.
+        # One sub-vector per stream codes as a block of several does.
         lat = hexagonal_lattice(3.0, 3)
         srs = [SharedRandomness(seed=2, user=k, round_index=5)
                for k in range(3)]
@@ -91,7 +87,7 @@ class TestStreamLayout:
         for k, sr in enumerate(MIXED):
             u = layout_stream(sr.seed, sr.user, sr.round_index,
                               DITHER_TAG).random((per, lat.dimension))
-            x = u @ lat.generator.T
+            x = times_generator(lat, u)
             assert np.array_equal(got[k * per:(k + 1) * per],
                                   x - nearest_point(lat, x))
 
@@ -204,7 +200,7 @@ class TestStreamOffsets:
         for k, sr in enumerate(MIXED):
             u = self.after(sr, DITHER_TAG, start * lat.dimension).random(
                 (per, lat.dimension))
-            x = u @ lat.generator.T
+            x = times_generator(lat, u)
             assert np.array_equal(got[k * per:(k + 1) * per],
                                   x - nearest_point(lat, x))
             whole = dither_block(sr, lat, start + per)

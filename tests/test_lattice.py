@@ -1,10 +1,16 @@
 """Lattice geometry, quantization, the dither's cell law and the cell CF."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jopeq
 from jopeq.dither import SharedRandomness, dither_block
 from jopeq.flsim import CodecSpec
 from jopeq.lattice import (MAX_GRID_ENTRIES, ConfigurationError, cell_cf,
@@ -229,11 +235,10 @@ class TestQuantizeClipped:
 
     def test_overload_search_does_not_depend_on_the_batch(self):
         # A point outside the codebook within an ulp of two codebook points'
-        # bisector: on one x86-64 host a one-row product with the codebook
-        # took numpy's vector path and named another nearest point than
-        # the same row in a matrix did. The search never takes one-row
-        # products, so a point's index does not depend on which other
-        # points overload with it.
+        # bisector: a matrix product with the codebook once named another
+        # nearest point for it alone than in a batch of two. The search
+        # sums per-axis squared differences, so a point's index does not
+        # depend on which other points overload with it.
         lat = hexagonal_lattice(1.0, 3)
         tie = [0.11903910085799466, -1.1652023537060643]
         _, alone, over = quantize_clipped(lat, np.array([tie]))
@@ -347,3 +352,57 @@ class TestArrayConvention:
             assert np.array_equal(point[i], row[0])
             assert np.array_equal(idx[i], row[1])
             assert np.array_equal(over[i], row[2])
+
+
+# Run in a child process: prints one `name sha256` line for each hexagonal
+# lattice output, and for "control", a BLAS matrix product of the same
+# points with the generator.
+_HEX_CHILD = """
+import hashlib
+import numpy as np
+from jopeq.dither import SharedRandomness, dither_block
+from jopeq.lattice import (cell_cf, hexagonal_lattice, nearest_point,
+                           quantize_clipped)
+from jopeq.privacy import build_ppn_sampler, t_spec
+
+lat = hexagonal_lattice(9.0, 3)
+x = np.random.default_rng(5).normal(0.0, 6.0, (4096, 2))
+srs = [SharedRandomness(seed=11, user=k, round_index=3) for k in range(256)]
+samp = build_ppn_sampler(t_spec(3.0, 2, 3.0), lat, grid_points=64,
+                         refine_iters=5)
+for name, a in (("control", x @ lat.generator.T),
+                ("dither.stream", dither_block(srs[0], lat, 4096)),
+                ("dither.per-stream", dither_block(srs, lat, len(srs))),
+                ("codebook", lat.codebook),
+                ("nearest_point", nearest_point(lat, x)),
+                ("quantize_clipped", quantize_clipped(lat, x)[0]),
+                ("cell_cf", cell_cf(lat, x)),
+                ("ppn", np.concatenate([samp.density.ravel(), samp._cdf]))):
+    print(name, hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_hexagonal_outputs_do_not_depend_on_the_blas_core():
+    # Both sides with single-threaded BLAS, one on OpenBLAS's default
+    # kernels for this CPU and one on its Prescott kernels, which use no
+    # fused multiply-add. A BLAS product may round differently on the two;
+    # the lattice's products with G are elementwise, so its outputs may not.
+    src = Path(jopeq.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                              "MKL_NUM_THREADS"), "1"))
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = []
+    for core in (None, "Prescott"):
+        child = dict(env, OPENBLAS_CORETYPE=core) if core else env
+        out = subprocess.run([sys.executable, "-c", _HEX_CHILD], env=child,
+                             check=True, timeout=300, capture_output=True,
+                             text=True).stdout
+        runs.append(dict(line.split() for line in out.splitlines()))
+    default, prescott = runs
+    assert len(default) == 8 and default.keys() == prescott.keys()
+    if default.pop("control") == prescott.pop("control"):
+        pytest.skip("the BLAS core type does not change a matrix product "
+                    "on this host")
+    for name in default:
+        assert default[name] == prescott[name], name
