@@ -29,7 +29,6 @@ from .privacy import PpnSampler
 __all__ = [
     "EncodedUpdate",
     "CorruptPayloadError",
-    "scale_coefficient",
     "scale_rows",
     "encode_rows",
     "encode",
@@ -169,28 +168,28 @@ def _zeta(h: np.ndarray, m_subvectors: int) -> float:
     return math.sqrt(m_subvectors) / (3.0 * norm)
 
 
-def scale_coefficient(h: np.ndarray, m_subvectors: int) -> float:
-    """
-    Scaling coefficient zeta = sqrt(M) / (3 ||h||), which keeps the scaled
-    sub-vectors inside the unit ball with probability over 88% for zero-mean
-    coordinates (Chebyshev). Undefined for a zero-norm update, and refused
-    for a non-finite one, whose decoded values would all be non-finite.
-    """
-    with np.errstate(over="ignore"):
-        return _zeta(np.asarray(h, dtype=float).ravel(order="K"),
-                     m_subvectors)
-
-
 def scale_rows(hs: np.ndarray, m_subvectors: int) -> np.ndarray:
     """
-    zeta of each row of a (K, d) batch by `scale_coefficient`, one row at a
-    time (a row-wise norm is not bit-equal to the 1-D one); an all-zero
-    row gets the unit scale of `encode`'s zero-point sentinel.
+    Scaling coefficient zeta = sqrt(M) / (3 ||h||) of each row h of a
+    (K, d) batch, which keeps the scaled sub-vectors inside the unit ball
+    with probability over 88% for zero-mean coordinates (Chebyshev). An
+    all-zero row gets the unit scale of `encode`'s zero-point sentinel; a
+    row that is not finite, whose decoded values would all be non-finite,
+    is refused (ValueError).
+
+    Each row's sum of squares is one (1, d) @ (d, 1) product of a stacked
+    matmul, which takes the dot product of a 1-D h @ h, so it is bit-equal
+    to the per-row norm (a row-wise np.linalg.norm is not). Only a row
+    whose sum is 0 or not finite is redone alone: a zero row, a finite
+    one whose sum under- or overflowed, or a non-finite one.
     """
     hs = np.ascontiguousarray(hs, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.array([_zeta(h, m_subvectors) if h.any() else 1.0
-                         for h in hs])
+    with np.errstate(all="ignore"):  # only rows redone below can warn
+        sq = np.matmul(hs[:, None, :], hs[:, :, None])[:, 0, 0]
+        zetas = math.sqrt(m_subvectors) / (3.0 * np.sqrt(sq))
+        for k in np.flatnonzero((sq == 0.0) | ~np.isfinite(sq)):
+            zetas[k] = _zeta(hs[k], m_subvectors) if hs[k].any() else 1.0
+    return zetas
 
 
 def _blocks(k: int, m: int, dim: int):

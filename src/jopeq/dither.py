@@ -27,6 +27,7 @@ after 2^128 steps. The rounds of one (seed, user) and the tags of one
 round thus read disjoint streams.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,16 @@ __all__ = ["SharedRandomness", "dither_block", "sdq"]
 # space (other streams derived from the same seed must use other tags).
 _DITHER_TAG = 0xD17E
 
-# The seed of the Philox each `_KeyedStreams` iteration builds, whose
-# state is set before any draw: a seed sequence made once spares each
-# build the OS-entropy read of an unseeded one (5.5 against 8.4 us a
-# build).
+# The seed of the Philox a `_KeyedStreams` iteration builds when its
+# thread has none free, whose state is set before any draw: a seed
+# sequence made once spares each build the OS-entropy read of an unseeded
+# one (5.5 against 8.4 us a build).
 _PLACEHOLDER_SEED = np.random.SeedSequence(0)
+
+# Each thread's free (Philox, Generator) pair, taken by one iteration of
+# `_KeyedStreams` at a time; building one costs about 4.9 us, more than
+# the draws of a short row.
+_FREE = threading.local()
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,14 @@ class _KeyedStreams:
     (0, 0, srs[k].round_index, tag). It is one Generator over one Philox
     whose state is reset before each row, which costs a fraction of
     building a Philox per row. So each row's generator must be used fully
-    before the next one is taken. The Philox is made per iteration and is
-    never shared between calls.
+    before the next one is taken, and none after the iteration ends.
+
+    An iteration takes its thread's free pair of Philox and Generator and
+    gives it back when it ends (run out, left by a break, or dropped), so
+    calls on one thread reuse one pair, and each thread has its own. An
+    iteration that finds its thread's pair taken, by an iteration nested
+    in it or interleaved with it, builds its own. As every row's state is
+    set before its first draw, no draw depends on earlier calls.
 
     `starts` gives the draw offset of each read of a row: with one start,
     each row's generator is yielded positioned there. With several, read i
@@ -95,14 +107,22 @@ class _KeyedStreams:
         return len(self._srs)
 
     def __iter__(self):
-        bit = np.random.Philox(_PLACEHOLDER_SEED)
-        gen = np.random.Generator(bit)
-        for sr in self._srs:
-            if len(self._starts) == 1:
-                _position(bit, sr, self._tag, self._starts[0])
-                yield gen
-            else:
-                yield _Reads(gen, sr, self._tag, self._starts)
+        pair = getattr(_FREE, "pair", None)
+        if pair is None:
+            bit = np.random.Philox(_PLACEHOLDER_SEED)
+            pair = bit, np.random.Generator(bit)
+        else:
+            _FREE.pair = None
+        bit, gen = pair
+        try:
+            for sr in self._srs:
+                if len(self._starts) == 1:
+                    _position(bit, sr, self._tag, self._starts[0])
+                    yield gen
+                else:
+                    yield _Reads(gen, sr, self._tag, self._starts)
+        finally:
+            _FREE.pair = pair
 
 
 class _Reads:

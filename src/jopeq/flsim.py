@@ -183,10 +183,10 @@ class Task:
         """
         sum_k alpha_k F_k(w). The (K, n, d) @ w product gives each user's
         margins bit for bit as xs[k] @ w does; the terms are then added
-        one by one in user order, as np.sum would not.
+        one by one in user order (see `fedavg_round`).
         """
         per_user = self._mean_loss(self.xs @ w, self.ys, w)
-        return float(sum(a * float(f) for a, f in zip(self.alphas, per_user)))
+        return float(np.add.accumulate(self.alphas * per_user)[-1])
 
     def sample_grad(self, k, w: np.ndarray, i) -> np.ndarray:
         """
@@ -358,11 +358,19 @@ def _sgd_picks(seed: int, users: int, rounds: int, tau: int,
 
 
 def fedavg_round(w: np.ndarray, updates, alphas) -> np.ndarray:
-    """Weighted aggregation w + sum_k alpha_k h_k."""
-    out = w.copy()
-    for a, h in zip(alphas, updates):
-        out = out + a * h
-    return out
+    """
+    Weighted aggregation w + sum_k alpha_k h_k of K updates (a (K, d)
+    array or a sequence of K), as a new array. w and the terms are added
+    one by one in user order: np.add.accumulate is sequential, where
+    np.sum and np.add.reduce may add pairwise (they do when d = 1 and
+    K >= 8).
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    terms = np.empty((len(alphas) + 1, len(w)))
+    terms[0] = w
+    np.multiply(alphas[:, None], np.reshape(updates, terms[1:].shape),
+                out=terms[1:])
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def theorem6_bound(sigma2: float, etas, alphas, xis, tau: int) -> float:

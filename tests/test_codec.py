@@ -17,8 +17,7 @@ import pytest
 
 from jopeq import codec
 from jopeq.codec import (CorruptPayloadError, EncodedUpdate, decode,
-                         decode_rows, encode, encode_rows, scale_coefficient,
-                         scale_rows, snr)
+                         decode_rows, encode, encode_rows, scale_rows, snr)
 from jopeq.dither import SharedRandomness
 from jopeq.flsim import CodecSpec
 from jopeq.lattice import (_nearest_coords, hexagonal_lattice, scalar_uniform,
@@ -35,14 +34,12 @@ def _roundtrip(h, lat, seed=0, sampler=None):
 
 
 class TestScaleCoefficient:
-    def test_examples(self):
-        assert scale_coefficient(np.array([1.0]), 9) == pytest.approx(1.0)
-        h = np.array([2.0, 0.0])
-        assert scale_coefficient(h, 4) == pytest.approx(1.0 / 3.0)
+    """zeta of one-row batches of `scale_rows`."""
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            scale_coefficient(np.zeros(4), 2)
+    def test_examples(self):
+        assert scale_rows(np.array([[1.0]]), 9)[0] == pytest.approx(1.0)
+        h = np.array([[2.0, 0.0]])
+        assert scale_rows(h, 4)[0] == pytest.approx(1.0 / 3.0)
 
     def test_non_finite_rejected(self):
         # One inf gives zeta = 0, a NaN gives zeta = NaN; either way every
@@ -52,7 +49,7 @@ class TestScaleCoefficient:
             h = np.random.default_rng(1).normal(0.0, 1.0, 1000)
             h[500] = bad
             with pytest.raises(ValueError):
-                scale_coefficient(h, 1000)
+                scale_rows(h[None], 1000)
             with pytest.raises(ValueError):
                 encode(h, lat, None, SharedRandomness(0))
 
@@ -61,7 +58,7 @@ class TestScaleCoefficient:
         # letting the overflow surface as a warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            zeta = scale_coefficient(np.full(4, 1e160), 4)
+            zeta = scale_rows(np.full((1, 4), 1e160), 4)[0]
         assert zeta == pytest.approx(1.0 / 3e160, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("value", [1e160, 1e-170])
@@ -81,9 +78,50 @@ class TestScaleCoefficient:
         # expected squared norm of 1/9; Chebyshev keeps overshoot rare.
         rng = np.random.default_rng(0)
         h = rng.normal(0.0, 1.0, 10_000)
-        zeta = scale_coefficient(h, 5000)
+        zeta = scale_rows(h[None], 5000)[0]
         norms = np.linalg.norm(zeta * h.reshape(5000, 2), axis=1)
         assert np.mean(norms > 1.0) < 0.12
+
+
+def _zetas_alone(hs, m):
+    """zeta of each row by `codec._zeta` on its own: the reference."""
+    with np.errstate(over="ignore"):
+        return np.array([codec._zeta(h, m) if h.any() else 1.0 for h in hs])
+
+
+@pytest.mark.filterwarnings("error")
+class TestStackedZetas:
+    """scale_rows's stacked sums of squares give each row's zeta alone."""
+
+    @pytest.mark.parametrize("d", [1, 10, 10_001, 1 << 20])
+    def test_rows_equal_zeta_alone(self, d):
+        k = 2 if d > 10_001 else 6
+        rng = np.random.default_rng([4, d])
+        hs = rng.normal(0.0, 1.0, (k, d)) * np.logspace(-5, 5, k)[:, None]
+        m = -(-d // 2)
+        assert scale_rows(hs, m).tobytes() == _zetas_alone(hs, m).tobytes()
+
+    def test_zero_and_extreme_rows_equal_zeta_alone(self):
+        # A zero row gets 1.0 with no divide-by-zero warning, and rows whose
+        # sums of squares overflow (1e160) or underflow (1e-170) take the
+        # rescale path, between ordinary rows.
+        rng = np.random.default_rng(5)
+        hs = rng.normal(0.0, 1.0, (6, 7))
+        hs[1] = 0.0
+        hs[2] = 1e160
+        hs[4] = 1e-170
+        hs[5, :3] = -0.0
+        hs[5, 3:] = 0.0
+        got = scale_rows(hs, 4)
+        assert got[1] == got[5] == 1.0
+        assert got.tobytes() == _zetas_alone(hs, 4).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_row_rejected(self, bad):
+        hs = np.random.default_rng(6).normal(0.0, 1.0, (3, 5))
+        hs[1, 2] = bad
+        with pytest.raises(ValueError):
+            scale_rows(hs, 3)
 
 
 class TestSubvectorLayout:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jopeq import codec, dither
 from jopeq.codec import encode_rows, scale_rows
 from jopeq.dither import SharedRandomness, _KeyedStreams, dither_block, sdq
 from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
@@ -228,6 +229,54 @@ class TestStreamOffsets:
                                          NOISE_TAG))[lo:hi]
             for sr in MIXED])
         assert np.array_equal(got, want)
+
+
+def _draw_rows(rows):
+    """Draws of every row of an iteration: 5 doubles, then 3 integers."""
+    return [np.concatenate([gen.random(5), gen.integers(0, 2 ** 20, 3)])
+            for gen in rows]
+
+
+class TestPhiloxReuse:
+    """Iterations of `_KeyedStreams` reuse their thread's Philox."""
+
+    def test_interleaved_iterations_draw_as_apart(self):
+        # The second iteration finds the thread's Philox taken and builds
+        # its own, so taking rows of both in turn changes no draw.
+        first = _KeyedStreams(MIXED, NOISE_TAG)
+        second = _KeyedStreams(MIXED[::-1], DITHER_TAG, (7,))
+        apart = _draw_rows(first), _draw_rows(second)
+        together = ([], [])
+        for a, b in zip(first, second):
+            together[0].extend(_draw_rows([a]))
+            together[1].extend(_draw_rows([b]))
+        for got, want in zip(together, apart):
+            assert np.array_equal(got, want)
+
+    def test_pool_thread_draws_as_the_main_thread(self):
+        rows = _KeyedStreams(MIXED, NOISE_TAG, (3,))
+
+        def draw_and_hold():
+            return _draw_rows(rows), dither._FREE.pair
+
+        want, main_pair = draw_and_hold()
+        got, pool_pair = codec._POOL.submit(draw_and_hold).result()
+        assert np.array_equal(got, want)
+        # Each thread keeps its own Philox.
+        assert pool_pair is not None and pool_pair[0] is not main_pair[0]
+
+    def test_iteration_left_early_changes_no_later_draw(self):
+        want = _draw_rows(_KeyedStreams(MIXED, NOISE_TAG))
+        for gen in _KeyedStreams(MIXED[::-1], DITHER_TAG, (5,)):
+            # An odd count of 32-bit draws leaves half a word and part of
+            # the output buffer unread.
+            gen.integers(0, 2 ** 20, size=3, dtype=np.uint32)
+            left = gen
+            break
+        rows = iter(_KeyedStreams(MIXED, NOISE_TAG))
+        assert np.array_equal(_draw_rows(rows), want)
+        # The iteration left by the break gave its Philox back.
+        assert dither._FREE.pair[1] is left
 
 
 class TestSdq:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jopeq import flsim
-from jopeq.codec import decode, encode, scale_coefficient
+from jopeq.codec import decode, encode, scale_rows
 from jopeq.dither import SharedRandomness, dither_block
 from jopeq.flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
                          TaskSpec, build_task, calibrate_xi, fedavg_round,
@@ -73,6 +73,14 @@ def _layout_picks(cfg, task):
         for k in range(task.users)])
 
 
+def _fedavg_alone(w, updates, alphas):
+    """w + sum_k alpha_k h_k added one user at a time: the reference."""
+    out = w.copy()
+    for a, h in zip(alphas, updates):
+        out = out + a * h
+    return out
+
+
 def _calibrate_xi_alone(task, cfg):
     """calibrate_xi as a loop over users and steps: the reference."""
     eta_fn = flsim._eta_fn(cfg, task)
@@ -83,7 +91,7 @@ def _calibrate_xi_alone(task, cfg):
         hs = [_local_sgd_alone(task, k, w, eta_fn, r * cfg.tau, picks[k, r],
                                best)
               for k in range(task.users)]
-        w = fedavg_round(w, hs, task.alphas)
+        w = _fedavg_alone(w, hs, task.alphas)
     return 1.1 * best
 
 
@@ -124,6 +132,21 @@ class TestTask:
                 mix = sum(a * task.user_loss(k, w)
                           for k, a in enumerate(task.alphas))
                 assert task.loss(w) == mix, (kind, users, samples, seed)
+
+    @pytest.mark.parametrize("users", [8, 9, 40])
+    def test_loss_adds_users_in_order(self, users):
+        # With 8 or more users np.sum would add the terms pairwise, which
+        # differs from the user-order sum on some of these draws.
+        task = _small_task(users=users, samples=3, dim=1)
+        task.alphas = np.random.default_rng(users).random(users)
+        pairwise = 0
+        for seed in range(40):
+            w = np.random.default_rng([7, seed]).normal(0.0, 5.0, 1)
+            terms = [a * task.user_loss(k, w)
+                     for k, a in enumerate(task.alphas)]
+            assert task.loss(w) == sum(terms), seed
+            pairwise += float(np.sum(terms)) != sum(terms)
+        assert pairwise > 0
 
     def test_data_is_stacked(self):
         task = _small_task(users=3, samples=20)
@@ -296,6 +319,35 @@ class TestAggregation:
                            [0.75, 0.25])
         assert out[0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("d,k", [(1, 8), (1, 9), (1, 40), (1, 1),
+                                     (2, 8), (10, 10), (10, 40)])
+    def test_adds_users_in_order(self, d, k):
+        # Bit for bit the one-user-at-a-time sum, with updates given as a
+        # (K, d) array or a list; at d = 1 and K >= 8 a pairwise sum
+        # differs from it on some of these draws.
+        rng = np.random.default_rng([d, k])
+        pairwise = 0
+        for _ in range(40):
+            w = rng.normal(0.0, 1.0, d)
+            hs = rng.normal(0.0, 1.0, (k, d)) * 10.0 ** rng.uniform(
+                -8.0, 8.0, (k, 1))
+            alphas = rng.random(k)
+            want = _fedavg_alone(w, hs, alphas)
+            for updates in (hs, list(hs)):
+                assert (fedavg_round(w, updates, alphas).tobytes()
+                        == want.tobytes())
+            terms = np.concatenate([w[None], alphas[:, None] * hs])
+            pairwise += np.sum(terms, axis=0).tobytes() != want.tobytes()
+        if d == 1 and k >= 8:
+            assert pairwise > 0
+
+    @pytest.mark.parametrize("updates", [[], np.empty((0, 3))],
+                             ids=["list", "array"])
+    def test_no_updates_give_a_copy_of_w(self, updates):
+        w = np.array([1.0, -2.0, 0.5])
+        out = fedavg_round(w, updates, [])
+        assert np.array_equal(out, w) and not np.shares_memory(out, w)
+
 
 class TestBounds:
     def test_theorem6_hand_value(self):
@@ -365,7 +417,7 @@ def _uplink_alone(baseline, h, lat, spec, sampler, sr, noise_key,
         return h, 0
     if baseline in ("ppn", "separate"):
         m = -(-len(h) // lat.dimension)
-        zeta = scale_coefficient(h, m) if np.any(h) else 1.0
+        zeta = scale_rows(h[None], m)[0]
         noise = mechanism_reference_sample(spec, m,
                                            np.random.default_rng(noise_key))
         h = h + noise.reshape(-1)[:len(h)] / zeta

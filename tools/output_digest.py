@@ -18,6 +18,10 @@ The outputs, all keyed on --seed:
   tau 4).
 - `fl.logistic.<baseline>`: the same for 60 rounds on the logistic task
   (fixed schedule, otherwise FlConfig's defaults).
+- `fl.d1.<baseline>`: the same for 60 rounds of the linear task at model
+  dimension 1 with 12 users (otherwise FlConfig's defaults): a sum over
+  users of one coordinate each is where a pairwise sum (np.sum with 8 or
+  more terms) differs from adding the users in order.
 - `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
@@ -55,6 +59,9 @@ from pathlib import Path
 
 SWEEP_SMALL = {"sweep.rates": "1,4", "sweep.epsilons": "3", "fl.rounds": "25"}
 FL_ROUNDS = 60
+# Users of the `fl.d1` runs: 8 or more, so that a pairwise sum over them
+# would differ from the sum in user order.
+D1_USERS = 12
 # The checks of `checks.CHECKS` whose reports are digested, by name, so
 # that a registry grown or reordered digests the same checks.
 VERIFY_CHECKS = ("sdq-distortion-law", "scalar-total-law", "vector-total-law",
@@ -101,6 +108,9 @@ def fl_digests(flsim, seed: int):
     yield from shared_task_digests(
         flsim, "fl.logistic",
         replace(base, task=flsim.TaskSpec(kind="logistic")))
+    yield from shared_task_digests(
+        flsim, "fl.d1",
+        replace(base, task=flsim.TaskSpec(model_dim=1), users=D1_USERS))
 
 
 def shared_task_digests(flsim, prefix: str, cfg):
