@@ -22,7 +22,6 @@ from .privacy import (InfeasibleParametersError, MechanismInfeasibleError,
                       laplace_spec, mechanism_reference_sample,
                       pq_tradeoff_check, required_ppn_variance,
                       solve_t_params, t_mech_epsilon, t_spec)
-from .stattests import (TestReport, correlation_test, energy_distance_test,
-                        ks_test)
+from .stattests import TestReport, energy_distance_test, ks_test
 
 __version__ = "0.1.0"

@@ -278,6 +278,117 @@ def _run_blocks(code, blocks) -> None:
         helper.result()
 
 
+class _Streams:
+    """
+    The noise of a batch's rows, read from their keyed streams: row k's
+    dither from srs[k] (`dither_block`) and, with a sampler that is not
+    degenerate, its PPN from the stream of (noise_seed, srs[k].user,
+    srs[k].round_index) under _NOISE_TAG, or from fresh OS entropy when
+    noise_seed is None. `dither` and `ppn` fill `out` with the noise of
+    the block (r0, r1, lo, hi) of `_blocks`, which reads each row's streams
+    at its own offsets: the dither from its first sub-vector's offset, the
+    PPN from the offsets of `PpnSampler.read_starts`. So a row's noise
+    depends neither on the block size nor on the other rows.
+    """
+
+    def __init__(self, srs, lat: Lattice, m: int,
+                 sampler: PpnSampler | None = None,
+                 noise_seed: int | None = None):
+        self._srs, self._lat, self._m, self._sampler = srs, lat, m, sampler
+        self.has_ppn = sampler is not None and not sampler.degenerate
+        self._noise = (None if noise_seed is None or not self.has_ppn else
+                       [SharedRandomness(noise_seed, sr.user, sr.round_index)
+                        for sr in srs])
+
+    def dither(self, r0, r1, lo, hi, out, scratch=None):
+        dither_block(self._srs[r0:r1], self._lat, (r1 - r0) * (hi - lo), lo,
+                     out=out, scratch=scratch)
+
+    def ppn(self, r0, r1, lo, hi, out, scratch=None):
+        rngs = ([np.random.default_rng() for _ in range(r1 - r0)]
+                if self._noise is None else
+                _KeyedStreams(self._noise[r0:r1], _NOISE_TAG,
+                              self._sampler.read_starts(lo, hi, self._m)))
+        self._sampler.sample((r1 - r0) * (hi - lo), rngs, out=out,
+                             scratch=scratch)
+
+
+class _Drawn:
+    """
+    The noise of a batch's rows drawn ahead by `_draw`: dith and ppn are
+    (K, M L) arrays of each row's dithers and PPN (ppn None when there is
+    no PPN). `dither` and `ppn` copy a block's part into `out`, so a batch
+    coded with them comes out as it does with the streams they were drawn
+    from. `rows(r0, r1)` is the noise of rows r0, ..., r1-1 alone.
+    """
+
+    def __init__(self, dith: np.ndarray, ppn: np.ndarray | None):
+        self._dith, self._ppn = dith, ppn
+        self.has_ppn = ppn is not None
+
+    def rows(self, r0: int, r1: int) -> "_Drawn":
+        return _Drawn(self._dith[r0:r1],
+                      None if self._ppn is None else self._ppn[r0:r1])
+
+    def dither(self, r0, r1, lo, hi, out, scratch=None):
+        _copy_block(self._dith, r0, r1, lo, hi, out)
+
+    def ppn(self, r0, r1, lo, hi, out, scratch=None):
+        _copy_block(self._ppn, r0, r1, lo, hi, out)
+
+
+def _copy_block(noise, r0, r1, lo, hi, out) -> None:
+    """Copy sub-vectors lo, ..., hi-1 of rows r0, ..., r1-1 of noise to out."""
+    dim = out.shape[-1]
+    np.copyto(out.reshape(r1 - r0, -1), noise[r0:r1, lo * dim:hi * dim])
+
+
+def _check_sampler(sampler: PpnSampler | None, lat: Lattice) -> None:
+    """
+    Refuse a sampler built for a lattice of another family or generator
+    than lat's (ValueError): the PPN is deconvolved for one cell, so the
+    dimension alone is not enough.
+    """
+    if sampler is None or sampler.lattice is lat:
+        return
+    other = sampler.lattice
+    if (other.family != lat.family
+            or other.generator.tobytes() != lat.generator.tobytes()):
+        raise ValueError(
+            "sampler built for another lattice: "
+            f"{other.family} {other.generator.tolist()}, not "
+            f"{lat.family} {lat.generator.tolist()}")
+
+
+def _draw(srs, lat: Lattice, sampler: PpnSampler | None,
+          noise_seed: int | None, m: int) -> _Drawn:
+    """
+    The noise that `encode_rows(hs, lat, sampler, srs, noise_seed)` adds to
+    a batch of len(srs) rows of m sub-vectors, and that `decode_rows`
+    subtracts, drawn ahead: one `dither_block` call and one
+    `PpnSampler.sample` call for each of `_blocks`' blocks, run as
+    `_run_blocks` runs them. A sampler must suit lat (ValueError). Coding
+    the rows with the result gives what encode_rows and decode_rows give.
+    """
+    _check_sampler(sampler, lat)
+    streams = _Streams(srs, lat, m, sampler, noise_seed)
+    k, dim = len(srs), lat.dimension
+    dith = np.empty((k, m * dim))
+    ppn = np.empty((k, m * dim)) if streams.has_ppn else None
+
+    def code(r0, r1, lo, hi):
+        # The block's part of each array (whole rows or a slice of one
+        # row, so contiguous), as (sub-vectors, L).
+        part = slice((r0 * m + lo) * dim, ((r1 - 1) * m + hi) * dim)
+        shape = ((r1 - r0) * (hi - lo), dim)
+        streams.dither(r0, r1, lo, hi, dith.reshape(-1)[part].reshape(shape))
+        if ppn is not None:
+            streams.ppn(r0, r1, lo, hi, ppn.reshape(-1)[part].reshape(shape))
+
+    _run_blocks(code, _blocks(k, m, dim))
+    return _Drawn(dith, ppn)
+
+
 def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
                 noise_seed: int | None = None):
     """
@@ -287,38 +398,33 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
 
     The rows are coded in the blocks of `_blocks`, concurrently on up to
     one thread per CPU (`_run_blocks`). Each block reads its rows' streams
-    at its own offsets (see `jopeq.dither`): the dither from its first
-    sub-vector's offset and the PPN from the offsets of
-    `PpnSampler.read_starts`. And each writes only its own part of the
+    at its own offsets (`_Streams`) and writes only its own part of the
     outputs. So the outputs depend neither on the block size nor on the
     number of CPUs or the order in which the blocks run.
 
     Returns (indices, zetas, overloaded) of shapes (K, M), (K,) and (K, M).
     """
     hs = np.asarray(hs, dtype=float)
-    if sampler is not None and sampler.lattice is not lat:
-        # The PPN is deconvolved for one cell: the family and generator
-        # must match, not just the dimension.
-        other = sampler.lattice
-        if (other.family != lat.family
-                or other.generator.tobytes() != lat.generator.tobytes()):
-            raise ValueError(
-                "sampler built for another lattice: "
-                f"{other.family} {other.generator.tolist()}, not "
-                f"{lat.family} {lat.generator.tolist()}")
+    _check_sampler(sampler, lat)
     k, d = hs.shape
     if len(srs) != k:
         raise ValueError(f"{len(srs)} shared streams for {k} rows")
+    m = -(-d // lat.dimension)
+    return _encode(hs, lat, _Streams(srs, lat, m, sampler, noise_seed))
+
+
+def _encode(hs: np.ndarray, lat: Lattice, noise):
+    """
+    `encode_rows` of the (K, d) float batch hs with the noise of `noise`,
+    a `_Streams` or `_Drawn` of its K rows: each sub-vector is quantized
+    as (dither + zeta h) + PPN.
+    """
+    k, d = hs.shape
     dim = lat.dimension
     m = -(-d // dim)
-
     zetas = scale_rows(hs, m)
-    noise = (None if sampler is None or noise_seed is None else
-             [SharedRandomness(noise_seed, sr.user, sr.round_index)
-              for sr in srs])
     idx = np.empty((k, m), dtype=np.int64)
     overloaded = np.empty((k, m), dtype=bool)
-    ppn = sampler is not None and not sampler.degenerate
 
     def code(r0, r1, lo, hi):
         rows, n = r1 - r0, hi - lo
@@ -328,35 +434,28 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
         part = slice(r0 * m + lo, (r1 - 1) * m + hi)
         cells, mask = idx.reshape(-1)[part], overloaded.reshape(-1)[part]
         # x takes the sum (zeta h + dither) + PPN and scratch its terms: the
-        # dither draws into scratch and maps into x, zeta h goes into
-        # scratch and is added, then the PPN is drawn into scratch and
-        # added. An L = 1 block's PPN would not fit in scratch with its
-        # cell uniforms, so it goes first, into x; then the dither draws
-        # into the bytes of cells and maps into scratch, and x += scratch.
-        # The values are the same either way (x + y = y + x).
+        # dither goes into x, zeta h into scratch and is added, then the
+        # PPN goes into scratch and is added. An L = 1 block's PPN would
+        # not fit in scratch with its cell uniforms, so it goes first, into
+        # x; then the dither goes into scratch, drawn in the bytes of
+        # cells, and x += scratch. The values are the same either way
+        # (x + y = y + x).
         x = np.empty((rows * n, dim))
         scratch = np.empty(_scratch_size(rows * n, dim))
-        if ppn:
-            rngs = ([np.random.default_rng() for _ in range(rows)]
-                    if noise is None else
-                    _KeyedStreams(noise[r0:r1], _NOISE_TAG,
-                                  sampler.read_starts(lo, hi, m)))
         terms, draws = x, scratch
-        if ppn and dim == 1:
-            sampler.sample(rows * n, rngs, out=x,
-                           scratch=(scratch, cells, mask))
+        if noise.has_ppn and dim == 1:
+            noise.ppn(r0, r1, lo, hi, x, (scratch, cells, mask))
             terms, draws = scratch.reshape(-1, 1), cells.view(np.float64)
-        dither_block(srs[r0:r1], lat, rows * n, lo, out=terms, scratch=draws)
+        noise.dither(r0, r1, lo, hi, terms, draws)
         zh = draws[:rows * n * dim].reshape(rows, -1)[:, :width]
         np.multiply(zetas[r0:r1, None], hs[r0:r1, lo * dim:lo * dim + width],
                     out=zh)
         terms.reshape(rows, -1)[:, :width] += zh
         if terms is not x:
             x += terms
-        elif ppn:
+        elif noise.has_ppn:
             jit = scratch[:x.size].reshape(x.shape)
-            sampler.sample(rows * n, rngs, out=jit,
-                           scratch=(scratch[x.size:], cells, mask))
+            noise.ppn(r0, r1, lo, hi, jit, (scratch[x.size:], cells, mask))
             x += jit
         quantize_clipped(lat, x, out=(cells, mask), scratch=scratch)
 
@@ -404,18 +503,29 @@ def decode_rows(indices, zetas, lat: Lattice, srs,
     k, m = idx.shape
     if len(srs) != k:
         raise ValueError(f"{len(srs)} shared streams for {k} rows")
-    dim = lat.dimension
-    width = min(original_dim, m * dim)
     if idx.size and (idx.min() < 0 or idx.max() >= len(lat.codebook)):
         raise CorruptPayloadError("index out of codebook range")
+    return _decode(idx, zetas, lat, _Streams(srs, lat, m), original_dim)
+
+
+def _decode(idx: np.ndarray, zetas: np.ndarray, lat: Lattice, noise,
+            original_dim: int) -> np.ndarray:
+    """
+    `decode_rows` of indices in the codebook's range, with the dither of
+    `noise`, a `_Streams` or `_Drawn` of their K rows: each sub-vector
+    decodes to (codebook[index] - dither) / zeta.
+    """
+    k, m = idx.shape
+    dim = lat.dimension
+    width = min(original_dim, m * dim)
     out = np.empty((k, width))
 
     def code(r0, r1, lo, hi):
         rows, n = r1 - r0, hi - lo
         dith = np.empty((rows * n, dim))
         scratch = np.empty(_scratch_size(rows * n, dim))
-        dither_block(srs[r0:r1], lat, rows * n, lo, out=dith, scratch=scratch)
-        # as codebook[idx[r0:r1, lo:hi]]; every index was checked above.
+        noise.dither(r0, r1, lo, hi, dith, scratch)
+        # as codebook[idx[r0:r1, lo:hi]]; every index is in range.
         sub = scratch[:dith.size].reshape(dith.shape)
         lat.codebook.take(idx[r0:r1, lo:hi].reshape(-1), axis=0, out=sub,
                           mode="clip")

@@ -12,6 +12,7 @@ All randomness derives from explicit seeds, so a rerun with the same
 configuration is bit-identical.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -429,7 +430,7 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
 
 
 def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
-           srs, noise_keys, noise_seed: int):
+           srs, noise_keys, noise_seed: int, *, _drawn=None):
     """
     Send a round's (K, d) batch of updates, row k from user k, through a
     baseline's uplink; returns the (K, d) h_tilde and the round's overload
@@ -442,6 +443,11 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
     quantizes the ppn output as an opaque second stage (its own scaling),
     which spends range on the noise. jopeq encodes the rows with the PPN
     `sampler`, its noise keyed on `noise_seed`.
+
+    `run_experiment` passes _drawn, the round's dither and PPN drawn ahead
+    from those streams (`codec._draw`), and no srs: the quantizing
+    baselines then code with it, and the server decodes with the dither the
+    encoder added instead of drawing it again.
     """
     if baseline == "plain":
         return hs, 0
@@ -458,9 +464,37 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
             return hs, 0
     elif baseline not in ("sdq", "jopeq"):
         raise ValueError(f"unknown baseline {baseline!r}")
-    idx, zetas, overloaded = codec.encode_rows(
-        hs, lat, sampler if baseline == "jopeq" else None, srs, noise_seed)
-    return codec.decode_rows(idx, zetas, lat, srs, d), int(overloaded.sum())
+    if _drawn is None:
+        idx, zetas, overloaded = codec.encode_rows(
+            hs, lat, sampler if baseline == "jopeq" else None, srs, noise_seed)
+        hts = codec.decode_rows(idx, zetas, lat, srs, d)
+    else:
+        idx, zetas, overloaded = codec._encode(hs, lat, _drawn)
+        hts = codec._decode(idx, zetas, lat, _drawn, d)
+    return hts, int(overloaded.sum())
+
+
+def _round_noise(cfg: FlConfig, lat: Lattice, sampler, users: int,
+                 dim: int):
+    """
+    The dither and PPN of every round of a run of `users` updates of dim
+    coordinates each, drawn a chunk of rounds at a time; yields one
+    `codec._Drawn` per round, its rows the users'. A chunk is one
+    `codec._draw` over its rounds' rows, round by round, as many rounds as
+    keep each noise array within `codec._BLOCK` coordinates, or one round
+    when a round holds more (drawn, then, in the codec's blocks). Every row
+    reads its own keyed stream, so no draw depends on the chunk size.
+    """
+    m = -(-dim // lat.dimension)
+    per = max(1, codec._BLOCK // (users * m * lat.dimension))
+    for r0 in range(0, cfg.rounds, per):
+        rounds = range(r0, min(r0 + per, cfg.rounds))
+        drawn = codec._draw(
+            [SharedRandomness(seed=cfg.seed, user=k, round_index=r)
+             for r in rounds for k in range(users)],
+            lat, sampler, cfg.seed + 1, m)
+        for i in range(len(rounds)):
+            yield drawn.rows(i * users, (i + 1) * users)
 
 
 def run_experiment(cfg: FlConfig, task: Task | None = None,
@@ -474,6 +508,14 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     hypothesis ||g|| <= xi holds of the run they bound. xis, if given, is
     a per-user floor on xi. Pass a prebuilt task to share it across
     baselines.
+
+    The quantizing baselines (sdq, separate, jopeq) take their dither and
+    jopeq its PPN from draws made a chunk of rounds at a time
+    (`_round_noise`), one call per chunk for each; a round then scales,
+    adds, quantizes and decodes. The server decodes with the round's own
+    dither draw, which is the one the users added. Each row reads its own
+    keyed stream, of (seed, user, round), so the draws, and every output,
+    do not depend on the chunk size.
     """
     alphas = cfg.alpha_vector()
     if task is None:
@@ -493,14 +535,16 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     users = range(task.users)
     picks = _sgd_picks(cfg.seed, task.users, cfg.rounds, cfg.tau,
                        task.ys.shape[1])
-    for r in range(cfg.rounds):
+    noise = (_round_noise(cfg, lat, sampler, task.users, task.model_dim)
+             if cfg.baseline in ("sdq", "separate", "jopeq") else
+             itertools.repeat(None, cfg.rounds))
+    for r, drawn in enumerate(noise):
         hs = local_sgd(task, users, w, eta_fn, r * cfg.tau, picks[:, r],
                        grad_norms=norms)
         hts, ovs = uplink(
-            cfg.baseline, hs, lat, spec, sampler,
-            [SharedRandomness(seed=cfg.seed, user=k, round_index=r)
-             for k in users],
-            [[cfg.seed, _TAG_PPN_ONLY, k, r] for k in users], cfg.seed + 1)
+            cfg.baseline, hs, lat, spec, sampler, None,
+            [[cfg.seed, _TAG_PPN_ONLY, k, r] for k in users], cfg.seed + 1,
+            _drawn=drawn)
         w_true = fedavg_round(w, hs, alphas)
         w_next = fedavg_round(w, hts, alphas)
         gap = task.loss(w_next) - task.f_opt

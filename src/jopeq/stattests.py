@@ -1,6 +1,6 @@
 """
-Statistical verification primitives: goodness-of-fit, independence and
-two-sample tests with fixed critical values at level 0.01.
+Statistical verification primitives: goodness-of-fit and two-sample tests
+with fixed critical values at level 0.01.
 
 A report passes iff statistic < critical value. Permutation tests take an
 explicit seed so every run is reproducible.
@@ -10,13 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TestReport", "ks_test", "correlation_test", "energy_distance_test"]
+__all__ = ["TestReport", "ks_test", "energy_distance_test"]
 
 # Asymptotic one-sample Kolmogorov-Smirnov critical coefficient at level
 # 0.01 (c(alpha) = sqrt(-ln(alpha/2)/2) ~= 1.628).
 KS_COEFF_001 = 1.628
-# Two-sided normal quantile at level 0.01 for the correlation test.
-CORR_COEFF_001 = 2.58
 
 
 @dataclass(frozen=True)
@@ -52,24 +50,6 @@ def ks_test(samples: np.ndarray, cdf, name: str = "ks") -> TestReport:
     stat = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
     crit = KS_COEFF_001 / np.sqrt(n)
     return TestReport(name, stat, crit, n, stat < crit)
-
-
-def correlation_test(x: np.ndarray, y: np.ndarray,
-                     name: str = "correlation") -> TestReport:
-    """
-    Absolute Pearson correlation with threshold 2.58/sqrt(n).
-
-    Detects linear dependence only; nonlinear but uncorrelated pairs pass
-    by construction.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) != len(y):
-        raise ValueError("x and y must have equal length")
-    n = len(x)
-    r = float(np.corrcoef(x, y)[0, 1])
-    crit = CORR_COEFF_001 / np.sqrt(n)
-    return TestReport(name, abs(r), crit, n, abs(r) < crit)
 
 
 def energy_distance_test(a: np.ndarray, b: np.ndarray, seed: int = 0,

@@ -331,6 +331,9 @@ class TestWithNoise:
         with pytest.raises(ValueError, match="another lattice"):
             encode(np.ones(8), scalar_uniform(9.0, 3), samp,
                    SharedRandomness(0))
+        with pytest.raises(ValueError, match="another lattice"):
+            codec._draw([SharedRandomness(0)], scalar_uniform(9.0, 3), samp,
+                        1, 8)
         # Another support radius on the same cell keeps the PPN valid.
         same_cell = scalar_uniform(4.5, 3)
         assert same_cell.generator.tobytes() == samp.lattice.generator.tobytes()

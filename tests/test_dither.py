@@ -9,7 +9,8 @@ from jopeq.dither import SharedRandomness, _KeyedStreams, dither_block, sdq
 from jopeq.lattice import (hexagonal_lattice, nearest_point, quantize_clipped,
                            scalar_uniform)
 from jopeq.privacy import PpnSampler, build_ppn_sampler, laplace_spec, t_spec
-from jopeq.stattests import correlation_test, ks_test
+from jopeq.stattests import ks_test
+from correlation import correlation_test
 from stream_layout import (BLOCK, DITHER_TAG, MIXED, NOISE_TAG, layout_stream,
                            small_blocks, times_generator)
 

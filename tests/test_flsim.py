@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jopeq import flsim
+from jopeq import codec, flsim
 from jopeq.codec import decode, encode, scale_rows
 from jopeq.dither import SharedRandomness, dither_block
 from jopeq.flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
@@ -15,7 +15,7 @@ from jopeq.flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
                          heterogeneity_gap, local_sgd, run_experiment,
                          theorem6_bound, theorem7_bound, uplink)
 from jopeq.privacy import build_ppn_sampler, mechanism_reference_sample
-from stream_layout import SGD_TAG, layout_stream
+from stream_layout import SGD_TAG, layout_stream, small_blocks
 
 # Independently computed value of the convergence bound at
 # (sigma2=2, psi=0.3, rho_s=4, rho_c=0.5, alphas=0.1 x10, xis=2 x10,
@@ -706,3 +706,84 @@ class TestRunExperiment:
             ms = run_experiment(cfg)
             gaps[users] = float(np.mean([m.loss_gap for m in ms[-100:]]))
         assert gaps[40] == pytest.approx(gaps[10] / 4.0, rel=0.3)
+
+
+# 10 users' rows of 2001 coordinates (odd, so 2-D rows are padded) hold
+# 20,010 scalar or 20,020 2-D noise coordinates a round, so a chunk of
+# codec._BLOCK coordinates holds 3 rounds, and 8 rounds are drawn in
+# chunks of 3, 3 and 2. A fixed step diverges at this dimension.
+CHUNKED = FlConfig(task=TaskSpec(model_dim=2001), users=10, rounds=8,
+                   schedule="decay")
+
+
+@pytest.fixture(scope="module")
+def chunked_task():
+    return build_task(CHUNKED.task, CHUNKED.users, CHUNKED.alpha_vector(),
+                      CHUNKED.seed)
+
+
+def _metrics(ms):
+    return [(m.loss_gap, m.snr_db, m.weights_distortion, m.overloads)
+            for m in ms]
+
+
+class TestChunkedNoise:
+    """run_experiment draws the dither and PPN a chunk of rounds at a time."""
+
+    @staticmethod
+    def _cfg(family, baseline):
+        return replace(CHUNKED, baseline=baseline,
+                       codec=CodecSpec(family, rate=4, epsilon=3.0))
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])
+    def test_chunks_match_one_user_at_a_time(self, baseline, family,
+                                             chunked_task):
+        cfg = self._cfg(family, baseline)
+        lat, _ = cfg.codec.build()
+        m = -(-cfg.task.model_dim // lat.dimension)
+        assert codec._BLOCK // (cfg.users * m * lat.dimension) == 3
+        got = _metrics(run_experiment(cfg, chunked_task))
+        assert got == _rounds_one_user_at_a_time(cfg, chunked_task, None)
+        if baseline == "jopeq" and family != "scalar":
+            assert sum(ov for *_, ov in got) > 1000  # the overload path
+
+    @pytest.mark.parametrize("block", ["round", 1000])
+    @pytest.mark.parametrize("family", ["scalar", "hexagonal"])
+    def test_outputs_do_not_depend_on_the_chunk_size(self, family, block,
+                                                     chunked_task,
+                                                     monkeypatch):
+        # One round per chunk: a block of exactly one round, or blocks of
+        # 1000 sub-vectors, which slice each row in the draws and the code.
+        cfg = self._cfg(family, "jopeq")
+        want = _metrics(run_experiment(cfg, chunked_task))
+        lat, _ = cfg.codec.build()
+        m = -(-cfg.task.model_dim // lat.dimension)
+        small_blocks(monkeypatch, lat.dimension,
+                     cfg.users * m if block == "round" else block)
+        assert codec._BLOCK // (cfg.users * m * lat.dimension) <= 1
+        assert _metrics(run_experiment(cfg, chunked_task)) == want
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])
+    def test_drawn_rounds_equal_rounds_read_from_streams(self, baseline,
+                                                         family):
+        # Every round of one chunk has a zero row, sent at the sentinel.
+        lat, spec, samp = _codec(family)
+        cfg = FlConfig(users=3, rounds=5, seed=4)
+        d = 9
+        noise = flsim._round_noise(cfg, lat, samp if baseline == "jopeq"
+                                   else None, cfg.users, d)
+        rng = np.random.default_rng(d)
+        for r, drawn in enumerate(noise):
+            hs = rng.normal(0.0, 1.0, (cfg.users, d))
+            hs[r % cfg.users] = 0.0
+            srs = [SharedRandomness(seed=cfg.seed, user=k, round_index=r)
+                   for k in range(cfg.users)]
+            keys = [[cfg.seed, k, r] for k in range(cfg.users)]
+            want = uplink(baseline, hs, lat, spec, samp, srs, keys,
+                          cfg.seed + 1)
+            got = uplink(baseline, hs, lat, spec, samp, None, keys,
+                         cfg.seed + 1, _drawn=drawn)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert r == cfg.rounds - 1

@@ -1,10 +1,11 @@
-"""Statistical verification primitives."""
+"""Statistical verification primitives, and the tests' correlation test."""
 
 import numpy as np
 import pytest
 
 from jopeq.stattests import TestReport as Report
-from jopeq.stattests import correlation_test, energy_distance_test, ks_test
+from jopeq.stattests import energy_distance_test, ks_test
+from correlation import correlation_test
 
 
 class TestKs:

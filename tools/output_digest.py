@@ -22,6 +22,13 @@ The outputs, all keyed on --seed:
   dimension 1 with 12 users (otherwise FlConfig's defaults): a sum over
   users of one coordinate each is where a pairwise sum (np.sum with 8 or
   more terms) differs from adding the users in order.
+- `fl.chunks.<family>.<baseline>`: the same for 8 rounds of the linear
+  task at model dimension CHUNK_DIM (decay schedule, 10 users), for the
+  three quantizing baselines (sdq, separate, jopeq) on a Laplace codec of
+  each family at R = 4, epsilon 3. A run may draw its dither and PPN a
+  chunk of rounds at a time, as many rounds as fit in 2^16 coordinates:
+  here 3, 3 and 2 rounds, so these lines span chunk boundaries, where
+  the other FL lines, at dimension 10 or less, fit in one chunk.
 - `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
@@ -66,6 +73,11 @@ D1_USERS = 12
 # that a registry grown or reordered digests the same checks.
 VERIFY_CHECKS = ("sdq-distortion-law", "scalar-total-law", "vector-total-law",
                  "privacy-for-free-threshold", "weights-distortion-bound")
+# Model dimension and rounds of the `fl.chunks` runs: a round of 10 users'
+# rows of 2001 coordinates (odd, so the 2-D rows are padded) holds 20,010
+# scalar or 20,020 2-D noise coordinates, so a chunk of 2^16 coordinates
+# holds 3 rounds, and 8 rounds make chunks of 3, 3 and 2.
+CHUNK_DIM, CHUNK_ROUNDS = 2001, 8
 # Two of encode_rows's blocks of 2^16 scalar sub-vectors (four of 2^15
 # sub-vectors of L = 2) and a 3-sub-vector tail.
 LONG_SUBVECTORS = 2 * (1 << 16) + 3
@@ -111,6 +123,16 @@ def fl_digests(flsim, seed: int):
     yield from shared_task_digests(
         flsim, "fl.d1",
         replace(base, task=flsim.TaskSpec(model_dim=1), users=D1_USERS))
+    chunks = replace(base, task=flsim.TaskSpec(model_dim=CHUNK_DIM),
+                     rounds=CHUNK_ROUNDS, schedule="decay")
+    task = flsim.build_task(chunks.task, chunks.users,
+                            chunks.alpha_vector(), seed)
+    for family in ("scalar", "square", "hexagonal"):
+        cspec = flsim.CodecSpec(family, rate=4, epsilon=3.0)
+        for baseline in ("sdq", "separate", "jopeq"):
+            ms = flsim.run_experiment(
+                replace(chunks, codec=cspec, baseline=baseline), task)
+            yield f"fl.chunks.{family}.{baseline}", metrics_digest(ms)
 
 
 def shared_task_digests(flsim, prefix: str, cfg):
