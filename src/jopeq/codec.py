@@ -284,21 +284,24 @@ class _Streams:
     dither from srs[k] (`dither_block`) and, with a sampler that is not
     degenerate, its PPN from the stream of (noise_seed, srs[k].user,
     srs[k].round_index) under _NOISE_TAG, or from fresh OS entropy when
-    noise_seed is None. `dither` and `ppn` fill `out` with the noise of
-    the block (r0, r1, lo, hi) of `_blocks`, which reads each row's streams
-    at its own offsets: the dither from its first sub-vector's offset, the
-    PPN from the offsets of `PpnSampler.read_starts`. So a row's noise
-    depends neither on the block size nor on the other rows.
+    noise_seed is None. srs is a sequence of SharedRandomness or a
+    `_KeyedStreams` of the rows. `dither` and `ppn` fill `out` with the
+    noise of the block (r0, r1, lo, hi) of `_blocks`, which reads each
+    row's streams at its own offsets: the dither from its first
+    sub-vector's offset, the PPN from the offsets of
+    `PpnSampler.read_starts`. So a row's noise depends neither on the
+    block size nor on the other rows.
     """
 
     def __init__(self, srs, lat: Lattice, m: int,
                  sampler: PpnSampler | None = None,
                  noise_seed: int | None = None):
-        self._srs, self._lat, self._m, self._sampler = srs, lat, m, sampler
+        # The rows' shared streams: a block's rows are a slice of them,
+        # which copies no row.
+        self._srs = _KeyedStreams.of(srs)
+        self._lat, self._m, self._sampler = lat, m, sampler
+        self._noise_seed = noise_seed
         self.has_ppn = sampler is not None and not sampler.degenerate
-        self._noise = (None if noise_seed is None or not self.has_ppn else
-                       [SharedRandomness(noise_seed, sr.user, sr.round_index)
-                        for sr in srs])
 
     def dither(self, r0, r1, lo, hi, out, scratch=None):
         dither_block(self._srs[r0:r1], self._lat, (r1 - r0) * (hi - lo), lo,
@@ -306,9 +309,10 @@ class _Streams:
 
     def ppn(self, r0, r1, lo, hi, out, scratch=None):
         rngs = ([np.random.default_rng() for _ in range(r1 - r0)]
-                if self._noise is None else
-                _KeyedStreams(self._noise[r0:r1], _NOISE_TAG,
-                              self._sampler.read_starts(lo, hi, self._m)))
+                if self._noise_seed is None else
+                _KeyedStreams.of(self._srs[r0:r1], _NOISE_TAG,
+                                 self._sampler.read_starts(lo, hi, self._m),
+                                 self._noise_seed))
         self._sampler.sample((r1 - r0) * (hi - lo), rngs, out=out,
                              scratch=scratch)
 
@@ -364,7 +368,8 @@ def _draw(srs, lat: Lattice, sampler: PpnSampler | None,
           noise_seed: int | None, m: int) -> _Drawn:
     """
     The noise that `encode_rows(hs, lat, sampler, srs, noise_seed)` adds to
-    a batch of len(srs) rows of m sub-vectors, and that `decode_rows`
+    a batch of len(srs) rows of m sub-vectors (srs a sequence of
+    SharedRandomness or a `_KeyedStreams`), and that `decode_rows`
     subtracts, drawn ahead: one `dither_block` call and one
     `PpnSampler.sample` call for each of `_blocks`' blocks, run as
     `_run_blocks` runs them. A sampler must suit lat (ValueError). Coding

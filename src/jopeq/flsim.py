@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from . import codec, privacy
-from .dither import SharedRandomness, _KeyedStreams
+from .dither import _KeyedStreams
 from .lattice import Lattice, hexagonal_lattice, scalar_uniform, square_lattice
 
 __all__ = [
@@ -353,9 +353,8 @@ def _sgd_picks(seed: int, users: int, rounds: int, tau: int,
     the keyed stream of (seed, k, round 0) under _TAG_SGD. The draws are
     sequential, so a shorter run's picks are a prefix of a longer run's.
     """
-    srs = [SharedRandomness(seed=seed, user=k) for k in range(users)]
-    return np.stack([g.integers(0, n, size=(rounds, tau))
-                     for g in _KeyedStreams(srs, _TAG_SGD)])
+    return np.stack([g.integers(0, n, size=(rounds, tau)) for g in
+                     _KeyedStreams.grid(seed, users, [0], _TAG_SGD)])
 
 
 def fedavg_round(w: np.ndarray, updates, alphas) -> np.ndarray:
@@ -489,10 +488,8 @@ def _round_noise(cfg: FlConfig, lat: Lattice, sampler, users: int,
     per = max(1, codec._BLOCK // (users * m * lat.dimension))
     for r0 in range(0, cfg.rounds, per):
         rounds = range(r0, min(r0 + per, cfg.rounds))
-        drawn = codec._draw(
-            [SharedRandomness(seed=cfg.seed, user=k, round_index=r)
-             for r in rounds for k in range(users)],
-            lat, sampler, cfg.seed + 1, m)
+        drawn = codec._draw(_KeyedStreams.grid(cfg.seed, users, rounds),
+                            lat, sampler, cfg.seed + 1, m)
         for i in range(len(rounds)):
             yield drawn.rows(i * users, (i + 1) * users)
 

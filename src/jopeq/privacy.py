@@ -38,6 +38,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import optimize, special, stats
 
+from .dither import _KeyedStreams
 from .lattice import Lattice, cell_cf, cell_variance_per_coord
 
 __all__ = [
@@ -275,16 +276,13 @@ class PpnSampler:
                scratch=None) -> np.ndarray:
         """
         Draw `count` PPN vectors, shape (count, L). `rng` may also be a
-        sequence of K generators, one per row of a batch: then count must
-        be a multiple of K, and rows k count/K, ..., (k+1) count/K - 1
-        equal sample(count // K, rng[k]). Each generator draws its cell
+        sequence of K generators, or a `dither._KeyedStreams` of K rows,
+        one per row of a batch: then count must be a multiple of K, and
+        rows k count/K, ..., (k+1) count/K - 1 equal sample(count // K, g)
+        for g row k's generator. A row's generator draws its cell
         uniforms, then its (count/K, L) jitter, in two `random(out=...)`
-        calls, and is done before the next one is taken from `rng`, which
-        is iterated once. So `rng` may also be a sized iterable that
-        yields one generator object again with its state reset per row,
-        or an object whose i-th `random(out=...)` call reads from its own
-        stream offset: `codec.encode_rows` positions the reads of a slice
-        of a row at the offsets of `read_starts`.
+        calls; a `_KeyedStreams` makes the two reads for all rows at once
+        (`read`), each from its start (`read_starts`).
 
         out, a (count, L) array, takes the result in place of a new array;
         scratch = (u, cells, mask), count floats, intp and bools that are
@@ -303,9 +301,13 @@ class PpnSampler:
                           (np.empty(count), np.empty(count, dtype=np.intp),
                            np.empty(count, dtype=bool)))
         k = len(rngs)
-        for g, ur, jr in zip(rngs, u.reshape(k, -1), jit.reshape(k, -1)):
-            g.random(out=ur)
-            g.random(out=jr)
+        if isinstance(rngs, _KeyedStreams):
+            rngs.read(u.reshape(k, -1), jit.reshape(k, -1))
+        else:
+            for g, ur, jr in zip(rngs, u.reshape(k, -1),
+                                 jit.reshape(k, -1)):
+                g.random(out=ur)
+                g.random(out=jr)
         _cell_lookup_into(self._cdf, self._guide, u, cells, mask)
         # The grid index of each cell of the C-order table: the trailing
         # axis takes the remainder by its size, and the leading axis the

@@ -585,10 +585,13 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
-    def test_temporaries_at_most_three_blocks(self, family, monkeypatch):
-        # The benchmark's codecs (few overloads, whose brute-force search
-        # holds a row of distances each), on small PPN tables.
+    def check(self, family, monkeypatch, row_dim):
+        """
+        encode_rows and decode_rows of rows of row_dim coordinates that
+        fill two blocks, with the benchmark's codecs (few overloads, whose
+        brute-force search holds a row of distances each), on small PPN
+        tables.
+        """
         monkeypatch.setattr(codec, "_cpus", lambda: 1)
         if family == "scalar":
             cspec = CodecSpec(family="scalar", rate=4, epsilon=2.0)
@@ -597,11 +600,11 @@ class TestBlockMemory:
                               mechanism="t", nu=3.0)
         lat, spec = cspec.build()
         samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
-        dim = lat.dimension
-        m = 2 * (codec._BLOCK // dim)  # two full blocks
+        rows = max(1, 2 * (codec._BLOCK // row_dim))
         block_bytes = codec._BLOCK * 8
-        hs = np.random.default_rng(12).normal(0.0, 1.0, (1, m * dim))
-        srs = MIXED[:1]
+        hs = np.random.default_rng(12).normal(0.0, 1.0, (rows, row_dim))
+        srs = [SharedRandomness(seed=MIXED[k % 5].seed, user=k,
+                                round_index=k % 7) for k in range(rows)]
         encode_rows(hs, lat, samp, srs, 5)  # warm: first-call caches
         peak, (idx, zetas, overloaded) = self.peak(
             lambda: encode_rows(hs, lat, samp, srs, 5))
@@ -609,8 +612,19 @@ class TestBlockMemory:
         outputs = idx.nbytes + zetas.nbytes + overloaded.nbytes
         assert peak - outputs <= 3 * block_bytes
         peak, out = self.peak(
-            lambda: decode_rows(idx, zetas, lat, srs, m * dim))
+            lambda: decode_rows(idx, zetas, lat, srs, row_dim))
         assert peak - out.nbytes <= 3 * block_bytes
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    def test_temporaries_at_most_three_blocks(self, family, monkeypatch):
+        # One row of two full blocks.
+        self.check(family, monkeypatch, 2 * codec._BLOCK)
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    def test_short_rows_at_most_three_blocks(self, family, monkeypatch):
+        # Many rows of 10 coordinates, whose noise reads are short: the
+        # blocks hold whole rows, and `dither._philox_random` draws them.
+        self.check(family, monkeypatch, 10)
 
 
 # Sub-vectors per row of the long batches below: two blocks and a tail.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jopeq import codec, dither
 from jopeq.codec import encode_rows, scale_rows
@@ -36,9 +38,9 @@ class TestSharedStream:
         # none of the first 2^20 draws of one is among those of the other.
         for seed, user, r in ((2, 3, 7), (-5, 0, 0), (2 ** 63 + 1, 9, 250)):
             draws = [gen.bit_generator.random_raw(1 << 20) for gen in
-                     _KeyedStreams([SharedRandomness(seed, user, r),
-                                    SharedRandomness(seed, user, r + 1)],
-                                   tag)]
+                     _KeyedStreams.of([SharedRandomness(seed, user, r),
+                                       SharedRandomness(seed, user, r + 1)],
+                                      tag)]
             # (No 64-bit word repeats within either stream's draws here.)
             assert len(np.intersect1d(*draws, assume_unique=True)) == 0
 
@@ -116,7 +118,7 @@ class TestStreamLayout:
             # uniform's offset, which is its first sub-vector. The draw
             # goes to the block's buffers, which it then spends: keep a
             # copy.
-            key = (row_of[rng._srs[0].user], rng._starts[0])
+            key = (row_of[rng._key(0)[1]], rng.starts[0])
             assert key not in drawn
             got = PpnSampler.sample(samp, count, rng, **buffers)
             drawn[key] = got.copy()
@@ -146,7 +148,7 @@ class TestStreamLayout:
             assert np.array_equal(overloaded.ravel(), want_over)
 
     def test_row_reset_clears_buffered_words(self):
-        rows = _KeyedStreams(MIXED, NOISE_TAG)
+        rows = _KeyedStreams.of(MIXED, NOISE_TAG)
         for gen, sr in zip(rows, MIXED):
             want = layout_stream(sr.seed, sr.user, sr.round_index, NOISE_TAG)
             # 32-bit draws first: they read a half word left over by the
@@ -175,7 +177,7 @@ class TestStreamOffsets:
 
     @pytest.mark.parametrize("offset", OFFSETS)
     def test_positioned_row_follows_layout(self, offset):
-        for gen, sr in zip(_KeyedStreams(MIXED, NOISE_TAG, (offset,)),
+        for gen, sr in zip(_KeyedStreams.of(MIXED, NOISE_TAG, (offset,)),
                            MIXED):
             want = self.after(sr, NOISE_TAG, offset)
             assert np.array_equal(gen.random(11), want.random(11))
@@ -184,13 +186,12 @@ class TestStreamOffsets:
 
     def test_reads_start_at_their_offsets(self):
         starts = (5, 4 * BLOCK + 3, 2)
-        rows = _KeyedStreams(MIXED, NOISE_TAG, starts)
-        for reader, sr in zip(rows, MIXED):
-            for start in starts:
-                out = np.empty((3, 2))
-                reader.random(out=out)
+        outs = [np.empty((len(MIXED), 6)) for _ in starts]
+        _KeyedStreams.of(MIXED, NOISE_TAG, starts).read(*outs)
+        for k, sr in enumerate(MIXED):
+            for start, out in zip(starts, outs):
                 want = self.after(sr, NOISE_TAG, start)
-                assert np.array_equal(out, want.random((3, 2)))
+                assert np.array_equal(out[k], want.random(6))
 
     @pytest.mark.parametrize("lat", [scalar_uniform(4.0, 3),
                                      hexagonal_lattice(3.0, 3)],
@@ -224,12 +225,132 @@ class TestStreamOffsets:
         assert starts == ((0,) if (lo, hi) == (0, m) else
                           (lo, m + lo * lat.dimension))
         got = samp.sample(len(MIXED) * (hi - lo),
-                          _KeyedStreams(MIXED, NOISE_TAG, starts))
+                          _KeyedStreams.of(MIXED, NOISE_TAG, starts))
         want = np.concatenate([
             samp.sample(m, layout_stream(sr.seed, sr.user, sr.round_index,
                                          NOISE_TAG))[lo:hi]
             for sr in MIXED])
         assert np.array_equal(got, want)
+
+
+def every_read_by_kernel(monkeypatch):
+    """Make `_KeyedStreams.read` compute every read with `_philox_random`."""
+    monkeypatch.setattr(dither, "_SHORT", 1 << 62)
+    monkeypatch.setattr(dither, "_MANY", 1)
+
+
+class _ByKernel:
+    """Every read of the tests is short: `_philox_random` computes it."""
+
+    @pytest.fixture(autouse=True)
+    def _every_read_short(self, monkeypatch):
+        every_read_by_kernel(monkeypatch)
+
+
+class _ByNumpy:
+    """Every read of the tests is long: numpy's Philox draws it."""
+
+    @pytest.fixture(autouse=True)
+    def _every_read_long(self, monkeypatch):
+        monkeypatch.setattr(dither, "_SHORT", 0)
+
+
+class TestStreamLayoutByKernel(_ByKernel, TestStreamLayout):
+    pass
+
+
+class TestStreamLayoutByNumpy(_ByNumpy, TestStreamLayout):
+    pass
+
+
+class TestStreamOffsetsByKernel(_ByKernel, TestStreamOffsets):
+    pass
+
+
+class TestStreamOffsetsByNumpy(_ByNumpy, TestStreamOffsets):
+    pass
+
+
+class TestPhiloxKernel:
+    """`_philox_random` draws what the stream layout draws, bit for bit."""
+
+    @staticmethod
+    def kernel(rows, start, n):
+        out = np.empty((len(rows), n))
+        dither._philox_random(*rows.addresses(0, len(rows)), rows.tag,
+                              start, out)
+        return out
+
+    @pytest.mark.parametrize("tag", [DITHER_TAG, NOISE_TAG])
+    def test_mixed_rows_follow_layout(self, tag):
+        # Around the read length at which `read` changes path, too, which
+        # reads these few rows by numpy's Philox unless made to use the
+        # kernel.
+        short = dither._SHORT
+        lengths = [*range(10), short - 1, short, short + 1]
+        rows = _KeyedStreams.of(MIXED, tag)
+        for start in range(10):
+            for n in lengths:
+                got = self.kernel(rows, start, n)
+                for by_kernel in (False, True):
+                    with pytest.MonkeyPatch.context() as patch:
+                        if by_kernel:
+                            patch.setattr(dither, "_MANY", 1)
+                        read = np.empty((len(MIXED), n))
+                        _KeyedStreams.of(MIXED, tag, (start,)).read(read)
+                    assert np.array_equal(read, got)
+                for k, sr in enumerate(MIXED):
+                    want = TestStreamOffsets.after(sr, tag, start)
+                    assert np.array_equal(got[k], want.random(n))
+
+    def test_many_rows_read_in_groups(self, monkeypatch):
+        # Reads of more rows than one kernel call takes, from a grid and
+        # from SharedRandomness rows keyed by another seed, equal the
+        # same reads drawn by numpy's Philox row by row.
+        srs = [SharedRandomness(MIXED[k % 5].seed, k, 3 * k)
+               for k in range(1100)]
+        for rows in (_KeyedStreams.grid(-3, 7, range(400), NOISE_TAG),
+                     _KeyedStreams.of(srs, NOISE_TAG, (3, 40), seed=-9)):
+            assert dither._MANY <= dither._KERNEL_BLOCKS // 4 < len(rows)
+            outs = [np.empty((len(rows), n)) for n in (10, 7)]
+            rows.read(*outs)
+            monkeypatch.setattr(dither, "_SHORT", 0)
+            want = [np.empty_like(out) for out in outs]
+            rows.read(*want)
+            monkeypatch.undo()
+            for got, drawn in zip(outs, want):
+                assert np.array_equal(got, drawn)
+
+    @settings(deadline=None, max_examples=150)
+    @given(seed=st.integers(-2 ** 63, 2 ** 64 - 1),
+           user=st.integers(0, 2 ** 64 - 1),
+           round_index=st.integers(0, 2 ** 64 - 1),
+           tag=st.integers(0, 2 ** 64 - 1),
+           start=st.integers(0, 1 << 12),
+           n=st.integers(0, 200))
+    def test_any_row_follows_layout(self, seed, user, round_index, tag,
+                                    start, n):
+        sr = SharedRandomness(seed, user, round_index)
+        got = self.kernel(_KeyedStreams.of([sr], tag), start, n)
+        want = TestStreamOffsets.after(sr, tag, start)
+        assert np.array_equal(got[0], want.random(n))
+
+    @pytest.mark.parametrize("by_kernel", [False, True],
+                             ids=["numpy", "kernel"])
+    @pytest.mark.parametrize("user,round_index",
+                             [(-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)])
+    def test_user_or_round_out_of_range_raises(self, by_kernel, user,
+                                               round_index, monkeypatch):
+        if by_kernel:
+            every_read_by_kernel(monkeypatch)
+        else:
+            monkeypatch.setattr(dither, "_SHORT", 0)
+        lat = scalar_uniform(4.0, 3)
+        with pytest.raises(OverflowError):
+            dither_block(SharedRandomness(5, user, round_index), lat, 3)
+        with pytest.raises(OverflowError):
+            dither_block([SharedRandomness(5, 1, 2),
+                          SharedRandomness(5, user, round_index)], lat, 6)
 
 
 def _draw_rows(rows):
@@ -244,8 +365,8 @@ class TestPhiloxReuse:
     def test_interleaved_iterations_draw_as_apart(self):
         # The second iteration finds the thread's Philox taken and builds
         # its own, so taking rows of both in turn changes no draw.
-        first = _KeyedStreams(MIXED, NOISE_TAG)
-        second = _KeyedStreams(MIXED[::-1], DITHER_TAG, (7,))
+        first = _KeyedStreams.of(MIXED, NOISE_TAG)
+        second = _KeyedStreams.of(MIXED[::-1], DITHER_TAG, (7,))
         apart = _draw_rows(first), _draw_rows(second)
         together = ([], [])
         for a, b in zip(first, second):
@@ -255,7 +376,7 @@ class TestPhiloxReuse:
             assert np.array_equal(got, want)
 
     def test_pool_thread_draws_as_the_main_thread(self):
-        rows = _KeyedStreams(MIXED, NOISE_TAG, (3,))
+        rows = _KeyedStreams.of(MIXED, NOISE_TAG, (3,))
 
         def draw_and_hold():
             return _draw_rows(rows), dither._FREE.pair
@@ -267,14 +388,14 @@ class TestPhiloxReuse:
         assert pool_pair is not None and pool_pair[0] is not main_pair[0]
 
     def test_iteration_left_early_changes_no_later_draw(self):
-        want = _draw_rows(_KeyedStreams(MIXED, NOISE_TAG))
-        for gen in _KeyedStreams(MIXED[::-1], DITHER_TAG, (5,)):
+        want = _draw_rows(_KeyedStreams.of(MIXED, NOISE_TAG))
+        for gen in _KeyedStreams.of(MIXED[::-1], DITHER_TAG, (5,)):
             # An odd count of 32-bit draws leaves half a word and part of
             # the output buffer unread.
             gen.integers(0, 2 ** 20, size=3, dtype=np.uint32)
             left = gen
             break
-        rows = iter(_KeyedStreams(MIXED, NOISE_TAG))
+        rows = iter(_KeyedStreams.of(MIXED, NOISE_TAG))
         assert np.array_equal(_draw_rows(rows), want)
         # The iteration left by the break gave its Philox back.
         assert dither._FREE.pair[1] is left

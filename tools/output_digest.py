@@ -29,6 +29,12 @@ The outputs, all keyed on --seed:
   chunk of rounds at a time, as many rounds as fit in 2^16 coordinates:
   here 3, 3 and 2 rounds, so these lines span chunk boundaries, where
   the other FL lines, at dimension 10 or less, fit in one chunk.
+- `fl.short.<family>.<baseline>`: the same for 60 rounds of the linear
+  task at model dimension 10 (otherwise FlConfig's defaults), for the
+  three quantizing baselines on a square and a hexagonal Laplace codec at
+  R = 4, epsilon 3. Their rows' dither and PPN reads are short (5 or 10
+  draws), so a run draws them with the package's vectorized Philox, as it
+  does the scalar lines' rows; these lines take that path with L = 2.
 - `uplink.<family>.*`: encode indices, overload mask, zeta and decoded
   update of one N(0,1) update, for scalar Laplace at 2^20 coordinates and
   for square and hexagonal t at 2^18.
@@ -133,6 +139,16 @@ def fl_digests(flsim, seed: int):
             ms = flsim.run_experiment(
                 replace(chunks, codec=cspec, baseline=baseline), task)
             yield f"fl.chunks.{family}.{baseline}", metrics_digest(ms)
+    # The 2-D codecs on the default task's 10-coordinate rows, whose
+    # 2-D noise reads are short.
+    task = flsim.build_task(base.task, base.users, base.alpha_vector(),
+                            seed)
+    for family in ("square", "hexagonal"):
+        cspec = flsim.CodecSpec(family, rate=4, epsilon=3.0)
+        for baseline in ("sdq", "separate", "jopeq"):
+            ms = flsim.run_experiment(
+                replace(base, codec=cspec, baseline=baseline), task)
+            yield f"fl.short.{family}.{baseline}", metrics_digest(ms)
 
 
 def shared_task_digests(flsim, prefix: str, cfg):
