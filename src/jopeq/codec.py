@@ -561,8 +561,18 @@ def snr(h_rows, ht_rows) -> float:
     """
     if len(h_rows) != len(ht_rows):
         raise ValueError("mismatched batches")
-    h = np.asarray(h_rows, dtype=float)
-    dv = np.var(h - np.asarray(ht_rows, dtype=float), axis=-1)
-    if np.any(dv == 0.0):
-        return float("inf")
-    return 10.0 * math.log10(float(np.mean(np.var(h, axis=-1) / dv)))
+    return _snr_rounds(np.asarray(h_rows, dtype=float)[None], ht_rows)[0]
+
+
+def _snr_rounds(h: np.ndarray, ht) -> list[float]:
+    """
+    `snr` of each batch of a (C, K, d) stack h of updates, with ht their
+    decoded updates (an array-like that broadcasts to h's shape, converted
+    only for the subtraction): C values in dB, inf for a batch in which
+    any user's distortion variance is zero, and no warning for it.
+    """
+    dv = np.var(h - np.asarray(ht, dtype=float), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.mean(np.var(h, axis=-1) / dv, axis=-1)
+    ratios[np.any(dv == 0.0, axis=-1)] = np.inf
+    return [10.0 * math.log10(x) for x in ratios.tolist()]

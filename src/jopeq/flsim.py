@@ -12,7 +12,6 @@ All randomness derives from explicit seeds, so a rerun with the same
 configuration is bit-identical.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -364,32 +363,40 @@ def fedavg_round(w: np.ndarray, updates, alphas) -> np.ndarray:
     one by one in user order: np.add.accumulate is sequential, where
     np.sum and np.add.reduce may add pairwise (they do when d = 1 and
     K >= 8).
+
+    A (..., d) stack w with (..., K, d) updates gives each pair's call.
     """
     alphas = np.asarray(alphas, dtype=float)
-    terms = np.empty((len(alphas) + 1, len(w)))
-    terms[0] = w
-    np.multiply(alphas[:, None], np.reshape(updates, terms[1:].shape),
-                out=terms[1:])
-    return np.add.accumulate(terms, axis=0)[-1]
+    shape = np.shape(w)
+    terms = np.empty(shape[:-1] + (len(alphas) + 1, shape[-1]))
+    terms[..., 0, :] = w
+    tail = terms[..., 1:, :]
+    np.multiply(alphas[:, None], np.reshape(updates, tail.shape), out=tail)
+    return np.add.accumulate(terms, axis=-2)[..., -1, :]
 
 
-def theorem6_bound(sigma2: float, etas, alphas, xis, tau: int) -> float:
-    """Weights-distortion bound 9 tau sigma^2 (sum eta^2) sum alpha^2 xi^2."""
+def theorem6_bound(sigma2: float, etas, alphas, xis, tau: int):
+    """
+    Weights-distortion bound 9 tau sigma^2 (sum eta^2) sum alpha^2 xi^2;
+    etas of shape (..., tau) give one bound per row (a float for one row).
+    """
     etas = np.asarray(etas, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    return float(9.0 * tau * sigma2 * np.sum(etas ** 2)
-                 * np.sum(alphas ** 2 * xis ** 2))
+    out = (9.0 * tau * sigma2 * np.sum(etas ** 2, axis=-1)
+           * np.sum(alphas ** 2 * xis ** 2))
+    return float(out) if etas.ndim == 1 else out
 
 
 def theorem7_bound(sigma2: float, psi: float, rho_s: float, rho_c: float,
-                   alphas, xis, tau: int, w0_dist2: float, t: int) -> float:
+                   alphas, xis, tau: int, w0_dist2: float, t):
     """
     Convergence bound at local iteration t for the decaying step size
     eta_t = tau / (rho_c (t + phi)), phi = tau max(1, 4 rho_s / rho_c):
     rho_s / (2 (t+phi)) * max((rho_c^2 + tau^2 b)/(tau rho_c), phi ||w0-w*||^2)
     with b = (1 + 36 tau^2 sigma^2) sum alpha^2 xi^2 + 6 rho_s psi
            + 8 (tau-1)^2 sum alpha xi^2.
+    An array t gives one bound per entry (a float for an integer t).
     """
     alphas = np.asarray(alphas, dtype=float)
     xis = np.asarray(xis, dtype=float)
@@ -398,7 +405,8 @@ def theorem7_bound(sigma2: float, psi: float, rho_s: float, rho_c: float,
          + 6.0 * rho_s * psi
          + 8.0 * (tau - 1) ** 2 * np.sum(alphas * xis ** 2))
     lam = max((rho_c ** 2 + tau ** 2 * b) / (tau * rho_c), phi * w0_dist2)
-    return float(rho_s / (2.0 * (t + phi)) * lam)
+    out = rho_s / (2.0 * (np.asarray(t) + phi)) * lam
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def _eta_fn(cfg: FlConfig, task: Task):
@@ -473,25 +481,27 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
     return hts, int(overloaded.sum())
 
 
-def _round_noise(cfg: FlConfig, lat: Lattice, sampler, users: int,
-                 dim: int):
+def _round_chunks(cfg: FlConfig, lat: Lattice, sampler, users: int,
+                  dim: int):
     """
-    The dither and PPN of every round of a run of `users` updates of dim
-    coordinates each, drawn a chunk of rounds at a time; yields one
-    `codec._Drawn` per round, its rows the users'. A chunk is one
-    `codec._draw` over its rounds' rows, round by round, as many rounds as
-    keep each noise array within `codec._BLOCK` coordinates, or one round
-    when a round holds more (drawn, then, in the codec's blocks). Every row
-    reads its own keyed stream, so no draw depends on the chunk size.
+    The rounds of a run of `users` updates of dim coordinates each, in
+    chunks of as many rounds as keep each noise array within `codec._BLOCK`
+    coordinates (at least one round). Yields (rounds, noise) per chunk,
+    noise one `codec._Drawn` per round, its rows the users', cut from one
+    `codec._draw` over the chunk's rows, for the quantizing baselines, or
+    None per round for the others.
     """
     m = -(-dim // lat.dimension)
     per = max(1, codec._BLOCK // (users * m * lat.dimension))
     for r0 in range(0, cfg.rounds, per):
         rounds = range(r0, min(r0 + per, cfg.rounds))
+        if cfg.baseline not in ("sdq", "separate", "jopeq"):
+            yield rounds, [None] * len(rounds)
+            continue
         drawn = codec._draw(_KeyedStreams.grid(cfg.seed, users, rounds),
                             lat, sampler, cfg.seed + 1, m)
-        for i in range(len(rounds)):
-            yield drawn.rows(i * users, (i + 1) * users)
+        yield rounds, [drawn.rows(i * users, (i + 1) * users)
+                       for i in range(len(rounds))]
 
 
 def run_experiment(cfg: FlConfig, task: Task | None = None,
@@ -506,13 +516,14 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     a per-user floor on xi. Pass a prebuilt task to share it across
     baselines.
 
-    The quantizing baselines (sdq, separate, jopeq) take their dither and
-    jopeq its PPN from draws made a chunk of rounds at a time
-    (`_round_noise`), one call per chunk for each; a round then scales,
-    adds, quantizes and decodes. The server decodes with the round's own
-    dither draw, which is the one the users added. Each row reads its own
-    keyed stream, of (seed, user, round), so the draws, and every output,
-    do not depend on the chunk size.
+    The rounds run a chunk at a time (`_round_chunks`). The quantizing
+    baselines (sdq, separate, jopeq) take their dither and jopeq its PPN
+    from one draw per chunk; the server decodes with the dither the users
+    added. A round computes only what the next needs: local SGD, uplink,
+    aggregate and loss gap. The SNR, true aggregate and weights distortion
+    of a chunk's rounds are computed at its end, and the bounds of every
+    round after the last. Each row reads its own keyed stream, of (seed,
+    user, round), so no output depends on the chunk size.
     """
     alphas = cfg.alpha_vector()
     if task is None:
@@ -527,47 +538,45 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
 
     w = np.zeros(task.model_dim)
     w0_dist2 = float(np.sum((w - task.w_opt) ** 2))
-    rounds = []
+    gaps, snrs, dists, ovs = [], [], [], []
     norms = np.zeros(task.users)
     users = range(task.users)
     picks = _sgd_picks(cfg.seed, task.users, cfg.rounds, cfg.tau,
                        task.ys.shape[1])
-    noise = (_round_noise(cfg, lat, sampler, task.users, task.model_dim)
-             if cfg.baseline in ("sdq", "separate", "jopeq") else
-             itertools.repeat(None, cfg.rounds))
-    for r, drawn in enumerate(noise):
-        hs = local_sgd(task, users, w, eta_fn, r * cfg.tau, picks[:, r],
-                       grad_norms=norms)
-        hts, ovs = uplink(
-            cfg.baseline, hs, lat, spec, sampler, None,
-            [[cfg.seed, _TAG_PPN_ONLY, k, r] for k in users], cfg.seed + 1,
-            _drawn=drawn)
-        w_true = fedavg_round(w, hs, alphas)
-        w_next = fedavg_round(w, hts, alphas)
-        gap = task.loss(w_next) - task.f_opt
-        if not math.isfinite(gap) or gap > 1e6:
-            raise DivergenceError(
-                f"loss gap {gap:.3g} at round {r} (baseline={cfg.baseline}, "
-                f"eta={cfg.eta}, schedule={cfg.schedule})")
-        snr_db = (codec.snr(hs, hts) if cfg.baseline != "plain" else
-                  float("inf"))
-        rounds.append((gap, snr_db, float(np.sum((w_next - w_true) ** 2)),
-                       ovs))
-        w = w_next
+    for rounds, noise in _round_chunks(cfg, lat, sampler, task.users,
+                                       task.model_dim):
+        # ws[i] is the weights before the chunk's round i, ws[-1] after.
+        ws = np.empty((len(rounds) + 1, task.model_dim))
+        hs = np.empty((len(rounds), task.users, task.model_dim))
+        hts = np.empty_like(hs)
+        ws[0] = w
+        for i, r in enumerate(rounds):
+            hs[i] = h = local_sgd(task, users, w, eta_fn, r * cfg.tau,
+                                  picks[:, r], grad_norms=norms)
+            keys = ([[cfg.seed, _TAG_PPN_ONLY, k, r] for k in users]
+                    if cfg.baseline in ("ppn", "separate") else None)
+            hts[i], ov = uplink(cfg.baseline, h, lat, spec, sampler, None,
+                                keys, cfg.seed + 1, _drawn=noise[i])
+            ws[i + 1] = w = fedavg_round(w, hts[i], alphas)
+            gap = task.loss(w) - task.f_opt
+            if not math.isfinite(gap) or gap > 1e6:
+                raise DivergenceError(
+                    f"loss gap {gap:.3g} at round {r} (baseline="
+                    f"{cfg.baseline}, eta={cfg.eta}, schedule={cfg.schedule})")
+            gaps.append(gap)
+            ovs.append(ov)
+        w_true = fedavg_round(ws[:-1], hs, alphas)
+        dists += np.sum((ws[1:] - w_true) ** 2, axis=-1).tolist()
+        snrs += (codec._snr_rounds(hs, hts) if cfg.baseline != "plain" else
+                 [float("inf")] * len(rounds))
 
     xis = np.maximum(0.0 if xis is None else xis, _XI_MARGIN * norms)
-    out = []
-    for r, (gap, snr_db, distortion, ovs) in enumerate(rounds):
-        etas = [eta_fn(r * cfg.tau + j) for j in range(cfg.tau)]
-        out.append(RoundMetrics(
-            round_index=r,
-            loss_gap=gap,
-            snr_db=snr_db,
-            weights_distortion=distortion,
-            thm6_rhs=theorem6_bound(sigma2_bound, etas, alphas, xis, cfg.tau),
-            thm7_rhs=theorem7_bound(sigma2_bound, task.psi, task.rho_s,
-                                    task.rho_c, alphas, xis, cfg.tau,
-                                    w0_dist2, (r + 1) * cfg.tau),
-            overloads=ovs,
-        ))
-    return out
+    etas = np.reshape([eta_fn(t) for t in range(cfg.rounds * cfg.tau)],
+                      (cfg.rounds, cfg.tau))
+    thm6 = theorem6_bound(sigma2_bound, etas, alphas, xis, cfg.tau)
+    thm7 = theorem7_bound(sigma2_bound, task.psi, task.rho_s, task.rho_c,
+                          alphas, xis, cfg.tau, w0_dist2,
+                          cfg.tau * np.arange(1, cfg.rounds + 1))
+    return [RoundMetrics(*row) for row in zip(
+        range(cfg.rounds), gaps, snrs, dists, thm6.tolist(), thm7.tolist(),
+        ovs)]

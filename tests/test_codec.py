@@ -361,6 +361,32 @@ class TestSnr:
                  for h, ht in zip(hs, hts)]))
             assert snr(hs, hts) == snr(list(hs), list(hts)) == by_user
 
+    def test_stack_equals_batches_one_by_one(self):
+        # Round 1 has a user sent exactly, round 2 is all zero: both read
+        # inf, and no division warns. d = 1 makes every distortion
+        # variance 0; at K = 12 a pairwise mean over the users would
+        # differ from the one over each batch.
+        def by_user(hs, hts):
+            dvs = [float(np.var(h - ht)) for h, ht in zip(hs, hts)]
+            if 0.0 in dvs:
+                return np.inf
+            return 10.0 * math.log10(np.mean(
+                [float(np.var(h)) / dv for h, dv in zip(hs, dvs)]))
+
+        rng = np.random.default_rng(14)
+        for c, k, d in [(5, 10, 10), (3, 12, 1), (4, 12, 7), (3, 3, 501)]:
+            hs = rng.normal(0.0, 1.0, (c, k, d)) * 10.0 ** rng.uniform(
+                -3.0, 3.0, (c, k, 1))
+            hts = hs + rng.normal(0.0, 0.3, (c, k, d))
+            hts[1, 2] = hs[1, 2]
+            hs[2] = hts[2] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = codec._snr_rounds(hs, hts)
+            assert got == [by_user(h, ht) for h, ht in zip(hs, hts)]
+            assert got[1] == got[2] == np.inf
+            assert got == [snr(h, ht) for h, ht in zip(hs, hts)]
+
     def test_ten_db_example(self):
         rng = np.random.default_rng(12)
         h = rng.normal(0.0, 1.0, 500_000)

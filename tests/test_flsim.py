@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jopeq import codec, flsim
 from jopeq.codec import decode, encode, scale_rows
@@ -341,6 +344,24 @@ class TestAggregation:
         if d == 1 and k >= 8:
             assert pairwise > 0
 
+    @settings(deadline=None, max_examples=80)
+    @given(c=st.integers(0, 5), k=st.integers(0, 40), d=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(c=4, k=8, d=1, seed=0)
+    @example(c=3, k=40, d=1, seed=1)
+    def test_stack_equals_calls_one_by_one(self, c, k, d, seed):
+        # Bit for bit; at d = 1 and K >= 8 a pairwise sum over the users
+        # would differ from the sum in user order.
+        rng = np.random.default_rng(seed)
+        ws = rng.normal(0.0, 1.0, (c, d))
+        hs = rng.normal(0.0, 1.0, (c, k, d)) * 10.0 ** rng.uniform(
+            -8.0, 8.0, (c, k, 1))
+        alphas = rng.random(k)
+        got = fedavg_round(ws, hs, alphas)
+        assert got.shape == (c, d)
+        for w, h, row in zip(ws, hs, got):
+            assert row.tobytes() == fedavg_round(w, h, alphas).tobytes()
+
     @pytest.mark.parametrize("updates", [[], np.empty((0, 3))],
                              ids=["list", "array"])
     def test_no_updates_give_a_copy_of_w(self, updates):
@@ -387,6 +408,28 @@ class TestBounds:
         assert theorem7_bound(*args, t2) == pytest.approx(
             0.5 * theorem7_bound(*args, t), rel=1e-12)
 
+    @settings(deadline=None, max_examples=80)
+    @given(rows=st.integers(0, 6), tau=st.integers(1, 6),
+           users=st.integers(1, 12), sigma2=st.floats(0.0, 10.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_arrays_equal_scalar_calls(self, rows, tau, users, sigma2, seed):
+        rng = np.random.default_rng(seed)
+        etas = rng.uniform(0.0, 1.0, (rows, tau))
+        alphas = rng.dirichlet(np.ones(users))
+        xis = rng.uniform(0.0, 5.0, users)
+        got = theorem6_bound(sigma2, etas, alphas, xis, tau)
+        want = [theorem6_bound(sigma2, e, alphas, xis, tau) for e in etas]
+        assert all(type(v) is float for v in want)
+        assert got.tobytes() == np.array(want).tobytes()
+        rho_c, psi, w0_dist2 = rng.uniform(0.01, 1.0, 3)
+        rho_s = rho_c + rng.uniform(0.0, 10.0)
+        args = (sigma2, psi, rho_s, rho_c, alphas, xis, tau, w0_dist2)
+        ts = rng.integers(0, 10 ** 6, rows)
+        got = theorem7_bound(*args, ts)
+        want = [theorem7_bound(*args, t) for t in ts.tolist()]
+        assert all(type(v) is float for v in want)
+        assert got.tobytes() == np.array(want).tobytes()
+
 
 class TestSupportRule:
     @pytest.mark.parametrize("family", ["square", "hexagonal"])
@@ -431,9 +474,10 @@ def _uplink_alone(baseline, h, lat, spec, sampler, sr, noise_key,
 def _rounds_one_user_at_a_time(cfg, task, xis):
     """
     run_experiment's round loop with each user's update sent alone through
-    `_uplink_alone` and the SNR averaged user by user: the reference for
-    the batched round. Returns (loss_gap, snr_db, weights_distortion,
-    overloads) per round.
+    `_uplink_alone`, the SNR averaged user by user, and the bounds taken
+    round by round from scalar calls with the run's xi: the reference for
+    the batched and chunked run. Returns (loss_gap, snr_db,
+    weights_distortion, thm6_rhs, thm7_rhs, overloads) per round.
     """
     eta_fn = flsim._eta_fn(cfg, task)
     lat, spec = cfg.codec.build()
@@ -441,11 +485,13 @@ def _rounds_one_user_at_a_time(cfg, task, xis):
                if cfg.baseline == "jopeq" else None)
     picks = _layout_picks(cfg, task)
     w = np.zeros(task.model_dim)
+    best = np.zeros(task.users)
     out = []
     for r in range(cfg.rounds):
         hs, hts, ovs = [], [], 0
         for k in range(task.users):
-            h = local_sgd(task, k, w, eta_fn, r * cfg.tau, picks[k, r])
+            h = local_sgd(task, k, w, eta_fn, r * cfg.tau, picks[k, r],
+                          grad_norms=best[k:k + 1])
             ht, ov = _uplink_alone(
                 cfg.baseline, h, lat, spec, sampler,
                 SharedRandomness(seed=cfg.seed, user=k, round_index=r),
@@ -463,7 +509,19 @@ def _rounds_one_user_at_a_time(cfg, task, xis):
         out.append((task.loss(w_next) - task.f_opt, snr_db,
                     float(np.sum((w_next - w_true) ** 2)), ovs))
         w = w_next
-    return out
+    xi = np.maximum(0.0 if xis is None else xis, 1.1 * best)
+    sigma2 = (spec.variance if cfg.baseline in ("ppn", "separate", "jopeq")
+              else 0.0)
+    w0_dist2 = float(np.sum(task.w_opt ** 2))
+    bounds = [(theorem6_bound(sigma2, [eta_fn(r * cfg.tau + j)
+                                       for j in range(cfg.tau)],
+                              task.alphas, xi, cfg.tau),
+               theorem7_bound(sigma2, task.psi, task.rho_s, task.rho_c,
+                              task.alphas, xi, cfg.tau, w0_dist2,
+                              (r + 1) * cfg.tau))
+              for r in range(cfg.rounds)]
+    return [(gap, snr_db, dist, *bnd, ovs)
+            for (gap, snr_db, dist, ovs), bnd in zip(out, bounds)]
 
 
 def _snr_user_by_user(hs, hts):
@@ -591,9 +649,10 @@ class TestRunExperiment:
         cfg = self._cfg(baseline=baseline, rounds=15)
         task = build_task(cfg.task, cfg.users, cfg.alpha_vector(), cfg.seed)
         xis = calibrate_xi(task, cfg)
-        got = [(m.loss_gap, m.snr_db, m.weights_distortion, m.overloads)
-               for m in run_experiment(cfg, task, xis)]
-        assert got == _rounds_one_user_at_a_time(cfg, task, xis)
+        for schedule in ("fixed", "decay"):
+            cfg = replace(cfg, schedule=schedule)
+            got = _metrics(run_experiment(cfg, task, xis))
+            assert got == _rounds_one_user_at_a_time(cfg, task, xis)
 
     def test_shorter_run_is_prefix(self):
         # The bounds take xi from the whole run, so only they may differ.
@@ -615,7 +674,7 @@ class TestRunExperiment:
         xis = {None: None, "calibrated": calibrate_xi(task, cfg),
                "large": np.full(cfg.users, 1e3)}[floor]
         seen = np.zeros(cfg.users)
-        used = []
+        used, shapes = [], []
         real_grad = flsim.Task.sample_grad
 
         def grad(self, k, w, i):
@@ -626,14 +685,17 @@ class TestRunExperiment:
         def bound(real, at):  # xis is positional argument `at`
             def wrapped(*args):
                 used.append(np.array(args[at]))
-                return real(*args)
+                out = real(*args)
+                shapes.append(np.shape(out))
+                return out
             return wrapped
 
         monkeypatch.setattr(flsim.Task, "sample_grad", grad)
         monkeypatch.setattr(flsim, "theorem6_bound", bound(theorem6_bound, 3))
         monkeypatch.setattr(flsim, "theorem7_bound", bound(theorem7_bound, 5))
         run_experiment(cfg, task, xis)
-        assert len(used) == 2 * cfg.rounds and np.all(seen > 0.0)
+        # One call per bound, which bounds every round.
+        assert shapes == [(cfg.rounds,)] * 2 and np.all(seen > 0.0)
         want = 1.1 * seen if xis is None else np.maximum(xis, 1.1 * seen)
         for xi in used:
             assert np.all(seen <= xi)
@@ -723,8 +785,9 @@ def chunked_task():
 
 
 def _metrics(ms):
-    return [(m.loss_gap, m.snr_db, m.weights_distortion, m.overloads)
-            for m in ms]
+    """Every field of a run's RoundMetrics but the round index."""
+    return [(m.loss_gap, m.snr_db, m.weights_distortion, m.thm6_rhs,
+             m.thm7_rhs, m.overloads) for m in ms]
 
 
 class TestChunkedNoise:
@@ -764,6 +827,35 @@ class TestChunkedNoise:
         assert codec._BLOCK // (cfg.users * m * lat.dimension) <= 1
         assert _metrics(run_experiment(cfg, chunked_task)) == want
 
+    @settings(deadline=None, max_examples=6)
+    @given(baseline=st.sampled_from(BASELINES),
+           family=st.sampled_from(["scalar", "square", "hexagonal"]))
+    def test_chunks_equal_rounds_one_by_one(self, baseline, family,
+                                            chunked_task):
+        # Chunks of 3, 3 and 2 rounds against one round per chunk: the
+        # noise draws and the chunk's metrics (SNR, true aggregate and
+        # weights distortion) both follow the chunk.
+        cfg = self._cfg(family, baseline)
+        want = _metrics(run_experiment(cfg, chunked_task))
+        lat, _ = cfg.codec.build()
+        m = -(-cfg.task.model_dim // lat.dimension)
+        with pytest.MonkeyPatch.context() as mp:
+            small_blocks(mp, lat.dimension, cfg.users * m)
+            chunks = [len(rounds) for rounds, _ in flsim._round_chunks(
+                cfg, lat, None, cfg.users, cfg.task.model_dim)]
+            assert chunks == [1] * cfg.rounds
+            assert _metrics(run_experiment(cfg, chunked_task)) == want
+
+    def test_zero_distortion_variance_reads_inf_without_warning(self):
+        # At model dimension 1 every user's distortion variance is 0, in
+        # each of the chunk's 6 rounds.
+        cfg = FlConfig(task=TaskSpec(model_dim=1), users=12, rounds=6,
+                       baseline="sdq")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = run_experiment(cfg)
+        assert [m.snr_db for m in ms] == [np.inf] * cfg.rounds
+
     @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
     @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])
     def test_drawn_rounds_equal_rounds_read_from_streams(self, baseline,
@@ -772,8 +864,10 @@ class TestChunkedNoise:
         lat, spec, samp = _codec(family)
         cfg = FlConfig(users=3, rounds=5, seed=4)
         d = 9
-        noise = flsim._round_noise(cfg, lat, samp if baseline == "jopeq"
-                                   else None, cfg.users, d)
+        noise = itertools.chain.from_iterable(
+            drawn for _, drawn in flsim._round_chunks(
+                cfg, lat, samp if baseline == "jopeq" else None, cfg.users,
+                d))
         rng = np.random.default_rng(d)
         for r, drawn in enumerate(noise):
             hs = rng.normal(0.0, 1.0, (cfg.users, d))

@@ -25,10 +25,12 @@ The outputs, all keyed on --seed:
 - `fl.chunks.<family>.<baseline>`: the same for 8 rounds of the linear
   task at model dimension CHUNK_DIM (decay schedule, 10 users), for the
   three quantizing baselines (sdq, separate, jopeq) on a Laplace codec of
-  each family at R = 4, epsilon 3. A run may draw its dither and PPN a
+  each family at R = 4, epsilon 3. A run may draw its dither and PPN,
+  and compute its per-round SNR, true aggregate and weights distortion, a
   chunk of rounds at a time, as many rounds as fit in 2^16 coordinates:
-  here 3, 3 and 2 rounds, so these lines span chunk boundaries, where
-  the other FL lines, at dimension 10 or less, fit in one chunk.
+  here 3, 3 and 2 rounds, so these lines span noise- and metric-chunk
+  boundaries, where the other FL lines, at dimension 10 or less, fit in
+  one chunk.
 - `fl.short.<family>.<baseline>`: the same for 60 rounds of the linear
   task at model dimension 10 (otherwise FlConfig's defaults), for the
   three quantizing baselines on a square and a hexagonal Laplace codec at
