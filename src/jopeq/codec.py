@@ -183,13 +183,30 @@ def scale_rows(hs: np.ndarray, m_subvectors: int) -> np.ndarray:
     whose sum is 0 or not finite is redone alone: a zero row, a finite
     one whose sum under- or overflowed, or a non-finite one.
     """
-    hs = np.ascontiguousarray(hs, dtype=float)
-    with np.errstate(all="ignore"):  # only rows redone below can warn
+    return _scale(np.ascontiguousarray(hs, dtype=float), m_subvectors)[0]
+
+
+def _scale(hs: np.ndarray, m_subvectors: int):
+    """
+    `scale_rows` of a C-contiguous (K, d) float batch, and the list of its
+    all-zero rows. When every sum of squares is positive and finite, as
+    it is for almost every batch, no row is looked at again.
+    """
+    # The stacked product itself warns when a sum overflows, so the common
+    # path too runs under errstate; only the rows redone below can warn.
+    with np.errstate(all="ignore"):
         sq = np.matmul(hs[:, None, :], hs[:, :, None])[:, 0, 0]
         zetas = math.sqrt(m_subvectors) / (3.0 * np.sqrt(sq))
-        for k in np.flatnonzero((sq == 0.0) | ~np.isfinite(sq)):
-            zetas[k] = _zeta(hs[k], m_subvectors) if hs[k].any() else 1.0
-    return zetas
+        if len(sq) and 0.0 < sq.min() and sq.max() < math.inf:
+            return zetas, []
+        zeros = []
+        for k in np.flatnonzero((sq == 0.0) | ~np.isfinite(sq)).tolist():
+            if hs[k].any():
+                zetas[k] = _zeta(hs[k], m_subvectors)
+            else:
+                zetas[k] = 1.0
+                zeros.append(k)
+    return zetas, zeros
 
 
 def _blocks(k: int, m: int, dim: int):
@@ -285,12 +302,12 @@ class _Streams:
     degenerate, its PPN from the stream of (noise_seed, srs[k].user,
     srs[k].round_index) under _NOISE_TAG, or from fresh OS entropy when
     noise_seed is None. srs is a sequence of SharedRandomness or a
-    `_KeyedStreams` of the rows. `dither` and `ppn` fill `out` with the
-    noise of the block (r0, r1, lo, hi) of `_blocks`, which reads each
-    row's streams at its own offsets: the dither from its first
-    sub-vector's offset, the PPN from the offsets of
-    `PpnSampler.read_starts`. So a row's noise depends neither on the
-    block size nor on the other rows.
+    `_KeyedStreams` of the rows. `dither` and `ppn` draw the noise of the
+    block (r0, r1, lo, hi) of `_blocks` into `out` (a new array when out is
+    None), spending `scratch`, and return it. Each row's streams are read
+    at the block's own offsets: the dither from its first sub-vector's
+    offset, the PPN from the offsets of `PpnSampler.read_starts`. So a
+    row's noise depends neither on the block size nor on the other rows.
     """
 
     def __init__(self, srs, lat: Lattice, m: int,
@@ -303,27 +320,29 @@ class _Streams:
         self._noise_seed = noise_seed
         self.has_ppn = sampler is not None and not sampler.degenerate
 
-    def dither(self, r0, r1, lo, hi, out, scratch=None):
-        dither_block(self._srs[r0:r1], self._lat, (r1 - r0) * (hi - lo), lo,
-                     out=out, scratch=scratch)
+    def dither(self, r0, r1, lo, hi, out=None, scratch=None):
+        return dither_block(self._srs[r0:r1], self._lat,
+                            (r1 - r0) * (hi - lo), lo, out=out,
+                            scratch=scratch)
 
-    def ppn(self, r0, r1, lo, hi, out, scratch=None):
+    def ppn(self, r0, r1, lo, hi, out=None, scratch=None):
         rngs = ([np.random.default_rng() for _ in range(r1 - r0)]
                 if self._noise_seed is None else
                 _KeyedStreams.of(self._srs[r0:r1], _NOISE_TAG,
                                  self._sampler.read_starts(lo, hi, self._m),
                                  self._noise_seed))
-        self._sampler.sample((r1 - r0) * (hi - lo), rngs, out=out,
-                             scratch=scratch)
+        return self._sampler.sample((r1 - r0) * (hi - lo), rngs, out=out,
+                                    scratch=scratch)
 
 
 class _Drawn:
     """
     The noise of a batch's rows drawn ahead by `_draw`: dith and ppn are
-    (K, M L) arrays of each row's dithers and PPN (ppn None when there is
-    no PPN). `dither` and `ppn` copy a block's part into `out`, so a batch
-    coded with them comes out as it does with the streams they were drawn
-    from. `rows(r0, r1)` is the noise of rows r0, ..., r1-1 alone.
+    read-only (K, M, L) arrays of each row's dithers and PPN (ppn None
+    when there is no PPN). `dither` and `ppn` return a block's part as an
+    (n, L) view and leave out and scratch alone, so a batch coded with
+    them comes out as it does with the streams they were drawn from.
+    `rows(r0, r1)` is the noise of rows r0, ..., r1-1 alone.
     """
 
     def __init__(self, dith: np.ndarray, ppn: np.ndarray | None):
@@ -334,17 +353,12 @@ class _Drawn:
         return _Drawn(self._dith[r0:r1],
                       None if self._ppn is None else self._ppn[r0:r1])
 
-    def dither(self, r0, r1, lo, hi, out, scratch=None):
-        _copy_block(self._dith, r0, r1, lo, hi, out)
+    def dither(self, r0, r1, lo, hi, out=None, scratch=None):
+        # A block's rows are whole rows or a slice of one, so contiguous.
+        return self._dith[r0:r1, lo:hi].reshape(-1, self._dith.shape[-1])
 
-    def ppn(self, r0, r1, lo, hi, out, scratch=None):
-        _copy_block(self._ppn, r0, r1, lo, hi, out)
-
-
-def _copy_block(noise, r0, r1, lo, hi, out) -> None:
-    """Copy sub-vectors lo, ..., hi-1 of rows r0, ..., r1-1 of noise to out."""
-    dim = out.shape[-1]
-    np.copyto(out.reshape(r1 - r0, -1), noise[r0:r1, lo * dim:hi * dim])
+    def ppn(self, r0, r1, lo, hi, out=None, scratch=None):
+        return self._ppn[r0:r1, lo:hi].reshape(-1, self._ppn.shape[-1])
 
 
 def _check_sampler(sampler: PpnSampler | None, lat: Lattice) -> None:
@@ -378,19 +392,19 @@ def _draw(srs, lat: Lattice, sampler: PpnSampler | None,
     _check_sampler(sampler, lat)
     streams = _Streams(srs, lat, m, sampler, noise_seed)
     k, dim = len(srs), lat.dimension
-    dith = np.empty((k, m * dim))
-    ppn = np.empty((k, m * dim)) if streams.has_ppn else None
+    dith = np.empty((k, m, dim))
+    ppn = np.empty((k, m, dim)) if streams.has_ppn else None
 
     def code(r0, r1, lo, hi):
-        # The block's part of each array (whole rows or a slice of one
-        # row, so contiguous), as (sub-vectors, L).
-        part = slice((r0 * m + lo) * dim, ((r1 - 1) * m + hi) * dim)
-        shape = ((r1 - r0) * (hi - lo), dim)
-        streams.dither(r0, r1, lo, hi, dith.reshape(-1)[part].reshape(shape))
+        streams.dither(r0, r1, lo, hi, dith[r0:r1, lo:hi].reshape(-1, dim))
         if ppn is not None:
-            streams.ppn(r0, r1, lo, hi, ppn.reshape(-1)[part].reshape(shape))
+            streams.ppn(r0, r1, lo, hi, ppn[r0:r1, lo:hi].reshape(-1, dim))
 
     _run_blocks(code, _blocks(k, m, dim))
+    # Blocks read views of these arrays: a stray write raises.
+    for noise in (dith, ppn):
+        if noise is not None:
+            noise.flags.writeable = False
     return _Drawn(dith, ppn)
 
 
@@ -422,54 +436,58 @@ def _encode(hs: np.ndarray, lat: Lattice, noise):
     """
     `encode_rows` of the (K, d) float batch hs with the noise of `noise`,
     a `_Streams` or `_Drawn` of its K rows: each sub-vector is quantized
-    as (dither + zeta h) + PPN.
+    as (dither + zeta h) + PPN. A block takes its noise as the arrays
+    `noise` returns, drawn into the block's buffers or views of the draws
+    ahead, and copies none of it.
     """
     k, d = hs.shape
     dim = lat.dimension
     m = -(-d // dim)
-    zetas = scale_rows(hs, m)
+    zetas, zeros = _scale(np.ascontiguousarray(hs, dtype=float), m)
     idx = np.empty((k, m), dtype=np.int64)
     overloaded = np.empty((k, m), dtype=bool)
 
     def code(r0, r1, lo, hi):
         rows, n = r1 - r0, hi - lo
-        width = min(hi * dim, d) - lo * dim
+        size, width = rows * n * dim, min(hi * dim, d) - lo * dim
         # The block's own parts of the outputs (whole rows or a slice of
         # one row, so contiguous), which are its scratch until quantized.
         part = slice(r0 * m + lo, (r1 - 1) * m + hi)
         cells, mask = idx.reshape(-1)[part], overloaded.reshape(-1)[part]
-        # x takes the sum (zeta h + dither) + PPN and scratch its terms: the
-        # dither goes into x, zeta h into scratch and is added, then the
-        # PPN goes into scratch and is added. An L = 1 block's PPN would
-        # not fit in scratch with its cell uniforms, so it goes first, into
-        # x; then the dither goes into scratch, drawn in the bytes of
-        # cells, and x += scratch. The values are the same either way
-        # (x + y = y + x).
+        # x takes the sum (dither + zeta h) + PPN, and s, x itself or
+        # scratch, its first term; zeta h goes into `draws`, spent by the
+        # dither's draws. An L = 1 block's PPN would not fit in scratch
+        # with its cell uniforms, so it goes first, into x; then the
+        # dither goes into scratch, drawn in the bytes of cells. The values
+        # are the same either way (x + y = y + x).
         x = np.empty((rows * n, dim))
         scratch = np.empty(_scratch_size(rows * n, dim))
-        terms, draws = x, scratch
+        s, draws = x, scratch
         if noise.has_ppn and dim == 1:
-            noise.ppn(r0, r1, lo, hi, x, (scratch, cells, mask))
-            terms, draws = scratch.reshape(-1, 1), cells.view(np.float64)
-        noise.dither(r0, r1, lo, hi, terms, draws)
-        zh = draws[:rows * n * dim].reshape(rows, -1)[:, :width]
+            ppn = noise.ppn(r0, r1, lo, hi, x, (scratch, cells, mask))
+            s, draws = scratch.reshape(x.shape), cells.view(np.float64)
+        dith = noise.dither(r0, r1, lo, hi, s, draws).reshape(rows, -1)
+        zh = draws[:size].reshape(rows, -1)[:, :width]
         np.multiply(zetas[r0:r1, None], hs[r0:r1, lo * dim:lo * dim + width],
                     out=zh)
-        terms.reshape(rows, -1)[:, :width] += zh
-        if terms is not x:
-            x += terms
-        elif noise.has_ppn:
-            jit = scratch[:x.size].reshape(x.shape)
-            noise.ppn(r0, r1, lo, hi, jit, (scratch[x.size:], cells, mask))
-            x += jit
+        first = s.reshape(rows, -1)
+        np.add(dith[:, :width], zh, out=first[:, :width])
+        if width < n * dim:  # a padded row's tail takes the dither alone
+            first[:, width:] = dith[:, width:]
+        if noise.has_ppn:
+            if s is x:
+                ppn = noise.ppn(r0, r1, lo, hi,
+                                scratch[:size].reshape(x.shape),
+                                (scratch[size:], cells, mask))
+            np.add(s, ppn, out=x)
         quantize_clipped(lat, x, out=(cells, mask), scratch=scratch)
 
     _run_blocks(code, _blocks(k, m, dim))
 
     # A zero-norm row has no zeta: it is sent as the zero-point sentinel.
-    zero = ~np.any(hs, axis=1)
-    idx[zero] = lat.zero_index
-    overloaded[zero] = False
+    if zeros:
+        idx[zeros] = lat.zero_index
+        overloaded[zeros] = False
     return idx, zetas, overloaded
 
 
@@ -518,7 +536,8 @@ def _decode(idx: np.ndarray, zetas: np.ndarray, lat: Lattice, noise,
     """
     `decode_rows` of indices in the codebook's range, with the dither of
     `noise`, a `_Streams` or `_Drawn` of their K rows: each sub-vector
-    decodes to (codebook[index] - dither) / zeta.
+    decodes to (codebook[index] - dither) / zeta, the dither drawn into a
+    new array or a view of the draws ahead.
     """
     k, m = idx.shape
     dim = lat.dimension
@@ -527,9 +546,8 @@ def _decode(idx: np.ndarray, zetas: np.ndarray, lat: Lattice, noise,
 
     def code(r0, r1, lo, hi):
         rows, n = r1 - r0, hi - lo
-        dith = np.empty((rows * n, dim))
         scratch = np.empty(_scratch_size(rows * n, dim))
-        noise.dither(r0, r1, lo, hi, dith, scratch)
+        dith = noise.dither(r0, r1, lo, hi, None, scratch)
         # as codebook[idx[r0:r1, lo:hi]]; every index is in range.
         sub = scratch[:dith.size].reshape(dith.shape)
         lat.codebook.take(idx[r0:r1, lo:hi].reshape(-1), axis=0, out=sub,
@@ -557,7 +575,8 @@ def snr(h_rows, ht_rows) -> float:
     """
     Mean over users of var(h) / var(h - h_tilde), in dB, for a (K, d)
     batch of updates or a sequence of K. Returns inf when any user's
-    distortion variance is zero.
+    distortion variance is zero, and -inf when the mean ratio is zero
+    (every update constant, say all zero, and some distortion).
     """
     if len(h_rows) != len(ht_rows):
         raise ValueError("mismatched batches")
@@ -569,10 +588,12 @@ def _snr_rounds(h: np.ndarray, ht) -> list[float]:
     `snr` of each batch of a (C, K, d) stack h of updates, with ht their
     decoded updates (an array-like that broadcasts to h's shape, converted
     only for the subtraction): C values in dB, inf for a batch in which
-    any user's distortion variance is zero, and no warning for it.
+    any user's distortion variance is zero and -inf for one whose mean
+    ratio is zero, and no warning for either.
     """
     dv = np.var(h - np.asarray(ht, dtype=float), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.mean(np.var(h, axis=-1) / dv, axis=-1)
     ratios[np.any(dv == 0.0, axis=-1)] = np.inf
-    return [10.0 * math.log10(x) for x in ratios.tolist()]
+    return [10.0 * math.log10(x) if x != 0.0 else -math.inf
+            for x in ratios.tolist()]

@@ -169,12 +169,16 @@ class Task:
     def _mean_loss(self, z: np.ndarray, y: np.ndarray, w: np.ndarray):
         """Regularized mean loss over the last axis of margins z, labels y."""
         lam = self.spec.reg_lambda
+        n = z.shape[-1]
+        # Means as np.mean takes them, a sum and a division, without its
+        # per-call overhead.
         if self.spec.kind == "linear":
             r = z - y
-            return 0.5 * np.mean(r * r, axis=-1) + 0.5 * lam * w @ w
+            return (0.5 * (np.add.reduce(r * r, axis=-1) / n)
+                    + 0.5 * lam * w @ w)
         # log(1 + exp(z)) - y z, numerically stable
         ll = np.logaddexp(0.0, z) - y * z
-        return np.mean(ll, axis=-1) + 0.5 * lam * w @ w
+        return np.add.reduce(ll, axis=-1) / n + 0.5 * lam * w @ w
 
     def user_loss(self, k: int, w: np.ndarray) -> float:
         return float(self._mean_loss(self.xs[k] @ w, self.ys[k], w))
@@ -194,17 +198,26 @@ class Task:
         be (K,) arrays with w of shape (K, d): row r is then user k[r]'s
         gradient at w[r] on sample i[r], bit for bit the one-user result.
         """
-        lam = self.spec.reg_lambda
-        xi, yi = self.xs[k, i], self.ys[k, i]
+        return self._grad(self.xs[k, i], self.ys[k, i], w)
+
+    def _grad(self, x: np.ndarray, y, w: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """
+        The stochastic gradient on samples x, of shape (..., d), with
+        labels y at weights w of the same shape: row r is the gradient at
+        w[r] on sample x[r] alone. Every stochastic gradient of the
+        simulator is taken here; out, if given, takes the result.
+        """
         # A stacked (1, d) @ (d, 1) product takes each row's margin by the
-        # dot product of a 1-D xi @ w; einsum and a flattened product
+        # dot product of a 1-D x @ w; einsum and a flattened product
         # round differently.
-        z = np.matmul(xi[..., None, :], w[..., :, None])[..., 0, 0]
-        if self.spec.kind == "linear":
-            return (z - yi)[..., None] * xi + lam * w
-        p = np.reshape([_sigmoid(m) for m in np.ravel(z).tolist()],
-                       np.shape(z))
-        return (p - yi)[..., None] * xi + lam * w
+        z = np.matmul(x[..., None, :], w[..., :, None])[..., 0, 0]
+        if self.spec.kind != "linear":  # the residual is sigmoid(z) - y
+            z = np.reshape([_sigmoid(m) for m in np.ravel(z).tolist()],
+                           np.shape(z))
+        out = np.multiply((z - y)[..., None], x, out=out)
+        out += self.spec.reg_lambda * w
+        return out
 
 
 def _sigmoid(margin: float) -> float:
@@ -311,13 +324,14 @@ def local_sgd(task: Task, k, w: np.ndarray, eta_fn, t_start: int, picks,
               grad_norms: np.ndarray | None = None) -> np.ndarray:
     """
     Single-sample SGD steps from w at user k, one on each sample index of
-    the (tau,) array `picks`; returns the update h = w_end - w, of shape
-    (d,).
+    the (tau,) array `picks`, step j with step size eta_fn(t_start + j);
+    returns the update h = w_end - w, of shape (d,).
 
     `k` may also be a sequence of K users with `picks` a (K, tau) array,
     row r user k[r]'s picks: then the result is the (K, d) batch whose
     row r equals local_sgd(task, k[r], w, eta_fn, t_start, picks[r]) bit
-    for bit, taken as one (K, d) step per local iteration.
+    for bit, taken as one (K, d) step per local iteration (`_sgd` on the
+    picked samples, gathered once).
 
     grad_norms, if given, is a float array with one entry per user (in
     the order of k); each entry is raised in place to the largest norm of
@@ -331,17 +345,47 @@ def local_sgd(task: Task, k, w: np.ndarray, eta_fn, t_start: int, picks,
     if picks.ndim != 2 or len(picks) != len(users):
         raise ValueError(f"picks of shape {picks.shape} for {len(users)} "
                          f"users")
-    wk = np.repeat(w[None, :], len(users), axis=0)
-    for j, i in enumerate(picks.T):
-        g = task.sample_grad(users, wk, i)
-        if grad_norms is not None:
-            # sqrt of each row's dot product, as np.linalg.norm of a row;
-            # fmax leaves an entry as it is when the norm is NaN.
-            norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
-            np.fmax(grad_norms, norms, out=grad_norms)
-        wk -= eta_fn(t_start + j) * g
-    h = wk - w
+    etas = [eta_fn(t_start + j) for j in range(picks.shape[1])]
+    h = _sgd(task, task.xs[users, picks.T], task.ys[users, picks.T], w, etas,
+             grad_norms)
     return h[0] if solo else h
+
+
+def _sgd(task: Task, xs: np.ndarray, ys: np.ndarray, w: np.ndarray, etas,
+         grad_norms: np.ndarray | None = None) -> np.ndarray:
+    """
+    The local-SGD updates of K users from w, on their picked samples: xs
+    and ys of shapes (tau, K, d) and (tau, K), step j of row r on sample
+    xs[j, r] with step size etas[j]. Each step's (K, d) slab of xs is
+    C-contiguous, as one gather lays it out. Returns the (K, d) updates;
+    grad_norms, one entry per row, is raised in place to the largest norm
+    of each row's stochastic gradients.
+    """
+    wk = np.repeat(w[None, :], xs.shape[1], axis=0)
+    gs = np.empty(xs.shape)
+    for x, y, g, eta in zip(xs, ys, gs, etas):
+        wk -= eta * task._grad(x, y, wk, out=g)
+    if grad_norms is not None and len(gs):
+        # sqrt of each row's dot product, as np.linalg.norm of a row; fmax
+        # passes over a NaN norm, and max is exact in any order.
+        norms = np.sqrt(np.matmul(gs[..., None, :], gs[..., :, None]))
+        np.fmax(grad_norms, np.fmax.reduce(norms[..., 0, 0], axis=0),
+                out=grad_norms)
+    return wk - w
+
+
+def _picked_samples(task: Task, picks: np.ndarray):
+    """
+    The samples of a run's local-SGD picks, a (K, rounds, tau) array of
+    users 0, ..., K-1, round by round: yields the (tau, K, d) features and
+    (tau, K) labels that `_sgd` steps on, each one `take` of the rows.
+    """
+    n, d = task.ys.shape[1], task.model_dim
+    rows = picks + n * np.arange(len(picks))[:, None, None]
+    rows = np.ascontiguousarray(np.transpose(rows, (1, 2, 0)))
+    xs, ys = task.xs.reshape(-1, d), task.ys.reshape(-1)
+    for sel in rows:
+        yield xs.take(sel, axis=0), ys.take(sel)
 
 
 def _sgd_picks(seed: int, users: int, rounds: int, tau: int,
@@ -416,6 +460,13 @@ def _eta_fn(cfg: FlConfig, task: Task):
     return lambda t: cfg.tau / (task.rho_c * (t + phi))
 
 
+def _step_sizes(cfg: FlConfig, task: Task) -> np.ndarray:
+    """The (rounds, tau) step sizes of a run, round r's in row r."""
+    eta_fn = _eta_fn(cfg, task)
+    return np.reshape([eta_fn(t) for t in range(cfg.rounds * cfg.tau)],
+                      (cfg.rounds, cfg.tau))
+
+
 def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     """
     Per-user gradient-norm constants xi_k: 1.1 times the largest
@@ -423,15 +474,13 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     with the same picks and schedule. `run_experiment` measures xi on the
     run it bounds; this pass can give it a floor.
     """
-    eta_fn = _eta_fn(cfg, task)
-    users = range(task.users)
     picks = _sgd_picks(cfg.seed, task.users, cfg.rounds, cfg.tau,
                        task.ys.shape[1])
     w = np.zeros(task.model_dim)
     best = np.zeros(task.users)
-    for r in range(cfg.rounds):
-        hs = local_sgd(task, users, w, eta_fn, r * cfg.tau, picks[:, r],
-                       grad_norms=best)
+    for (xs, ys), etas in zip(_picked_samples(task, picks),
+                              _step_sizes(cfg, task).tolist()):
+        hs = _sgd(task, xs, ys, w, etas, best)
         w = fedavg_round(w, hs, task.alphas)
     return _XI_MARGIN * best
 
@@ -454,7 +503,8 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
     `run_experiment` passes _drawn, the round's dither and PPN drawn ahead
     from those streams (`codec._draw`), and no srs: the quantizing
     baselines then code with it, and the server decodes with the dither the
-    encoder added instead of drawing it again.
+    encoder added instead of drawing it again. The codec reads views of
+    those read-only draws and copies none of them.
     """
     if baseline == "plain":
         return hs, 0
@@ -478,7 +528,7 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
     else:
         idx, zetas, overloaded = codec._encode(hs, lat, _drawn)
         hts = codec._decode(idx, zetas, lat, _drawn, d)
-    return hts, int(overloaded.sum())
+    return hts, int(np.count_nonzero(overloaded))
 
 
 def _round_chunks(cfg: FlConfig, lat: Lattice, sampler, users: int,
@@ -520,15 +570,18 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     baselines (sdq, separate, jopeq) take their dither and jopeq its PPN
     from one draw per chunk; the server decodes with the dither the users
     added. A round computes only what the next needs: local SGD, uplink,
-    aggregate and loss gap. The SNR, true aggregate and weights distortion
-    of a chunk's rounds are computed at its end, and the bounds of every
+    aggregate and loss gap. Its local SGD steps all users at once on the
+    round's picked samples, gathered once (`_picked_samples`), with the
+    step sizes of the list the Theorem-6 bound takes (`_sgd`, as
+    `local_sgd` steps). The SNR, true aggregate and weights distortion of
+    a chunk's rounds are computed at its end, and the bounds of every
     round after the last. Each row reads its own keyed stream, of (seed,
     user, round), so no output depends on the chunk size.
     """
     alphas = cfg.alpha_vector()
     if task is None:
         task = build_task(cfg.task, cfg.users, alphas, cfg.seed)
-    eta_fn = _eta_fn(cfg, task)
+    etas = _step_sizes(cfg, task)
 
     lat, spec = cfg.codec.build()
     sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
@@ -541,8 +594,9 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     gaps, snrs, dists, ovs = [], [], [], []
     norms = np.zeros(task.users)
     users = range(task.users)
-    picks = _sgd_picks(cfg.seed, task.users, cfg.rounds, cfg.tau,
-                       task.ys.shape[1])
+    samples = _picked_samples(task, _sgd_picks(
+        cfg.seed, task.users, cfg.rounds, cfg.tau, task.ys.shape[1]))
+    steps = etas.tolist()
     for rounds, noise in _round_chunks(cfg, lat, sampler, task.users,
                                        task.model_dim):
         # ws[i] is the weights before the chunk's round i, ws[-1] after.
@@ -551,8 +605,7 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
         hts = np.empty_like(hs)
         ws[0] = w
         for i, r in enumerate(rounds):
-            hs[i] = h = local_sgd(task, users, w, eta_fn, r * cfg.tau,
-                                  picks[:, r], grad_norms=norms)
+            hs[i] = h = _sgd(task, *next(samples), w, steps[r], norms)
             keys = ([[cfg.seed, _TAG_PPN_ONLY, k, r] for k in users]
                     if cfg.baseline in ("ppn", "separate") else None)
             hts[i], ov = uplink(cfg.baseline, h, lat, spec, sampler, None,
@@ -571,8 +624,6 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
                  [float("inf")] * len(rounds))
 
     xis = np.maximum(0.0 if xis is None else xis, _XI_MARGIN * norms)
-    etas = np.reshape([eta_fn(t) for t in range(cfg.rounds * cfg.tau)],
-                      (cfg.rounds, cfg.tau))
     thm6 = theorem6_bound(sigma2_bound, etas, alphas, xis, cfg.tau)
     thm7 = theorem7_bound(sigma2_bound, task.psi, task.rho_s, task.rho_c,
                           alphas, xis, cfg.tau, w0_dist2,

@@ -306,25 +306,26 @@ def _scratch_size(n: int, dim: int) -> int:
 def _pieces(lat: Lattice, n: int, scratch: np.ndarray):
     """
     The pieces in which a block of n sub-vectors goes through
-    `_nearest_coords_into`, and the scratch for them: yields (rows, coords,
-    tmp), a slice of the block's rows and views of the scratch for that
-    piece's coordinates and temporaries. Scaled-identity lattices take the
-    block whole, with no temporaries. A hexagonal one, whose search holds 5
-    floats per sub-vector, takes two halves of at least 2 rows each, so
-    that both fit in 3 n floats of scratch (one whole piece below 4 rows, on
-    scratch of its own if need be).
+    `_nearest_coords_into`, and the scratch for them: a sequence of (rows,
+    coords, tmp), a slice of the block's rows and views of the scratch for
+    that piece's coordinates and temporaries. Scaled-identity lattices take
+    the block whole, with no temporaries. A hexagonal one, whose search
+    holds 5 floats per sub-vector, takes two halves of at least 2 rows
+    each, so that both fit in 3 n floats of scratch (one whole piece below
+    4 rows, on scratch of its own if need be).
     """
     dim = lat.dimension
     if lat.family != "hexagonal":
-        yield slice(0, n), scratch[:n * dim].reshape(n, dim), scratch[:0]
-        return
+        return ((slice(0, n), scratch[:n * dim].reshape(n, dim), scratch[:0]),)
     half = -(-n // 2) if n >= 4 else n
     if len(scratch) < 5 * half:
         scratch = np.empty(5 * half)
+    pieces = []
     for lo in range(0, n, half):
         r = min(half, n - lo)
-        yield (slice(lo, lo + r), scratch[:2 * r].reshape(r, 2),
-               scratch[2 * r:5 * r])
+        pieces.append((slice(lo, lo + r), scratch[:2 * r].reshape(r, 2),
+                       scratch[2 * r:5 * r]))
+    return pieces
 
 
 def _index_into(lat: Lattice, coords: np.ndarray, idx: np.ndarray,
@@ -332,18 +333,17 @@ def _index_into(lat: Lattice, coords: np.ndarray, idx: np.ndarray,
     """
     Codebook index of each (n, L) row of integral coords into idx, and
     into overloaded whether it lies outside the codebook, in which case idx
-    holds the index of the clipped coordinates' cell instead (or -1). For
-    L = 2, spare takes n ints; coords is spent.
+    holds some codebook index or -1, for the caller to replace. For L = 2,
+    spare takes n ints; coords is spent.
     """
     n = len(coords)
     top = 2 * lat._lmax
-    # The grid offset of each axis, clipped to the grid: outside means
-    # overloaded (a negative offset reads as a large unsigned one).
+    # The grid offset of each axis: outside the grid means overloaded (a
+    # negative offset reads as a large unsigned one). An overloaded offset
+    # is not clipped: the lookup's own clip keeps its read in range.
     np.copyto(idx, coords[:, 0], casting="unsafe")
     idx += lat._lmax
     np.greater(idx.view(np.uint64), top, out=overloaded)
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, top, out=idx)
     flag = coords.reshape(-1).view(bool)[:n]
     if lat.dimension == 2:
         col = spare[:n].view(np.intp)
@@ -351,8 +351,6 @@ def _index_into(lat: Lattice, coords: np.ndarray, idx: np.ndarray,
         col += lat._lmax
         np.greater(col.view(np.uint64), top, out=flag)
         overloaded |= flag
-        np.maximum(col, 0, out=col)
-        np.minimum(col, top, out=col)
         idx *= top + 1
         idx += col
     lat._lookup.take(idx, out=idx, mode="clip")
@@ -389,7 +387,7 @@ def quantize_clipped(lat: Lattice, x: np.ndarray, *, out=None,
         _nearest_coords_into(lat, flat[rows], coords, tmp)
         spare = scratch[coords.size:] if lat.family != "hexagonal" else tmp
         _index_into(lat, coords, idx[rows], overloaded[rows], spare)
-    if np.any(overloaded):
+    if np.count_nonzero(overloaded):  # without ndarray.any's wrapper
         # The nearest codebook point by brute force, by the sum of squared
         # per-axis differences: each row's distances are its own.
         bad = flat[overloaded]

@@ -345,6 +345,17 @@ class TestSnr:
         h = [np.ones(4)]
         assert snr(h, h) == np.inf
 
+    def test_zero_updates_with_distortion_read_minus_inf(self):
+        # Every var(h) is 0 and some distortion is not: the mean ratio is
+        # 0, whose log is -inf, the counterpart of inf for no distortion.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = snr(np.zeros((2, 5)), np.ones((2, 5)) * np.arange(5))
+            stack = codec._snr_rounds(np.zeros((2, 3, 4)),
+                                      np.arange(4.0) * [[[1.0]], [[0.0]]])
+        assert got == -np.inf
+        assert stack == [-np.inf, np.inf]
+
     def test_equal_variance_is_zero_db(self):
         rng = np.random.default_rng(11)
         h = rng.normal(0.0, 1.0, 200_000)

@@ -242,6 +242,58 @@ class TestLocalSgd:
             assert np.array_equal(got, np.stack(solo))
             assert np.array_equal(got, np.stack(alone))
 
+    @pytest.mark.parametrize("users", [1, 10])
+    @pytest.mark.parametrize("tau", [1, 4])
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_gathered_steps_equal_local_sgd(self, kind, tau, users):
+        # A run's rounds stepped on the samples `_picked_samples` gathers
+        # equal local_sgd and the one-user reference bit for bit, and so
+        # do the largest gradient norms.
+        task = _small_task(kind=kind, users=users, samples=50, dim=10)
+        eta_fn = lambda t: 0.3 / (1.0 + t)  # noqa: E731
+        picks = np.random.default_rng([users, tau]).integers(
+            0, 50, (users, 6, tau))
+        norms = [np.zeros(users) for _ in range(3)]
+        for r, (xs, ys) in enumerate(flsim._picked_samples(task, picks)):
+            assert xs.shape == (tau, users, task.model_dim)
+            assert ys.shape == (tau, users) and xs[0].flags.c_contiguous
+            w = np.random.default_rng([7, r]).normal(size=task.model_dim)
+            etas = [eta_fn(r * tau + j) for j in range(tau)]
+            got = flsim._sgd(task, xs, ys, w, etas, norms[0])
+            want = local_sgd(task, range(users), w, eta_fn, r * tau,
+                             picks[:, r], grad_norms=norms[1])
+            alone = [_local_sgd_alone(task, k, w, eta_fn, r * tau,
+                                      picks[k, r], norms[2])
+                     for k in range(users)]
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, np.stack(alone))
+            assert np.array_equal(norms[0], norms[1])
+            assert np.array_equal(norms[0], norms[2])
+        assert r == 5 and np.all(norms[0] > 0.0)
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_nan_gradient_keeps_the_old_norm(self, kind):
+        # User 1's second pick has a NaN feature: from that step on its
+        # gradients are NaN, and its largest norm stays the first step's.
+        task = _small_task(kind=kind, users=3, samples=20, dim=4)
+        task.xs = task.xs.copy()
+        task.xs[1, 7, 2] = np.nan
+        w = np.full(task.model_dim, 0.1)
+        picks = np.array([[1, 2, 3, 4], [2, 7, 3, 5], [7, 6, 5, 4]])
+        norms, want = np.zeros(3), np.zeros(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = local_sgd(task, range(3), w, lambda t: 0.1, 0, picks,
+                            grad_norms=norms)
+        alone = [_local_sgd_alone(task, k, w, lambda t: 0.1, 0, picks[k],
+                                  want)
+                 for k in range(3)]
+        assert np.array_equal(got, np.stack(alone), equal_nan=True)
+        assert np.all(np.isnan(got[1])) and np.all(np.isfinite(got[[0, 2]]))
+        first = task.sample_grad(1, w, 2)
+        assert norms[1] == math.sqrt(first @ first)
+        assert np.array_equal(norms, want)
+
     def test_pick_rows_must_match_users(self):
         task = _small_task()
         w = np.zeros(task.model_dim)
@@ -675,11 +727,13 @@ class TestRunExperiment:
                "large": np.full(cfg.users, 1e3)}[floor]
         seen = np.zeros(cfg.users)
         used, shapes = [], []
-        real_grad = flsim.Task.sample_grad
+        real_grad = flsim.Task._grad
 
-        def grad(self, k, w, i):
-            g = real_grad(self, k, w, i)
-            np.maximum.at(seen, k, np.linalg.norm(g, axis=-1))
+        def grad(self, x, y, w, out=None):
+            # Each call takes one local step of every user: row k is user
+            # k's stochastic gradient.
+            g = real_grad(self, x, y, w, out)
+            np.maximum(seen, np.linalg.norm(g, axis=-1), out=seen)
             return g
 
         def bound(real, at):  # xis is positional argument `at`
@@ -690,7 +744,7 @@ class TestRunExperiment:
                 return out
             return wrapped
 
-        monkeypatch.setattr(flsim.Task, "sample_grad", grad)
+        monkeypatch.setattr(flsim.Task, "_grad", grad)
         monkeypatch.setattr(flsim, "theorem6_bound", bound(theorem6_bound, 3))
         monkeypatch.setattr(flsim, "theorem7_bound", bound(theorem7_bound, 5))
         run_experiment(cfg, task, xis)
@@ -855,6 +909,45 @@ class TestChunkedNoise:
             warnings.simplefilter("error")
             ms = run_experiment(cfg)
         assert [m.snr_db for m in ms] == [np.inf] * cfg.rounds
+
+    def test_zero_updates_read_minus_inf_without_warning(self):
+        # A zero step size makes every update zero, and sdq decodes them
+        # to minus the dither: each round's mean SNR ratio is 0.
+        cfg = FlConfig(task=TaskSpec(model_dim=6), users=4, rounds=3,
+                       eta=0.0, baseline="sdq")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = run_experiment(cfg)
+        assert [m.snr_db for m in ms] == [-np.inf] * cfg.rounds
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])
+    def test_drawn_noise_is_left_as_drawn(self, baseline, family):
+        # Blocks read views of the drawn noise, which is read-only: a round
+        # coded twice with the same draws (one row zero, sent at the
+        # sentinel) gives the same outputs and leaves the draws as they
+        # were.
+        lat, spec = CodecSpec(family, rate=4, epsilon=3.0).build()
+        samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
+        cfg = FlConfig(users=3, rounds=2, seed=6)
+        d = 9
+        (_, noise), = flsim._round_chunks(
+            cfg, lat, samp if baseline == "jopeq" else None, cfg.users, d)
+        drawn = noise[1]
+        arrays = [a for a in (drawn._dith, drawn._ppn) if a is not None]
+        assert len(arrays) == (2 if baseline == "jopeq" else 1)
+        assert not any(a.flags.writeable for a in arrays)
+        before = [a.tobytes() for a in arrays]
+        hs = np.random.default_rng(d).normal(0.0, 1.0, (cfg.users, d))
+        hs[1] = 0.0
+        keys = [[cfg.seed, k, 1] for k in range(cfg.users)]
+        first, again = (uplink(baseline, hs, lat, spec, samp, None, keys,
+                               cfg.seed + 1, _drawn=drawn)
+                        for _ in range(2))
+        assert np.array_equal(first[0], again[0]) and first[1] == again[1]
+        assert [a.tobytes() for a in arrays] == before
+        with pytest.raises(ValueError):
+            arrays[0][0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
     @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])

@@ -22,6 +22,10 @@ The outputs, all keyed on --seed:
   dimension 1 with 12 users (otherwise FlConfig's defaults): a sum over
   users of one coordinate each is where a pairwise sum (np.sum with 8 or
   more terms) differs from adding the users in order.
+- `fl.tau1.<baseline>`: the same for 60 rounds of the linear task with
+  one local step a round (tau 1, otherwise FlConfig's defaults): a run
+  gathers each round's picked samples as a (tau, users, d) array, and
+  these lines take that gather with a single step.
 - `fl.chunks.<family>.<baseline>`: the same for 8 rounds of the linear
   task at model dimension CHUNK_DIM (decay schedule, 10 users), for the
   three quantizing baselines (sdq, separate, jopeq) on a Laplace codec of
@@ -131,6 +135,7 @@ def fl_digests(flsim, seed: int):
     yield from shared_task_digests(
         flsim, "fl.d1",
         replace(base, task=flsim.TaskSpec(model_dim=1), users=D1_USERS))
+    yield from shared_task_digests(flsim, "fl.tau1", replace(base, tau=1))
     chunks = replace(base, task=flsim.TaskSpec(model_dim=CHUNK_DIM),
                      rounds=CHUNK_ROUNDS, schedule="decay")
     task = flsim.build_task(chunks.task, chunks.users,
