@@ -167,7 +167,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, jobs: int) -> int:
     with open(curve_path, "w") as fh:
         fh.write(f"{CSV_VERSION} learning_curves\n")
         fh.write("round,baseline,loss_gap,accuracy_proxy\n")
-        for baseline in ["plain", "sdq", "ppn", "separate", "jopeq"]:
+        for baseline in flsim.BASELINES:
             metrics = flsim.run_experiment(replace(base_cfg,
                                                    baseline=baseline),
                                            task)

@@ -103,7 +103,11 @@ _PLACEHOLDER_SEED = np.random.SeedSequence(0)
 
 # Each thread's free (Philox, Generator) pair, taken by one iteration or
 # long read of `_KeyedStreams` at a time; building one costs about 4.9
-# us, more than the draws of a short row.
+# us, more than the draws of a short row. A benchmark op takes the pair
+# 64 times on `uplink-scalar`, 16 on `uplink-2d`, 53 on `sweep` and once
+# on `fl-train`; building a fresh pair for each use instead raised
+# `uplink-scalar` op_s from 0.0666 to 0.0695 s (median of 4 alternating
+# pairs of 4 s runs at seeds 41-44, 2-vCPU host; slower in all 4).
 _FREE = threading.local()
 
 
@@ -136,9 +140,12 @@ class _KeyedStreams:
     and rounds (`grid`); seed, if not None, keys every row in place of its
     own seed. `addresses` gives the addresses of a range of rows as uint64
     arrays, the form `_philox_random` takes, so that rows given as objects
-    are converted a group at a time. `starts` are the draw offsets of the
-    rows' reads: read i starts at draw starts[i] of each row; with one
-    start, the reads follow each other from it.
+    are converted a group at a time: converting them all up front to one
+    (3, K) array, as `grid` builds, with the copy keyed on `seed`, took
+    `TestBlockMemory`'s scalar short-row case to 1,854,997 B against its
+    1,572,864 B bound. `starts` are the draw offsets of the rows' reads:
+    read i starts at draw starts[i] of each row; with one start, the reads
+    follow each other from it.
 
     `read` draws each read for all rows at once. Iterating yields one
     Generator per row instead, positioned at starts[0], for draws other

@@ -23,6 +23,7 @@ from .dither import _KeyedStreams
 from .lattice import Lattice, hexagonal_lattice, scalar_uniform, square_lattice
 
 __all__ = [
+    "BASELINES",
     "TaskSpec",
     "Task",
     "CodecSpec",
@@ -47,6 +48,18 @@ BASELINES = ("plain", "sdq", "ppn", "separate", "jopeq")
 _TAG_DATA, _TAG_SGD, _TAG_PPN_ONLY = 101, 102, 103
 # xi_k is this factor times the largest stochastic-gradient norm seen.
 _XI_MARGIN = 1.1
+# The values a config's named choices may take.
+_TASK_KINDS = ("linear", "logistic")
+_FAMILIES = ("scalar", "square", "hexagonal")
+_MECHANISMS = ("laplace", "t")
+_SCHEDULES = ("fixed", "decay")
+
+
+def _require(name: str, value, allowed) -> None:
+    """Raise ValueError unless value is one of allowed."""
+    if value not in allowed:
+        raise ValueError(f"{name} {value!r} is not one of "
+                         f"{', '.join(map(repr, allowed))}")
 
 
 class DivergenceError(RuntimeError):
@@ -69,6 +82,9 @@ class TaskSpec:
     reg_lambda: float = 0.1
     label_noise: float = 0.1
 
+    def __post_init__(self):
+        _require("task kind", self.kind, _TASK_KINDS)
+
 
 @dataclass(frozen=True)
 class CodecSpec:
@@ -87,6 +103,10 @@ class CodecSpec:
     nu: float = 3.0
     gamma: float | None = None
 
+    def __post_init__(self):
+        _require("lattice family", self.family, _FAMILIES)
+        _require("mechanism", self.mechanism, _MECHANISMS)
+
     @property
     def dimension(self) -> int:
         return 1 if self.family == "scalar" else 2
@@ -103,6 +123,8 @@ class CodecSpec:
                 gamma = 2.0 * self.rate + 1.0 / self.epsilon
             else:
                 gamma = 1.5 * (1.0 + spec.variance_per_coord)
+        # The constructors are looked up by name on each call, where the
+        # benchmark's tracer wraps them.
         maker = {"scalar": scalar_uniform, "square": square_lattice,
                  "hexagonal": hexagonal_lattice}[self.family]
         return maker(gamma, self.rate), spec
@@ -121,6 +143,9 @@ class FlConfig:
     eta: float = 0.05
     schedule: str = "fixed"  # "fixed" | "decay" (eta_t = tau/(rho_c (t+phi)))
     seed: int = 0
+
+    def __post_init__(self):
+        _require("schedule", self.schedule, _SCHEDULES)
 
     def alpha_vector(self) -> np.ndarray:
         """Uniform aggregation weights 1/K."""
@@ -191,14 +216,6 @@ class Task:
         """
         per_user = self._mean_loss(self.xs @ w, self.ys, w)
         return float(np.add.accumulate(self.alphas * per_user)[-1])
-
-    def sample_grad(self, k, w: np.ndarray, i) -> np.ndarray:
-        """
-        Gradient of user k's loss at w on its sample i. k and i may also
-        be (K,) arrays with w of shape (K, d): row r is then user k[r]'s
-        gradient at w[r] on sample i[r], bit for bit the one-user result.
-        """
-        return self._grad(self.xs[k, i], self.ys[k, i], w)
 
     def _grad(self, x: np.ndarray, y, w: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -320,39 +337,8 @@ def heterogeneity_gap(task: Task) -> float:
     return task.f_opt - total
 
 
-def local_sgd(task: Task, k, w: np.ndarray, eta_fn, t_start: int, picks,
-              grad_norms: np.ndarray | None = None) -> np.ndarray:
-    """
-    Single-sample SGD steps from w at user k, one on each sample index of
-    the (tau,) array `picks`, step j with step size eta_fn(t_start + j);
-    returns the update h = w_end - w, of shape (d,).
-
-    `k` may also be a sequence of K users with `picks` a (K, tau) array,
-    row r user k[r]'s picks: then the result is the (K, d) batch whose
-    row r equals local_sgd(task, k[r], w, eta_fn, t_start, picks[r]) bit
-    for bit, taken as one (K, d) step per local iteration (`_sgd` on the
-    picked samples, gathered once).
-
-    grad_norms, if given, is a float array with one entry per user (in
-    the order of k); each entry is raised in place to the largest norm of
-    that user's stochastic gradients in these steps.
-    """
-    solo = np.ndim(k) == 0
-    users = np.asarray([k] if solo else k, dtype=np.intp)
-    picks = np.asarray(picks, dtype=np.intp)
-    if solo:
-        picks = picks[None]
-    if picks.ndim != 2 or len(picks) != len(users):
-        raise ValueError(f"picks of shape {picks.shape} for {len(users)} "
-                         f"users")
-    etas = [eta_fn(t_start + j) for j in range(picks.shape[1])]
-    h = _sgd(task, task.xs[users, picks.T], task.ys[users, picks.T], w, etas,
-             grad_norms)
-    return h[0] if solo else h
-
-
-def _sgd(task: Task, xs: np.ndarray, ys: np.ndarray, w: np.ndarray, etas,
-         grad_norms: np.ndarray | None = None) -> np.ndarray:
+def local_sgd(task: Task, xs: np.ndarray, ys: np.ndarray, w: np.ndarray,
+              etas, grad_norms: np.ndarray | None = None) -> np.ndarray:
     """
     The local-SGD updates of K users from w, on their picked samples: xs
     and ys of shapes (tau, K, d) and (tau, K), step j of row r on sample
@@ -378,7 +364,7 @@ def _picked_samples(task: Task, picks: np.ndarray):
     """
     The samples of a run's local-SGD picks, a (K, rounds, tau) array of
     users 0, ..., K-1, round by round: yields the (tau, K, d) features and
-    (tau, K) labels that `_sgd` steps on, each one `take` of the rows.
+    (tau, K) labels that `local_sgd` steps on, each one `take` of the rows.
     """
     n, d = task.ys.shape[1], task.model_dim
     rows = picks + n * np.arange(len(picks))[:, None, None]
@@ -480,7 +466,7 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     best = np.zeros(task.users)
     for (xs, ys), etas in zip(_picked_samples(task, picks),
                               _step_sizes(cfg, task).tolist()):
-        hs = _sgd(task, xs, ys, w, etas, best)
+        hs = local_sgd(task, xs, ys, w, etas, best)
         w = fedavg_round(w, hs, task.alphas)
     return _XI_MARGIN * best
 
@@ -522,6 +508,11 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
     elif baseline not in ("sdq", "jopeq"):
         raise ValueError(f"unknown baseline {baseline!r}")
     if _drawn is None:
+        # Reading the streams block by block keeps `cli.snr_sweep_point`'s
+        # one 200,000-coordinate row small: drawing its noise ahead with
+        # `codec._draw` raised `sweep` peak_rss_mb from 116.5-116.8 MB to
+        # 118.7-120.5 MB (3 alternating pairs of runs, seeds 61-63, 2-vCPU
+        # host).
         idx, zetas, overloaded = codec.encode_rows(
             hs, lat, sampler if baseline == "jopeq" else None, srs, noise_seed)
         hts = codec.decode_rows(idx, zetas, lat, srs, d)
@@ -570,13 +561,13 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     baselines (sdq, separate, jopeq) take their dither and jopeq its PPN
     from one draw per chunk; the server decodes with the dither the users
     added. A round computes only what the next needs: local SGD, uplink,
-    aggregate and loss gap. Its local SGD steps all users at once on the
-    round's picked samples, gathered once (`_picked_samples`), with the
-    step sizes of the list the Theorem-6 bound takes (`_sgd`, as
-    `local_sgd` steps). The SNR, true aggregate and weights distortion of
-    a chunk's rounds are computed at its end, and the bounds of every
-    round after the last. Each row reads its own keyed stream, of (seed,
-    user, round), so no output depends on the chunk size.
+    aggregate and loss gap. Its `local_sgd` steps all users at once on
+    the round's picked samples, gathered once (`_picked_samples`), with
+    the step sizes of the list the Theorem-6 bound takes. The SNR, true
+    aggregate and weights distortion of a chunk's rounds are computed at
+    its end, and the bounds of every round after the last. Each row
+    reads its own keyed stream, of (seed, user, round), so no output
+    depends on the chunk size.
     """
     alphas = cfg.alpha_vector()
     if task is None:
@@ -605,7 +596,7 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
         hts = np.empty_like(hs)
         ws[0] = w
         for i, r in enumerate(rounds):
-            hs[i] = h = _sgd(task, *next(samples), w, steps[r], norms)
+            hs[i] = h = local_sgd(task, *next(samples), w, steps[r], norms)
             keys = ([[cfg.seed, _TAG_PPN_ONLY, k, r] for k in users]
                     if cfg.baseline in ("ppn", "separate") else None)
             hts[i], ov = uplink(cfg.baseline, h, lat, spec, sampler, None,

@@ -24,10 +24,6 @@ A table is a pure function of the mechanism, the lattice cell and the
 grid, so a process builds each one once: `build_ppn_sampler` keeps the
 last `TABLE_CACHE_ENTRIES` tables, evicting the least recently used, and
 every sampler of one key shares that table's arrays, which are read-only.
-The key holds plain values only. A Laplace spec's `nu` and `s2` are NaN,
-which equals nothing, itself included: a key tuple holding one matches
-only by the identity of that NaN object, and a spec that went through
-pickle holds a new one. So they enter the key as None.
 """
 
 import math
@@ -97,7 +93,8 @@ class MechanismSpec:
     Identity and parameters of one LDP mechanism.
 
     kind "laplace": iid Laplace(0, b) per coordinate with b = 2/epsilon.
-    kind "t": multivariate t_nu(0, s2 * I_d) with nu > 2.
+    kind "t": multivariate t_nu(0, s2 * I_d) with nu > 2; only a t spec
+    holds nu and s2, a Laplace spec None.
     `sensitivity` is the raw l2 sensitivity of the scaled sub-vectors
     (sqrt(2) for unit-ball inputs); for the t mechanism the budget is
     evaluated at the whitened sensitivity sensitivity / s.
@@ -106,8 +103,8 @@ class MechanismSpec:
     kind: str
     epsilon: float
     dimension: int
-    nu: float = float("nan")
-    s2: float = float("nan")
+    nu: float | None = None
+    s2: float | None = None
     sensitivity: float = DEFAULT_SENSITIVITY
 
     @property
@@ -391,10 +388,8 @@ def _cell_lookup_into(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray,
 
 def _table_key(spec: MechanismSpec, lat: Lattice, n: int,
                iters: int) -> tuple:
-    """The cache key of a table; NaN never enters it (see the module)."""
-    t = spec.kind == "t"
-    return (spec.kind, spec.epsilon, spec.dimension,
-            spec.nu if t else None, spec.s2 if t else None,
+    """The cache key of a table."""
+    return (spec.kind, spec.epsilon, spec.dimension, spec.nu, spec.s2,
             lat.family, lat.generator.tobytes(), n, iters)
 
 
@@ -421,8 +416,7 @@ def build_ppn_sampler(spec: MechanismSpec, lat: Lattice,
     raise when that mass exceeds 1e-3 only guard this invariant.
 
     A process builds a table once per key: the mechanism (kind, epsilon,
-    dimension, and nu and s2 of a t spec; NaN is kept out of the key, see
-    the module docstring), the lattice family and generator, and the grid
+    dimension, nu and s2), the lattice family and generator, and the grid
     size and iteration count after defaults. Later calls with that key,
     while it is among the last `TABLE_CACHE_ENTRIES` used, return a new
     sampler holding the caller's `lat` and `spec`, a copy of `validity`,

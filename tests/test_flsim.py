@@ -36,7 +36,7 @@ def _small_task(kind="linear", heterogeneity=1.0, users=4, seed=0,
 
 def _user_grad(task, k, w):
     """User k's full gradient: the mean of the per-sample SGD gradients."""
-    return np.mean([task.sample_grad(k, w, i)
+    return np.mean([_sample_grad_alone(task, k, w, i)
                     for i in range(len(task.ys[k]))], axis=0)
 
 
@@ -48,6 +48,16 @@ def _sample_grad_alone(task, k, w, i):
         return (xi @ w - yi) * xi + lam * w
     p = 1.0 / (1.0 + math.exp(-float(xi @ w)))
     return (p - yi) * xi + lam * w
+
+
+def _gather(task, picks):
+    """
+    The samples of users 0, ..., K-1 at their (K, tau) picks, as the
+    (tau, K, d) features and (tau, K) labels `local_sgd` steps on.
+    """
+    rows = np.asarray(picks).T
+    users = np.arange(rows.shape[1])
+    return task.xs[users, rows], task.ys[users, rows]
 
 
 def _local_sgd_alone(task, k, w, eta_fn, t_start, picks, best=None):
@@ -208,68 +218,72 @@ class TestLocalSgd:
     def test_zero_step_size_gives_zero_update(self):
         task = _small_task()
         w = np.random.default_rng(3).normal(size=task.model_dim)
-        h = local_sgd(task, 0, w, lambda t: 0.0, 0, [5, 0, 59, 5])
-        assert np.array_equal(h, np.zeros(task.model_dim))
+        picks = [[5, 0, 59, 5]] * task.users
+        h = local_sgd(task, *_gather(task, picks), w, [0.0] * 4)
+        assert np.array_equal(h, np.zeros((task.users, task.model_dim)))
 
     def test_single_step_is_one_gradient(self):
         task = _small_task()
         w = np.random.default_rng(5).normal(size=task.model_dim)
-        h = local_sgd(task, 1, w, lambda t: 0.1, 0, [17])
-        assert np.allclose(h, -0.1 * task.sample_grad(1, w, 17))
+        h = local_sgd(task, *_gather(task, [[17]] * task.users), w, [0.1])
+        for k in range(task.users):
+            assert np.allclose(h[k], -0.1 * _sample_grad_alone(task, k, w, 17))
 
     def test_does_not_mutate_input(self):
         task = _small_task()
         w = np.ones(task.model_dim)
-        local_sgd(task, 0, w, lambda t: 0.05, 0, [1, 2, 3])
-        local_sgd(task, [0, 1], w, lambda t: 0.05, 0, [[1, 2, 3], [4, 5, 6]])
+        xs, ys = _gather(task, [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 1, 1]])
+        xs0, ys0 = xs.copy(), ys.copy()
+        local_sgd(task, xs, ys, w, [0.05] * 3, np.zeros(task.users))
         assert np.array_equal(w, np.ones(task.model_dim))
+        assert np.array_equal(xs, xs0) and np.array_equal(ys, ys0)
 
     @pytest.mark.parametrize("users", [1, 10])
     @pytest.mark.parametrize("tau", [1, 4])
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     def test_stacked_equals_users_alone(self, kind, tau, users):
+        # Each row, and each row's largest gradient norm, is bit for bit
+        # that user's SGD stepped alone on 1-D arrays.
         task = _small_task(kind=kind, users=users, samples=50, dim=10)
         eta_fn = lambda t: 0.3 / (1.0 + t)  # noqa: E731
+        norms, want = np.zeros(users), np.zeros(users)
         for r in range(10):
             w = np.random.default_rng([9, r]).normal(size=task.model_dim)
             picks = np.random.default_rng([r]).integers(0, 50, (users, tau))
-            got = local_sgd(task, range(users), w, eta_fn, r * tau, picks)
+            etas = [eta_fn(r * tau + j) for j in range(tau)]
+            got = local_sgd(task, *_gather(task, picks), w, etas, norms)
             assert got.shape == (users, task.model_dim)
-            solo = [local_sgd(task, k, w, eta_fn, r * tau, picks[k])
-                    for k in range(users)]
-            alone = [_local_sgd_alone(task, k, w, eta_fn, r * tau, picks[k])
+            alone = [_local_sgd_alone(task, k, w, eta_fn, r * tau, picks[k],
+                                      want)
                      for k in range(users)]
-            assert np.array_equal(got, np.stack(solo))
             assert np.array_equal(got, np.stack(alone))
+            assert np.array_equal(norms, want)
+        assert np.all(norms > 0.0)
 
     @pytest.mark.parametrize("users", [1, 10])
     @pytest.mark.parametrize("tau", [1, 4])
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     def test_gathered_steps_equal_local_sgd(self, kind, tau, users):
-        # A run's rounds stepped on the samples `_picked_samples` gathers
-        # equal local_sgd and the one-user reference bit for bit, and so
-        # do the largest gradient norms.
+        # A run's rounds, gathered at once by `_picked_samples`, are each
+        # round's samples, in C-contiguous (K, d) slabs, and local_sgd
+        # steps them as it steps users alone.
         task = _small_task(kind=kind, users=users, samples=50, dim=10)
         eta_fn = lambda t: 0.3 / (1.0 + t)  # noqa: E731
         picks = np.random.default_rng([users, tau]).integers(
             0, 50, (users, 6, tau))
-        norms = [np.zeros(users) for _ in range(3)]
         for r, (xs, ys) in enumerate(flsim._picked_samples(task, picks)):
             assert xs.shape == (tau, users, task.model_dim)
             assert ys.shape == (tau, users) and xs[0].flags.c_contiguous
+            want_xs, want_ys = _gather(task, picks[:, r])
+            assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
             w = np.random.default_rng([7, r]).normal(size=task.model_dim)
             etas = [eta_fn(r * tau + j) for j in range(tau)]
-            got = flsim._sgd(task, xs, ys, w, etas, norms[0])
-            want = local_sgd(task, range(users), w, eta_fn, r * tau,
-                             picks[:, r], grad_norms=norms[1])
             alone = [_local_sgd_alone(task, k, w, eta_fn, r * tau,
-                                      picks[k, r], norms[2])
+                                      picks[k, r])
                      for k in range(users)]
-            assert np.array_equal(got, want)
-            assert np.array_equal(got, np.stack(alone))
-            assert np.array_equal(norms[0], norms[1])
-            assert np.array_equal(norms[0], norms[2])
-        assert r == 5 and np.all(norms[0] > 0.0)
+            assert np.array_equal(local_sgd(task, xs, ys, w, etas),
+                                  np.stack(alone))
+        assert r == 5
 
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     def test_nan_gradient_keeps_the_old_norm(self, kind):
@@ -283,24 +297,35 @@ class TestLocalSgd:
         norms, want = np.zeros(3), np.zeros(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = local_sgd(task, range(3), w, lambda t: 0.1, 0, picks,
+            got = local_sgd(task, *_gather(task, picks), w, [0.1] * 4,
                             grad_norms=norms)
         alone = [_local_sgd_alone(task, k, w, lambda t: 0.1, 0, picks[k],
                                   want)
                  for k in range(3)]
         assert np.array_equal(got, np.stack(alone), equal_nan=True)
         assert np.all(np.isnan(got[1])) and np.all(np.isfinite(got[[0, 2]]))
-        first = task.sample_grad(1, w, 2)
+        first = _sample_grad_alone(task, 1, w, 2)
         assert norms[1] == math.sqrt(first @ first)
         assert np.array_equal(norms, want)
 
-    def test_pick_rows_must_match_users(self):
-        task = _small_task()
-        w = np.zeros(task.model_dim)
-        for users, picks in (([0, 1, 2], [[1, 2]]), ([0, 1], [1, 2]),
-                             (0, [[1, 2]]), (0, 1)):
-            with pytest.raises(ValueError):
-                local_sgd(task, users, w, lambda t: 0.1, 0, picks)
+    def test_runs_step_through_local_sgd(self, monkeypatch):
+        # run_experiment and calibrate_xi take each round's local SGD from
+        # flsim.local_sgd by name, the one local-SGD function.
+        calls = []
+        real = flsim.local_sgd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flsim, "local_sgd", counting)
+        cfg = FlConfig(task=TaskSpec(model_dim=4, samples_per_user=10),
+                       users=3, rounds=3, baseline="sdq")
+        run_experiment(cfg)
+        assert len(calls) == 3
+        task = build_task(cfg.task, cfg.users, cfg.alpha_vector(), cfg.seed)
+        calibrate_xi(task, cfg)
+        assert len(calls) == 6 and all(t is task for t in calls[3:])
 
     @pytest.mark.parametrize("n", [2, 3, 50, 2 ** 31 - 1, 2 ** 32,
                                    2 ** 32 + 1, 2 ** 40])
@@ -501,6 +526,33 @@ class TestSupportRule:
             1.0 + spec.s2 * spec.nu / (spec.nu - 2.0))
 
 
+class TestConfigChoices:
+    """A named choice outside its list is refused when the config is made."""
+
+    @pytest.mark.parametrize("kind", ["lineer", "Linear", ""])
+    def test_unknown_task_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="'linear', 'logistic'"):
+            TaskSpec(kind=kind)
+
+    @pytest.mark.parametrize("family", ["sqaure", "hex", "Scalar"])
+    def test_unknown_lattice_family_rejected(self, family):
+        with pytest.raises(ValueError,
+                           match="'scalar', 'square', 'hexagonal'"):
+            CodecSpec(family=family)
+
+    @pytest.mark.parametrize("mechanism", ["gaussian", "Laplace", "t3"])
+    def test_unknown_mechanism_rejected(self, mechanism):
+        with pytest.raises(ValueError, match="'laplace', 't'"):
+            CodecSpec(mechanism=mechanism)
+
+    @pytest.mark.parametrize("schedule", ["fixd", "Decay", "constant"])
+    def test_unknown_schedule_rejected(self, schedule):
+        with pytest.raises(ValueError, match="'fixed', 'decay'"):
+            FlConfig(schedule=schedule)
+        with pytest.raises(ValueError, match="'fixed', 'decay'"):
+            replace(FlConfig(), schedule=schedule)
+
+
 def _uplink_alone(baseline, h, lat, spec, sampler, sr, noise_key,
                   noise_seed):
     """
@@ -542,8 +594,8 @@ def _rounds_one_user_at_a_time(cfg, task, xis):
     for r in range(cfg.rounds):
         hs, hts, ovs = [], [], 0
         for k in range(task.users):
-            h = local_sgd(task, k, w, eta_fn, r * cfg.tau, picks[k, r],
-                          grad_norms=best[k:k + 1])
+            h = _local_sgd_alone(task, k, w, eta_fn, r * cfg.tau,
+                                 picks[k, r], best)
             ht, ov = _uplink_alone(
                 cfg.baseline, h, lat, spec, sampler,
                 SharedRandomness(seed=cfg.seed, user=k, round_index=r),
@@ -800,7 +852,7 @@ class TestRunExperiment:
                                    samples_per_user=3), 1, np.ones(1), 0)
         x = task.xs[0, 0]
         w = -1000.0 * x / (x @ x)  # margin about -1000: exp(1000) overflows
-        grad = task.sample_grad(0, w, 0)
+        grad = task._grad(task.xs[0, 0], task.ys[0, 0], w)
         lam = task.spec.reg_lambda
         assert np.array_equal(grad, (0.0 - task.ys[0, 0]) * x + lam * w)
 
