@@ -10,17 +10,26 @@ sweep               run the SNR-versus-rate and learning-curve studies
                     described by the config file; writes versioned CSVs.
 codec-encode/-decode  stand-alone codec on the documented byte layout.
 
-Flags: --config <path> --out <dir> --seed <u64> --jobs <n>. Any config
-key (and the seed) can be overridden by an environment variable named
-JOPEQ_<KEY> with dots replaced by underscores, e.g. JOPEQ_SWEEP_RATES.
+Flags: --config <path> --out <dir> --seed <u64> --jobs <n>.
+
+The config is flat `key = value` lines. Each task.*, codec.* and fl.*
+key is one field of `flsim.TaskSpec`, `flsim.CodecSpec` or
+`flsim.FlConfig` (all but FlConfig's task, codec, baseline and seed),
+with that field's default and type; sweep.* and seed are this module's
+own keys. A key in a config file that is not a config key raises
+ValueError. Any config key can be overridden by an environment variable
+named JOPEQ_<KEY> with dots replaced by underscores, e.g.
+JOPEQ_SWEEP_RATES.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from multiprocessing import get_context
 from pathlib import Path
+from types import NoneType
+from typing import get_args
 
 import numpy as np
 
@@ -29,24 +38,22 @@ from .dither import SharedRandomness
 
 CSV_VERSION = "# jopeq-csv v1"
 
+# Key <section>.<name> is field <name> of the section's dataclass. Not
+# keys: FlConfig's task and codec, sections of their own, and its baseline
+# and seed, which each run sets.
+_SECTIONS = {"task": flsim.TaskSpec, "fl": flsim.FlConfig,
+             "codec": flsim.CodecSpec}
+_NOT_KEYS = ("task", "codec", "baseline", "seed")
+
+
+def _fields(section: str) -> list:
+    """The fields of a section's dataclass that are config keys."""
+    return [f for f in fields(_SECTIONS[section]) if f.name not in _NOT_KEYS]
+
+
 _DEFAULTS = {
-    "task.kind": "linear",
-    "task.model_dim": "10",
-    "task.samples_per_user": "50",
-    "task.heterogeneity": "1.0",
-    "task.reg_lambda": "0.1",
-    "task.label_noise": "0.1",
-    "fl.users": "10",
-    "fl.tau": "4",
-    "fl.rounds": "100",
-    "fl.eta": "0.05",
-    "fl.schedule": "fixed",
-    "codec.family": "scalar",
-    "codec.mechanism": "laplace",
-    "codec.rate": "4",
-    "codec.epsilon": "2.0",
-    "codec.nu": "3.0",
-    "codec.gamma": "",
+    **{f"{section}.{f.name}": "" if f.default is None else str(f.default)
+       for section in _SECTIONS for f in _fields(section)},
     "sweep.rates": "1,2,3,4,5,6,7,8",
     "sweep.epsilons": "3,3.5,4",
     "sweep.baselines": "jopeq,separate",
@@ -58,7 +65,8 @@ _DEFAULTS = {
 def load_config(path: str | None) -> dict:
     """
     Flat dotted-key config: one `key = value` per line, '#' comments.
-    Unset keys take defaults; JOPEQ_* environment variables override.
+    Unset keys take defaults; a key that is not a config key raises
+    ValueError; JOPEQ_* environment variables override.
     """
     cfg = dict(_DEFAULTS)
     if path:
@@ -69,6 +77,8 @@ def load_config(path: str | None) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in _DEFAULTS:
+                raise ValueError(f"unknown config key {key!r} in {path}")
             cfg[key] = val
     for key in list(cfg):
         env = "JOPEQ_" + key.upper().replace(".", "_")
@@ -81,41 +91,28 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _task_spec(cfg: dict) -> flsim.TaskSpec:
-    return flsim.TaskSpec(
-        kind=cfg["task.kind"],
-        model_dim=int(cfg["task.model_dim"]),
-        samples_per_user=int(cfg["task.samples_per_user"]),
-        heterogeneity=float(cfg["task.heterogeneity"]),
-        reg_lambda=float(cfg["task.reg_lambda"]),
-        label_noise=float(cfg["task.label_noise"]),
-    )
-
-
-def _codec_spec(cfg: dict, rate: int | None = None,
-                epsilon: float | None = None) -> flsim.CodecSpec:
-    return flsim.CodecSpec(
-        family=cfg["codec.family"],
-        rate=int(rate if rate is not None else cfg["codec.rate"]),
-        epsilon=float(epsilon if epsilon is not None else cfg["codec.epsilon"]),
-        mechanism=cfg["codec.mechanism"],
-        nu=float(cfg["codec.nu"]),
-        gamma=float(cfg["codec.gamma"]) if cfg["codec.gamma"] else None,
-    )
+def _section(cfg: dict, section: str, **given):
+    """
+    A section's dataclass from the config: each key field takes its value
+    from given, else from cfg, as the field's type; an empty value is None
+    for a field whose default is None. given also sets fields that are not
+    keys.
+    """
+    for f in _fields(section):
+        value = given.get(f.name, cfg[f"{section}.{f.name}"])
+        if value == "" and f.default is None:
+            given[f.name] = None
+        else:
+            kind, = (t for t in get_args(f.type) or (f.type,)
+                     if t is not NoneType)
+            given[f.name] = kind(value)
+    return _SECTIONS[section](**given)
 
 
 def _fl_config(cfg: dict, baseline: str, seed: int) -> flsim.FlConfig:
-    return flsim.FlConfig(
-        task=_task_spec(cfg),
-        codec=_codec_spec(cfg),
-        baseline=baseline,
-        users=int(cfg["fl.users"]),
-        tau=int(cfg["fl.tau"]),
-        rounds=int(cfg["fl.rounds"]),
-        eta=float(cfg["fl.eta"]),
-        schedule=cfg["fl.schedule"],
-        seed=seed,
-    )
+    return _section(cfg, "fl", task=_section(cfg, "task"),
+                    codec=_section(cfg, "codec"), baseline=baseline,
+                    seed=seed)
 
 
 def snr_sweep_point(args) -> tuple:
@@ -124,7 +121,7 @@ def snr_sweep_point(args) -> tuple:
     if baseline not in ("jopeq", "separate", "sdq"):
         raise ValueError(f"snr sweep supports jopeq/separate/sdq, "
                          f"not {baseline!r}")
-    lat, spec = _codec_spec(cfg, rate, epsilon).build()
+    lat, spec = _section(cfg, "codec", rate=rate, epsilon=epsilon).build()
     sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
                if baseline == "jopeq" else None)
     rng = np.random.default_rng([seed, 7001])
@@ -193,7 +190,7 @@ def cmd_verify(seed: int) -> int:
 
 
 def cmd_codec_encode(cfg: dict, inp: str, out_path: Path, seed: int) -> int:
-    lat, spec = _codec_spec(cfg).build()
+    lat, spec = _section(cfg, "codec").build()
     sampler = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
     h = np.loadtxt(inp, ndmin=1)
     sr = SharedRandomness(seed=seed)
@@ -208,7 +205,7 @@ def cmd_codec_encode(cfg: dict, inp: str, out_path: Path, seed: int) -> int:
 
 def cmd_codec_decode(cfg: dict, inp: str, out_path: Path, seed: int) -> int:
     # Decoding needs only the lattice; the PPN is encoder-side.
-    lat, _ = _codec_spec(cfg).build()
+    lat, _ = _section(cfg, "codec").build()
     enc = codec.EncodedUpdate.from_bytes(Path(inp).read_bytes(), lat)
     sr = SharedRandomness(seed=seed)
     h = codec.decode(enc, lat, sr)

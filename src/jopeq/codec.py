@@ -571,29 +571,24 @@ def decode(enc: EncodedUpdate, lat: Lattice,
                        enc.original_dim)[0]
 
 
-def snr(h_rows, ht_rows) -> float:
+def snr(h, ht):
     """
     Mean over users of var(h) / var(h - h_tilde), in dB, for a (K, d)
-    batch of updates or a sequence of K. Returns inf when any user's
-    distortion variance is zero, and -inf when the mean ratio is zero
-    (every update constant, say all zero, and some distortion).
+    batch h of updates or a sequence of K, with ht their decoded updates
+    (an array-like that broadcasts to h's shape, converted only for the
+    subtraction). A (C, K, d) stack h gives a list of C values, one per
+    batch. inf for a batch in which any user's distortion variance is
+    zero, -inf for one whose mean ratio is zero (every update constant,
+    say all zero, and some distortion), and no warning for either.
     """
-    if len(h_rows) != len(ht_rows):
+    if len(h) != len(ht):
         raise ValueError("mismatched batches")
-    return _snr_rounds(np.asarray(h_rows, dtype=float)[None], ht_rows)[0]
-
-
-def _snr_rounds(h: np.ndarray, ht) -> list[float]:
-    """
-    `snr` of each batch of a (C, K, d) stack h of updates, with ht their
-    decoded updates (an array-like that broadcasts to h's shape, converted
-    only for the subtraction): C values in dB, inf for a batch in which
-    any user's distortion variance is zero and -inf for one whose mean
-    ratio is zero, and no warning for either.
-    """
-    dv = np.var(h - np.asarray(ht, dtype=float), axis=-1)
+    h = np.asarray(h, dtype=float)
+    stack = h if h.ndim == 3 else h[None]
+    dv = np.var(stack - np.asarray(ht, dtype=float), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.mean(np.var(h, axis=-1) / dv, axis=-1)
+        ratios = np.mean(np.var(stack, axis=-1) / dv, axis=-1)
     ratios[np.any(dv == 0.0, axis=-1)] = np.inf
-    return [10.0 * math.log10(x) if x != 0.0 else -math.inf
-            for x in ratios.tolist()]
+    out = [10.0 * math.log10(x) if x != 0.0 else -math.inf
+           for x in ratios.tolist()]
+    return out if h.ndim == 3 else out[0]

@@ -145,6 +145,7 @@ class FlConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require("baseline", self.baseline, BASELINES)
         _require("schedule", self.schedule, _SCHEDULES)
 
     def alpha_vector(self) -> np.ndarray:
@@ -345,8 +346,11 @@ def local_sgd(task: Task, xs: np.ndarray, ys: np.ndarray, w: np.ndarray,
     xs[j, r] with step size etas[j]. Each step's (K, d) slab of xs is
     C-contiguous, as one gather lays it out. Returns the (K, d) updates;
     grad_norms, one entry per row, is raised in place to the largest norm
-    of each row's stochastic gradients.
+    of each row's stochastic gradients. Raises ValueError unless etas has
+    one step size per step.
     """
+    if len(etas) != len(xs):
+        raise ValueError(f"{len(etas)} step sizes for {len(xs)} steps")
     wk = np.repeat(w[None, :], xs.shape[1], axis=0)
     gs = np.empty(xs.shape)
     for x, y, g, eta in zip(xs, ys, gs, etas):
@@ -418,6 +422,11 @@ def theorem6_bound(sigma2: float, etas, alphas, xis, tau: int):
     return float(out) if etas.ndim == 1 else out
 
 
+def _phi(tau: int, rho_s: float, rho_c: float) -> float:
+    """The decay schedule's offset phi = tau max(1, 4 rho_s / rho_c)."""
+    return tau * max(1.0, 4.0 * rho_s / rho_c)
+
+
 def theorem7_bound(sigma2: float, psi: float, rho_s: float, rho_c: float,
                    alphas, xis, tau: int, w0_dist2: float, t):
     """
@@ -430,7 +439,7 @@ def theorem7_bound(sigma2: float, psi: float, rho_s: float, rho_c: float,
     """
     alphas = np.asarray(alphas, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    phi = tau * max(1.0, 4.0 * rho_s / rho_c)
+    phi = _phi(tau, rho_s, rho_c)
     b = ((1.0 + 36.0 * tau ** 2 * sigma2) * np.sum(alphas ** 2 * xis ** 2)
          + 6.0 * rho_s * psi
          + 8.0 * (tau - 1) ** 2 * np.sum(alphas * xis ** 2))
@@ -439,18 +448,13 @@ def theorem7_bound(sigma2: float, psi: float, rho_s: float, rho_c: float,
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _eta_fn(cfg: FlConfig, task: Task):
-    if cfg.schedule == "fixed":
-        return lambda t: cfg.eta
-    phi = cfg.tau * max(1.0, 4.0 * task.rho_s / task.rho_c)
-    return lambda t: cfg.tau / (task.rho_c * (t + phi))
-
-
 def _step_sizes(cfg: FlConfig, task: Task) -> np.ndarray:
-    """The (rounds, tau) step sizes of a run, round r's in row r."""
-    eta_fn = _eta_fn(cfg, task)
-    return np.reshape([eta_fn(t) for t in range(cfg.rounds * cfg.tau)],
-                      (cfg.rounds, cfg.tau))
+    """The (rounds, tau) step sizes of a run (`FlConfig.schedule`)."""
+    if cfg.schedule == "fixed":
+        return np.full((cfg.rounds, cfg.tau), cfg.eta)
+    phi = _phi(cfg.tau, task.rho_s, task.rho_c)
+    t = np.arange(float(cfg.rounds * cfg.tau)).reshape(cfg.rounds, cfg.tau)
+    return cfg.tau / (task.rho_c * (t + phi))
 
 
 def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
@@ -611,7 +615,7 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
             ovs.append(ov)
         w_true = fedavg_round(ws[:-1], hs, alphas)
         dists += np.sum((ws[1:] - w_true) ** 2, axis=-1).tolist()
-        snrs += (codec._snr_rounds(hs, hts) if cfg.baseline != "plain" else
+        snrs += (codec.snr(hs, hts) if cfg.baseline != "plain" else
                  [float("inf")] * len(rounds))
 
     xis = np.maximum(0.0 if xis is None else xis, _XI_MARGIN * norms)

@@ -95,9 +95,6 @@ class MechanismSpec:
     kind "laplace": iid Laplace(0, b) per coordinate with b = 2/epsilon.
     kind "t": multivariate t_nu(0, s2 * I_d) with nu > 2; only a t spec
     holds nu and s2, a Laplace spec None.
-    `sensitivity` is the raw l2 sensitivity of the scaled sub-vectors
-    (sqrt(2) for unit-ball inputs); for the t mechanism the budget is
-    evaluated at the whitened sensitivity sensitivity / s.
     """
 
     kind: str
@@ -105,7 +102,6 @@ class MechanismSpec:
     dimension: int
     nu: float | None = None
     s2: float | None = None
-    sensitivity: float = DEFAULT_SENSITIVITY
 
     @property
     def b(self) -> float:
@@ -132,12 +128,15 @@ def laplace_spec(epsilon: float, dimension: int = 1) -> MechanismSpec:
 
 
 def t_spec(epsilon: float, dimension: int, nu: float,
-           sensitivity: float = DEFAULT_SENSITIVITY,
            exponent: str = T_MECH_EXPONENT_VERBATIM) -> MechanismSpec:
-    """Multivariate-t mechanism with the scale solved from the budget."""
-    s2 = solve_t_params(epsilon, dimension, sensitivity, nu, exponent)
+    """
+    Multivariate-t mechanism with the scale solved from the budget at the
+    raw l2 sensitivity DEFAULT_SENSITIVITY of the scaled sub-vectors
+    (sqrt(2) for unit-ball inputs), whitened to DEFAULT_SENSITIVITY / s.
+    """
+    s2 = solve_t_params(epsilon, dimension, DEFAULT_SENSITIVITY, nu, exponent)
     return MechanismSpec("t", float(epsilon), int(dimension), nu=float(nu),
-                         s2=s2, sensitivity=float(sensitivity))
+                         s2=s2)
 
 
 def t_mech_epsilon(nu: float, d: int, delta: float,

@@ -1,11 +1,12 @@
 """Command-line interface: config parsing, sweeps, codec commands, verify."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jopeq import checks, cli, privacy
+from jopeq import checks, cli, flsim, privacy
 from jopeq.cli import CSV_VERSION, load_config, main, snr_sweep_point
 from jopeq.stattests import TestReport as Report
 
@@ -24,6 +25,54 @@ codec.rate = 2
 codec.epsilon = 3.0
 """
 
+# Every config key and its default string.
+DEFAULTS = {
+    "task.kind": "linear",
+    "task.model_dim": "10",
+    "task.samples_per_user": "50",
+    "task.heterogeneity": "1.0",
+    "task.reg_lambda": "0.1",
+    "task.label_noise": "0.1",
+    "fl.users": "10",
+    "fl.tau": "4",
+    "fl.rounds": "100",
+    "fl.eta": "0.05",
+    "fl.schedule": "fixed",
+    "codec.family": "scalar",
+    "codec.mechanism": "laplace",
+    "codec.rate": "4",
+    "codec.epsilon": "2.0",
+    "codec.nu": "3.0",
+    "codec.gamma": "",
+    "sweep.rates": "1,2,3,4,5,6,7,8",
+    "sweep.epsilons": "3,3.5,4",
+    "sweep.baselines": "jopeq,separate",
+    "sweep.snr_dim": "200000",
+    "seed": "0",
+}
+
+# For each task.*, fl.* and codec.* key, a value other than its default
+# and the field value it gives.
+OTHER_VALUES = {
+    "task.kind": ("logistic", "logistic"),
+    "task.model_dim": ("7", 7),
+    "task.samples_per_user": ("33", 33),
+    "task.heterogeneity": ("0.5", 0.5),
+    "task.reg_lambda": ("0.25", 0.25),
+    "task.label_noise": ("0", 0.0),
+    "fl.users": ("3", 3),
+    "fl.tau": ("2", 2),
+    "fl.rounds": ("5", 5),
+    "fl.eta": ("0.01", 0.01),
+    "fl.schedule": ("decay", "decay"),
+    "codec.family": ("hexagonal", "hexagonal"),
+    "codec.mechanism": ("t", "t"),
+    "codec.rate": ("2", 2),
+    "codec.epsilon": ("3.5", 3.5),
+    "codec.nu": ("5", 5.0),
+    "codec.gamma": ("2.5", 2.5),
+}
+
 
 @pytest.fixture
 def clean_env(monkeypatch):
@@ -35,10 +84,8 @@ def clean_env(monkeypatch):
 
 class TestConfig:
     def test_defaults_without_file(self, clean_env):
-        cfg = load_config(None)
-        assert cfg["codec.family"] == "scalar"
-        assert cfg["fl.schedule"] == "fixed"
-        assert cfg["seed"] == "0"
+        assert cli._DEFAULTS == DEFAULTS
+        assert load_config(None) == DEFAULTS
 
     def test_parse_file(self, tmp_path, clean_env):
         p = tmp_path / "cfg"
@@ -54,6 +101,68 @@ class TestConfig:
         p.write_text("this is not an assignment\n")
         with pytest.raises(ValueError):
             load_config(str(p))
+
+    @pytest.mark.parametrize("key", ["fl.rouds", "codec.gama", "rates",
+                                     "sweep.rate"])
+    def test_unknown_key_rejected(self, tmp_path, clean_env, key):
+        p = tmp_path / "cfg"
+        p.write_text(f"fl.rounds = 5\n{key} = 5\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("key", sorted(OTHER_VALUES))
+    def test_each_key_sets_its_field(self, tmp_path, clean_env, key):
+        # Each section key sets one field of the dataclass the run builds,
+        # and that field only.
+        text, value = OTHER_VALUES[key]
+        p = tmp_path / "cfg"
+        p.write_text(f"{key} = {text}\n")
+        section, name = key.split(".")
+        default = cli._fl_config(load_config(None), "sdq", 7)
+        got = cli._fl_config(load_config(str(p)), "sdq", 7)
+        if section == "fl":
+            want = replace(default, **{name: value})
+            field = getattr(got, name)
+        else:
+            part = replace(getattr(default, section), **{name: value})
+            want = replace(default, **{section: part})
+            field = getattr(getattr(got, section), name)
+        assert want != default
+        assert got == want and type(field) is type(value)
+
+    def test_every_section_key_has_another_value(self):
+        assert set(OTHER_VALUES) == {
+            f"{section}.{f.name}" for section in cli._SECTIONS
+            for f in cli._fields(section)}
+        assert set(DEFAULTS) - set(OTHER_VALUES) == {
+            "sweep.rates", "sweep.epsilons", "sweep.baselines",
+            "sweep.snr_dim", "seed"}
+
+    def test_empty_gamma_is_the_support_rule(self, tmp_path, clean_env):
+        p = tmp_path / "cfg"
+        p.write_text("codec.gamma =\n")
+        spec = cli._fl_config(load_config(str(p)), "sdq", 0).codec
+        assert spec.gamma is None and spec == flsim.CodecSpec()
+        clean_env.setenv("JOPEQ_CODEC_GAMMA", "3.25")
+        spec = cli._fl_config(load_config(str(p)), "sdq", 0).codec
+        assert spec.gamma == 3.25
+
+    @pytest.mark.parametrize("key", ["codec.rate", "codec.epsilon",
+                                     "codec.nu", "fl.rounds",
+                                     "task.model_dim", "task.kind"])
+    def test_empty_value_without_none_default_rejected(self, tmp_path,
+                                                       clean_env, key):
+        # An empty value is None only for a field whose default is None.
+        p = tmp_path / "cfg"
+        p.write_text(f"{key} =\n")
+        with pytest.raises(ValueError):
+            cli._fl_config(load_config(str(p)), "sdq", 0)
+        if key.startswith("codec."):
+            h = tmp_path / "h.txt"
+            np.savetxt(h, np.ones(4))
+            with pytest.raises(ValueError):
+                main(["codec-encode", str(h), "--config", str(p),
+                      "--out", str(tmp_path / "out")])
 
     def test_env_override(self, tmp_path, clean_env):
         p = tmp_path / "cfg"

@@ -94,9 +94,20 @@ def _fedavg_alone(w, updates, alphas):
     return out
 
 
+def _eta_alone(cfg, task):
+    """
+    The step size at local iteration t, one Python float at a time: the
+    reference for `flsim._step_sizes`.
+    """
+    if cfg.schedule == "fixed":
+        return lambda t: cfg.eta
+    phi = cfg.tau * max(1.0, 4.0 * task.rho_s / task.rho_c)
+    return lambda t: cfg.tau / (task.rho_c * (t + phi))
+
+
 def _calibrate_xi_alone(task, cfg):
     """calibrate_xi as a loop over users and steps: the reference."""
-    eta_fn = flsim._eta_fn(cfg, task)
+    eta_fn = _eta_alone(cfg, task)
     picks = _layout_picks(cfg, task)
     w = np.zeros(task.model_dim)
     best = np.zeros(task.users)
@@ -308,6 +319,14 @@ class TestLocalSgd:
         assert norms[1] == math.sqrt(first @ first)
         assert np.array_equal(norms, want)
 
+    @pytest.mark.parametrize("steps", [0, 1, 3, 5])
+    def test_wrong_number_of_step_sizes_rejected(self, steps):
+        task = _small_task()
+        xs, ys = _gather(task, [[1, 2, 3, 4]] * task.users)
+        with pytest.raises(ValueError, match=f"{steps} step sizes for 4"):
+            local_sgd(task, xs, ys, np.zeros(task.model_dim),
+                      [0.1] * steps, np.zeros(task.users))
+
     def test_runs_step_through_local_sgd(self, monkeypatch):
         # run_experiment and calibrate_xi take each round's local SGD from
         # flsim.local_sgd by name, the one local-SGD function.
@@ -341,6 +360,38 @@ class TestLocalSgd:
                     rng = layout_stream(seed, k, 0, SGD_TAG)
                     scalar = [int(rng.integers(0, n)) for _ in range(3 * tau)]
                     assert sized[k].ravel().tolist() == scalar
+
+
+class TestStepSizes:
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("schedule", ["fixed", "decay"])
+    @pytest.mark.parametrize("tau", [1, 4])
+    def test_equal_per_step_floats(self, kind, schedule, tau):
+        # The vectorized schedule is bit for bit the Python float of each
+        # local iteration.
+        task = _small_task(kind=kind, samples=20, dim=6)
+        cfg = FlConfig(task=task.spec, users=task.users, tau=tau,
+                       rounds=300, schedule=schedule)
+        eta_fn = _eta_alone(cfg, task)
+        got = flsim._step_sizes(cfg, task)
+        assert got.shape == (cfg.rounds, tau)
+        assert got.ravel().tolist() == [eta_fn(t)
+                                        for t in range(cfg.rounds * tau)]
+
+    def test_decay_is_the_theorem7_schedule(self):
+        # theorem7_bound's phi is the schedule's: at t = 0, with sigma2,
+        # psi, xi and the distance to w* zero, the bound is
+        # rho_s rho_c / (2 tau phi) = rho_s rho_c^2 eta_0 / (2 tau^2).
+        task = _small_task()
+        cfg = FlConfig(task=task.spec, users=task.users, tau=3, rounds=2,
+                       schedule="decay")
+        eta0 = flsim._step_sizes(cfg, task)[0, 0]
+        bound = theorem7_bound(0.0, 0.0, task.rho_s, task.rho_c,
+                               task.alphas, np.zeros(task.users), cfg.tau,
+                               0.0, 0)
+        assert bound == pytest.approx(
+            task.rho_s * task.rho_c ** 2 * eta0 / (2.0 * cfg.tau ** 2),
+            rel=1e-12)
 
 
 class TestCalibrateXi:
@@ -545,6 +596,14 @@ class TestConfigChoices:
         with pytest.raises(ValueError, match="'laplace', 't'"):
             CodecSpec(mechanism=mechanism)
 
+    @pytest.mark.parametrize("baseline", ["jopec", "JOPEQ", "dp", ""])
+    def test_unknown_baseline_rejected(self, baseline):
+        allowed = "'plain', 'sdq', 'ppn', 'separate', 'jopeq'"
+        with pytest.raises(ValueError, match=allowed):
+            FlConfig(baseline=baseline)
+        with pytest.raises(ValueError, match=allowed):
+            replace(FlConfig(), baseline=baseline)
+
     @pytest.mark.parametrize("schedule", ["fixd", "Decay", "constant"])
     def test_unknown_schedule_rejected(self, schedule):
         with pytest.raises(ValueError, match="'fixed', 'decay'"):
@@ -583,7 +642,7 @@ def _rounds_one_user_at_a_time(cfg, task, xis):
     the batched and chunked run. Returns (loss_gap, snr_db,
     weights_distortion, thm6_rhs, thm7_rhs, overloads) per round.
     """
-    eta_fn = flsim._eta_fn(cfg, task)
+    eta_fn = _eta_alone(cfg, task)
     lat, spec = cfg.codec.build()
     sampler = (build_ppn_sampler(spec, lat, allow_degenerate=True)
                if cfg.baseline == "jopeq" else None)
@@ -740,6 +799,21 @@ class TestRunExperiment:
             schedule="fixed", seed=0)
         base.update(kw)
         return FlConfig(**base)
+
+    def test_snr_comes_from_codec_snr(self, monkeypatch):
+        # A run takes each chunk's SNRs from codec.snr by name, the one SNR
+        # function; here the 3 rounds fit in one chunk.
+        shapes = []
+        real = codec.snr
+
+        def counting(h, ht):
+            shapes.append(np.shape(h))
+            return real(h, ht)
+
+        monkeypatch.setattr(codec, "snr", counting)
+        ms = run_experiment(self._cfg(baseline="sdq", rounds=3))
+        assert shapes == [(3, 4, 6)]
+        assert all(math.isfinite(m.snr_db) for m in ms)
 
     def test_deterministic_given_seed(self):
         cfg = self._cfg(baseline="jopeq", rounds=15)
