@@ -19,7 +19,8 @@ with that field's default and type; sweep.* and seed are this module's
 own keys. A key in a config file that is not a config key raises
 ValueError. Any config key can be overridden by an environment variable
 named JOPEQ_<KEY> with dots replaced by underscores, e.g.
-JOPEQ_SWEEP_RATES.
+JOPEQ_SWEEP_RATES; JOPEQ_OUT overrides --out. Any other JOPEQ_* variable
+raises ValueError.
 """
 
 import argparse
@@ -66,7 +67,8 @@ def load_config(path: str | None) -> dict:
     """
     Flat dotted-key config: one `key = value` per line, '#' comments.
     Unset keys take defaults; a key that is not a config key raises
-    ValueError; JOPEQ_* environment variables override.
+    ValueError; JOPEQ_* environment variables override, and one that is
+    neither a key's variable nor JOPEQ_OUT raises ValueError.
     """
     cfg = dict(_DEFAULTS)
     if path:
@@ -80,8 +82,12 @@ def load_config(path: str | None) -> dict:
             if key not in _DEFAULTS:
                 raise ValueError(f"unknown config key {key!r} in {path}")
             cfg[key] = val
-    for key in list(cfg):
-        env = "JOPEQ_" + key.upper().replace(".", "_")
+    overrides = {"JOPEQ_" + key.upper().replace(".", "_"): key for key in cfg}
+    unknown = sorted(v for v in os.environ if v.startswith("JOPEQ_")
+                     and v not in overrides and v != "JOPEQ_OUT")
+    if unknown:
+        raise ValueError("unknown config variables " + ", ".join(unknown))
+    for env, key in overrides.items():
         if env in os.environ:
             cfg[key] = os.environ[env]
     return cfg

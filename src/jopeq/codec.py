@@ -526,6 +526,8 @@ def decode_rows(indices, zetas, lat: Lattice, srs,
     k, m = idx.shape
     if len(srs) != k:
         raise ValueError(f"{len(srs)} shared streams for {k} rows")
+    if zetas.shape != (k,):
+        raise ValueError(f"zetas of shape {zetas.shape} for {k} rows")
     if idx.size and (idx.min() < 0 or idx.max() >= len(lat.codebook)):
         raise CorruptPayloadError("index out of codebook range")
     return _decode(idx, zetas, lat, _Streams(srs, lat, m), original_dim)

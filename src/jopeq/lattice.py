@@ -10,7 +10,8 @@ is the origin; it is the support of the subtractive-dither error.
 Supported families: scalar uniform (L=1), square (L=2, scaled identity)
 and hexagonal (L=2). Each has a closed-form nearest-point rule (per-axis
 rounding; for the hexagon, rounding in its two rectangular cosets) and a
-closed-form cell: variance, vertices and characteristic function.
+closed-form cell: variance, vertices and characteristic function (a
+product of sincs, or for the hexagon the mean of its three rhombi's).
 
 Every function takes sub-vectors as an array of shape (..., L), L the
 lattice dimension, also for L=1; per-sub-vector results (an index, an
@@ -440,11 +441,9 @@ def cell_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
     Characteristic function of the cell-uniform error,
     Phi_e(t) = (1/|P0|) * integral over P0 of cos(t . e) de.
 
-    Closed-form sinc for scaled-identity families; for the hexagonal cell
-    the integral is evaluated exactly edge-by-edge via the divergence
-    theorem, and by its second-order series 1 - |t|^2 var / 2 (var the
-    per-coordinate cell variance) where (|t| delta)^2 < 1e-6, below which
-    the edge sum cancels. Takes t of shape (..., L); returns shape (...).
+    Closed-form sinc for scaled-identity families, and a sum of three
+    rhombus CFs (products of two sincs) for the hexagonal cell. Takes t of
+    shape (..., L); returns shape (...).
     """
     t = _subvectors(lat, t)
     if lat.family == "hexagonal":
@@ -456,39 +455,19 @@ def _hexagon_cf(lat: Lattice, t: np.ndarray) -> np.ndarray:
     """
     CF of the uniform distribution over the hexagonal cell.
 
-    Divergence theorem: integral over P of e^{i k.x} dA equals
-    sum over edges of (k . n_j) / (i |k|^2) * integral of e^{i k.x} ds,
-    and each edge integral is |e_j| * e^{i k.m_j} * sinc(k.u_j |e_j|/2/pi)
-    with m_j the edge midpoint. The cell's vertices lie at radius
-    delta/sqrt(3), angles pi/6 + j pi/3, counter-clockwise.
+    The cell's vertices v_0, ..., v_5 lie at radius delta/sqrt(3), angles
+    pi/6 + j pi/3, and v_j + v_{j+2} = v_{j+1}. So the cell is the three
+    rhombi {a v_j + b v_{j+2} : a, b in [0, 1]}, j = 0, 2, 4, of equal
+    area, and the CF is the mean of theirs:
+    Phi(t) = (1/3) sum_j cos(t.v_{j+1}/2) sinc(t.v_j/2pi) sinc(t.v_{j+2}/2pi).
     """
-    shape = t.shape[:-1]
-    tk = t.reshape(-1, 2)
-    delta = lat.delta_q
-    area = np.sqrt(3.0) / 2.0 * delta ** 2
     ang = np.pi / 6.0 + np.arange(6) * np.pi / 3.0
-    verts = delta / np.sqrt(3.0) * np.stack([np.cos(ang), np.sin(ang)],
-                                            axis=1)
-    knorm2 = np.sum(tk ** 2, axis=1)
-    out = 1.0 - 0.5 * cell_variance_per_coord(lat) * knorm2
-
-    big = knorm2 * delta ** 2 >= 1e-6
-    if np.any(big):
-        k = tk[big]
-        acc = np.zeros(len(k), dtype=complex)
-        for j in range(6):
-            a, b = verts[j], verts[(j + 1) % 6]
-            edge = b - a
-            elen = math.hypot(*edge)
-            u = edge / elen
-            n = np.array([u[1], -u[0]])  # outward for CCW vertex order
-            mid = 0.5 * (a + b)
-            # k . v as an elementwise sum, not a BLAS product.
-            k_mid, k_u, k_n = (k[:, 0] * v[0] + k[:, 1] * v[1]
-                               for v in (mid, u, n))
-            seg = elen * np.exp(1j * k_mid) * np.sinc(k_u * elen
-                                                      / (2.0 * np.pi))
-            acc += k_n / (1j * knorm2[big]) * seg
-        out[big] = np.real(acc) / area
-
-    return out.reshape(shape)
+    verts = lat.delta_q / np.sqrt(3.0) * np.stack([np.cos(ang), np.sin(ang)],
+                                                  axis=1)
+    # t . v_j / 2 as an elementwise sum, not a BLAS product.
+    half = [0.5 * (t[..., 0] * v[0] + t[..., 1] * v[1]) for v in verts]
+    out = np.zeros(t.shape[:-1])
+    for j in (0, 2, 4):
+        out += (np.cos(half[j + 1]) * np.sinc(half[j] / np.pi)
+                * np.sinc(half[(j + 2) % 6] / np.pi))
+    return out / 3.0

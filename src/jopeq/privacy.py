@@ -2,6 +2,11 @@
 Local-differential-privacy mechanism algebra and privacy-preserving-noise
 (PPN) samplers.
 
+The mechanisms are Laplace, of scale 2/epsilon, and the multivariate t,
+whose budget and scale are closed forms in each other: the budget at
+whitened sensitivity delta is 2 p asinh(delta / (2 sqrt(nu))), with the
+one exponent p = (nu+d)^2 (`_t_power`), and the scale is its inverse.
+
 The PPN n is designed so that n plus the cell-uniform quantization error e
 realizes a target LDP mechanism: its characteristic function is the target
 mechanism CF divided by the cell CF. Because the cell CF has isolated
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import optimize, special, stats
+from scipy import special, stats
 
 from .dither import _KeyedStreams
 from .lattice import Lattice, cell_cf, cell_variance_per_coord
@@ -42,7 +47,6 @@ __all__ = [
     "PpnSampler",
     "MechanismInfeasibleError",
     "InfeasibleParametersError",
-    "T_MECH_EXPONENT_VERBATIM",
     "laplace_spec",
     "t_spec",
     "t_mech_epsilon",
@@ -51,13 +55,6 @@ __all__ = [
     "build_ppn_sampler",
     "mechanism_reference_sample",
 ]
-
-# The privacy-budget formula for the multivariate-t mechanism is
-# implemented with this exponent exactly as printed in its source,
-# exp(eps) = [(1+c^2/nu)/(1+(c-Delta)^2/nu)]^((nu+d)^2); pass
-# exponent="half-sum" to t_mech_epsilon / solve_t_params for the
-# plausible (nu+d)/2 variant instead.
-T_MECH_EXPONENT_VERBATIM = "verbatim"
 
 DEFAULT_SENSITIVITY = math.sqrt(2.0)
 
@@ -127,64 +124,59 @@ def laplace_spec(epsilon: float, dimension: int = 1) -> MechanismSpec:
     return MechanismSpec("laplace", float(epsilon), int(dimension))
 
 
-def t_spec(epsilon: float, dimension: int, nu: float,
-           exponent: str = T_MECH_EXPONENT_VERBATIM) -> MechanismSpec:
+def t_spec(epsilon: float, dimension: int, nu: float) -> MechanismSpec:
     """
     Multivariate-t mechanism with the scale solved from the budget at the
     raw l2 sensitivity DEFAULT_SENSITIVITY of the scaled sub-vectors
     (sqrt(2) for unit-ball inputs), whitened to DEFAULT_SENSITIVITY / s.
+    nu must exceed 2, so that the noise has a variance.
     """
-    s2 = solve_t_params(epsilon, dimension, DEFAULT_SENSITIVITY, nu, exponent)
+    if not nu > 2:
+        raise InfeasibleParametersError(
+            f"need nu > 2 for a finite variance, got nu={nu}")
+    s2 = solve_t_params(epsilon, dimension, DEFAULT_SENSITIVITY, nu)
     return MechanismSpec("t", float(epsilon), int(dimension), nu=float(nu),
                          s2=s2)
 
 
-def t_mech_epsilon(nu: float, d: int, delta: float,
-                   exponent: str = T_MECH_EXPONENT_VERBATIM) -> float:
+def _t_power(nu: float, d: int) -> float:
+    """The exponent p of the t mechanism's budget, (nu+d)^2 as printed."""
+    return (nu + d) ** 2
+
+
+def t_mech_epsilon(nu: float, d: int, delta: float) -> float:
     """
     Privacy budget of the d-dimensional t_nu(0, Sigma) mechanism at
     whitened sensitivity delta; Sigma enters only through the whitening.
 
     exp(eps) = [(1 + c^2/nu) / (1 + (c-delta)^2/nu)]^p with
-    c = (delta + sqrt(delta^2 + 4 nu)) / 2 and p = (nu+d)^2 (verbatim
-    default) or (nu+d)/2 ("half-sum").
+    c = (delta + sqrt(delta^2 + 4 nu)) / 2 and p = `_t_power`. Since
+    c (c - delta) = nu, the ratio is c / (c - delta), and
+    eps = 2 p asinh(delta / (2 sqrt(nu))).
     """
     if nu <= 0 or delta < 0:
         raise InfeasibleParametersError("need nu > 0 and delta >= 0")
-    c = 0.5 * (delta + math.sqrt(delta * delta + 4.0 * nu))
-    ratio = (1.0 + c * c / nu) / (1.0 + (c - delta) ** 2 / nu)
-    if exponent == T_MECH_EXPONENT_VERBATIM:
-        power = (nu + d) ** 2
-    elif exponent == "half-sum":
-        power = (nu + d) / 2.0
-    else:
-        raise ValueError(f"unknown exponent variant {exponent!r}")
-    return power * math.log(ratio)
+    return 2.0 * _t_power(nu, d) * math.asinh(delta / (2.0 * math.sqrt(nu)))
 
 
-def solve_t_params(epsilon: float, d: int, delta: float, nu: float,
-                   exponent: str = T_MECH_EXPONENT_VERBATIM) -> float:
+def solve_t_params(epsilon: float, d: int, delta: float, nu: float) -> float:
     """
     Scale s^2 with Sigma = s^2 I_d such that the t mechanism meets the
-    budget: t_mech_epsilon(nu, d, delta/s) = epsilon within relative
-    1e-9, by bracketed root finding on s in [1e-6, 1e6].
+    budget, t_mech_epsilon(nu, d, delta/s) = epsilon: the inverse of its
+    closed form, s = delta / (2 sqrt(nu) sinh(epsilon / (2 p))).
     """
     if epsilon <= 0:
         raise InfeasibleParametersError("epsilon must be positive")
-
-    def gap(log_s: float) -> float:
-        return t_mech_epsilon(nu, d, delta / math.exp(log_s),
-                              exponent) - epsilon
-
-    lo, hi = math.log(1e-6), math.log(1e6)
-    if gap(lo) * gap(hi) > 0:
+    if nu <= 0 or delta < 0:
+        raise InfeasibleParametersError("need nu > 0 and delta >= 0")
+    try:
+        s = delta / (2.0 * math.sqrt(nu)
+                     * math.sinh(epsilon / (2.0 * _t_power(nu, d))))
+    except (OverflowError, ZeroDivisionError):
+        s = 0.0
+    if not 0 < s * s < math.inf:
         raise InfeasibleParametersError(
-            f"no scale in [1e-6, 1e6] meets epsilon={epsilon}")
-    log_s = optimize.brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    s = math.exp(log_s)
-    achieved = t_mech_epsilon(nu, d, delta / s, exponent)
-    if abs(achieved - epsilon) > 1e-9 * epsilon:
-        raise InfeasibleParametersError("root finding did not converge")
+            f"no finite positive scale meets epsilon={epsilon}")
     return s * s
 
 

@@ -173,6 +173,19 @@ class TestConfig:
         assert cfg["codec.rate"] == "3"
         assert cfg["sweep.epsilons"] == "1,2"
 
+    def test_unknown_env_variable_rejected(self, clean_env):
+        # A misspelt override is refused by name, not dropped; JOPEQ_OUT
+        # (the output directory) and JOPEQ_SEED (key seed) are known.
+        clean_env.setenv("JOPEQ_OUT", "elsewhere")
+        clean_env.setenv("JOPEQ_SEED", "5")
+        assert load_config(None)["seed"] == "5"
+        clean_env.setenv("JOPEQ_FL_ROUDS", "5")
+        clean_env.setenv("JOPEQ_X", "1")
+        with pytest.raises(ValueError, match="JOPEQ_FL_ROUDS, JOPEQ_X$"):
+            load_config(None)
+        with pytest.raises(ValueError, match="JOPEQ_FL_ROUDS"):
+            main(["verify"])
+
 
 class TestSweep:
     def _run(self, tmp_path, clean_env, name, extra_args=()):

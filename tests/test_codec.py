@@ -593,6 +593,14 @@ class TestBlocks:
             decode_rows(np.zeros((3, 4), dtype=np.int64), np.ones(3), lat,
                         MIXED[:2], 4)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_rows_must_match_zetas(self, count):
+        # One zeta a row: a longer array is refused, not read in part.
+        lat, _ = _codec("scalar")
+        with pytest.raises(ValueError, match=rf"\({count},\) for 3 rows"):
+            decode_rows(np.zeros((3, 4), dtype=np.int64), np.ones(count),
+                        lat, MIXED[:3], 4)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 64, 65, 127, 129, 200])
     def test_blocks_cover_rows_in_near_equal_slices(self, m, monkeypatch):
         small_blocks(monkeypatch, 2, 64)

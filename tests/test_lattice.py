@@ -313,9 +313,38 @@ class TestCellCf:
             assert float(cell_cf(lat, t)) == pytest.approx(mc, abs=5e-3)
 
     @pytest.mark.parametrize("scale", ["unit", "benchmark"])
+    def test_hexagonal_matches_triangle_quadrature(self, scale):
+        # The mean of cos(t.e) over the cell, as six triangles (0, v_j,
+        # v_{j+1}), each the image of the unit square under the Duffy map
+        # (a, b) -> a (v_j + b (v_{j+1} - v_j)), of Jacobian 2 a |P0| / 6,
+        # by a 60-point Gauss-Legendre rule on each axis (its weights on
+        # [0, 1] are half those on [-1, 1]).
+        lat = lattice_at("hexagonal", scale)
+        ang = np.pi / 6.0 + np.arange(7) * np.pi / 3.0
+        verts = (lat.delta_q / np.sqrt(3.0)
+                 * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+        nodes, weights = np.polynomial.legendre.leggauss(60)
+        a, b = np.meshgrid((nodes + 1.0) / 2.0, (nodes + 1.0) / 2.0,
+                           indexing="ij")
+        w = np.outer(weights, weights) * a / 12.0
+        points = np.concatenate([
+            (a * (v0[:, None, None] + b * (v1 - v0)[:, None, None]))
+            .reshape(2, -1).T for v0, v1 in zip(verts[:-1], verts[1:])])
+        w = np.tile(w.ravel(), 6)
+        rng = np.random.default_rng(3)
+        norms = np.concatenate([np.geomspace(1e-3, 50.0, 40), [50.0]])
+        phi = rng.uniform(0.0, 2.0 * np.pi, len(norms))
+        t = (norms / lat.delta_q)[:, None] * np.stack(
+            [np.cos(phi), np.sin(phi)], axis=1)
+        quad = np.cos(t[:, 0, None] * points[:, 0]
+                      + t[:, 1, None] * points[:, 1]) @ w
+        assert np.allclose(cell_cf(lat, t), quad, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("scale", ["unit", "benchmark"])
     def test_hexagonal_continuous_at_series_switch(self, scale):
-        # Below (|t| delta)^2 = 1e-6 the CF is its second-order series; just
-        # above it the edge sum must agree with that series.
+        # At small |t| the CF is its second-order series 1 - |t|^2 var / 2
+        # (var the per-coordinate cell variance) to within the next term,
+        # of order (|t| delta)^4 / 100: here at (|t| delta)^2 = 1e-6.
         lat = lattice_at("hexagonal", scale)
         ang = np.linspace(0.0, np.pi, 13)
         var = cell_variance_per_coord(lat)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from jopeq import privacy
+from jopeq.flsim import CodecSpec
 from jopeq.lattice import (cell_cf, cell_variance_per_coord,
                            hexagonal_lattice, scalar_uniform, square_lattice)
 from jopeq.privacy import (TABLE_CACHE_ENTRIES, TABLE_HALF_WIDTH_SD,
@@ -20,13 +21,19 @@ from jopeq.privacy import (TABLE_CACHE_ENTRIES, TABLE_HALF_WIDTH_SD,
                            solve_t_params, t_mech_epsilon, t_spec)
 
 # High-precision evaluations (40-digit arithmetic) of the t-mechanism
-# budget at nu=3, d=2, whitened sensitivity sqrt(2), for both exponent
-# conventions.
+# budget at nu=3, d=2, whitened sensitivity sqrt(2), with the exponent
+# (nu+d)^2 of `t_mech_epsilon` and with the t density's own (nu+d)/2.
 T_EPS_VERBATIM = 19.884136530597640763
 T_EPS_HALF_SUM = 1.9884136530597640763
-# Root-finder output for s^2 at (eps=3, d=2, nu=3, Delta=sqrt(2)), frozen
-# after forward verification.
+# s^2 at (eps=3, d=2, nu=3, Delta=sqrt(2)), frozen after forward
+# verification.
 S2_EPS3_D2_NU3 = 46.2407807178952
+
+
+def half_sum_epsilon(nu, d, delta):
+    """The t budget with the t density's exponent (nu+d)/2 in place of
+    (nu+d)^2: 2 ((nu+d)/2) asinh(delta / (2 sqrt(nu)))."""
+    return 2.0 * ((nu + d) / 2.0) * math.asinh(delta / (2.0 * math.sqrt(nu)))
 
 
 class TestBudgetAlgebra:
@@ -36,15 +43,14 @@ class TestBudgetAlgebra:
     def test_verbatim_and_half_sum_match_oracle(self):
         val = t_mech_epsilon(3.0, 2, np.sqrt(2.0))
         assert val == pytest.approx(T_EPS_VERBATIM, rel=1e-12)
-        val = t_mech_epsilon(3.0, 2, np.sqrt(2.0),
-                             exponent="half-sum")
-        assert val == pytest.approx(T_EPS_HALF_SUM, rel=1e-12)
+        assert half_sum_epsilon(3.0, 2, np.sqrt(2.0)) == pytest.approx(
+            T_EPS_HALF_SUM, rel=1e-12)
 
     def test_half_sum_is_the_t_density_privacy_loss(self):
         # The privacy loss of the t_3(0, I_2) mechanism at sensitivity
         # sqrt(2) is the sup over x of |log f(x) - log f(x - Delta e_1)|,
-        # here on a grid of step 0.02. The "half-sum" exponent (nu+d)/2 gives
-        # it; the default one, (nu+d)^2, gives 2(nu+d) = 10 times as much.
+        # here on a grid of step 0.02. The exponent (nu+d)/2 gives it;
+        # t_mech_epsilon's, (nu+d)^2, gives 2(nu+d) = 10 times as much.
         from scipy import stats
 
         delta = math.sqrt(2.0)
@@ -52,7 +58,7 @@ class TestBudgetAlgebra:
         g = np.linspace(-8.0, 8.0, 801)
         x = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
         sup = np.max(np.abs(t3.logpdf(x) - t3.logpdf(x - [delta, 0.0])))
-        half_sum = t_mech_epsilon(3.0, 2, delta, exponent="half-sum")
+        half_sum = half_sum_epsilon(3.0, 2, delta)
         assert sup == pytest.approx(half_sum, rel=1e-5)
         assert sup <= half_sum
         assert t_mech_epsilon(3.0, 2, delta) == pytest.approx(
@@ -68,6 +74,22 @@ class TestBudgetAlgebra:
         eps = t_mech_epsilon(3.0, 2, np.sqrt(2.0) / np.sqrt(s2))
         assert eps == pytest.approx(3.0, rel=1e-9)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("nu", [2.5, 3.0, 5.0, 30.0])
+    def test_solve_inverts_the_budget(self, nu, d):
+        for eps in np.geomspace(1e-3, 50.0, 25):
+            s2 = solve_t_params(eps, d, np.sqrt(2.0), nu)
+            assert t_mech_epsilon(nu, d, np.sqrt(2.0 / s2)) == pytest.approx(
+                eps, rel=1e-13)
+
+    def test_solve_refuses_infeasible_budgets(self):
+        for eps, delta, nu in ((0.0, 1.0, 3.0), (-1.0, 1.0, 3.0),
+                               (1.0, 0.0, 3.0), (1.0, -1.0, 3.0),
+                               (1.0, 1.0, 0.0), (1e-320, 1.0, 3.0),
+                               (5e-324, 1.0, 3.0), (1e6, 1.0, 3.0)):
+            with pytest.raises(InfeasibleParametersError):
+                solve_t_params(eps, 2, delta, nu)
+
     def test_stronger_privacy_needs_larger_scale(self):
         assert (solve_t_params(2.0, 2, np.sqrt(2.0), 3.0)
                 > solve_t_params(3.0, 2, np.sqrt(2.0), 3.0))
@@ -80,6 +102,15 @@ class TestBudgetAlgebra:
         ts = t_spec(3.0, 2, 3.0)
         assert ts.variance_per_coord == pytest.approx(3.0 * ts.s2 / 1.0)
         assert ts.variance == pytest.approx(2.0 * ts.variance_per_coord)
+
+    @pytest.mark.parametrize("nu", [2.0, 1.5])
+    def test_t_noise_without_variance_is_refused(self, nu):
+        # nu <= 2 leaves the t noise with no variance: at nu = 2 its
+        # formula divides by zero, below 2 it reads negative.
+        with pytest.raises(InfeasibleParametersError, match="nu > 2"):
+            t_spec(3.0, 2, nu)
+        with pytest.raises(InfeasibleParametersError, match="nu > 2"):
+            CodecSpec(family="square", mechanism="t", nu=nu).build()
 
 
 class TestThreshold:
