@@ -204,8 +204,7 @@ def snr_figure_shape(seed: int) -> list[TestReport]:
     # JOPEQ_* variables must not change what the check measures.
     cfg = dict(cli._DEFAULTS)
     rates, epsilons = range(1, 9), (3.0, 3.5, 4.0)
-    snr = {(b, e, r): cli.snr_sweep_point((cfg, r, e, b, seed))[3]
-           for b in ("jopeq", "separate") for e in epsilons for r in rates}
+    snr = {(b, e, r): value for r, e, b, value in cli.snr_sweep(cfg, seed)}
     reports = []
     for e in epsilons:
         joint = [snr[("jopeq", e, r)] for r in rates]

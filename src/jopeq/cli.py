@@ -93,10 +93,6 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def _section(cfg: dict, section: str, **given):
     """
     A section's dataclass from the config: each key field takes its value
@@ -121,39 +117,152 @@ def _fl_config(cfg: dict, baseline: str, seed: int) -> flsim.FlConfig:
                     seed=seed)
 
 
-def snr_sweep_point(args) -> tuple:
-    """One (rate, epsilon, baseline) SNR measurement on synthetic updates."""
+_SWEEP_BASELINES = ("jopeq", "separate", "sdq")
+
+
+def _sweep_keys(cfg: dict) -> tuple:
+    """
+    The sweep's (rates, epsilons, baselines) lists, from its sweep.* keys.
+    A value the sweep cannot run raises ValueError naming its key and
+    value: a rate that is not an integer >= 1, an epsilon that is not
+    finite and positive, or a baseline other than jopeq, separate and sdq.
+    """
+    rates = _sweep_list(cfg, "sweep.rates", float,
+                        lambda r: r.is_integer() and r >= 1,
+                        "an integer >= 1")
+    epsilons = _sweep_list(cfg, "sweep.epsilons", float,
+                           lambda e: 0.0 < e < np.inf,
+                           "finite and positive")
+    baselines = _sweep_list(cfg, "sweep.baselines", str,
+                            lambda b: b in _SWEEP_BASELINES,
+                            "jopeq, separate or sdq")
+    return [int(r) for r in rates], epsilons, baselines
+
+
+def _sweep_list(cfg: dict, key: str, parse, ok, need: str) -> list:
+    """The comma-separated values of key, each parsed and checked by ok."""
+    values = []
+    for text in cfg[key].split(","):
+        text = text.strip()
+        if not text:
+            continue
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"{key} = {cfg[key]!r}: {text!r} is not {need}")
+        values.append(value)
+    return values
+
+
+def _snr_dim(cfg: dict) -> int:
+    """
+    sweep.snr_dim, the update's length: an integer >= 2 (one coordinate
+    has no variance, so no SNR), else ValueError naming key and value.
+    """
+    text = cfg["sweep.snr_dim"]
+    if not text.strip().isdecimal() or int(text) < 2:
+        raise ValueError(f"sweep.snr_dim = {text!r}: need an integer >= 2")
+    return int(text)
+
+
+def _sweep_update(cfg: dict, seed: int) -> np.ndarray:
+    """The SNR sweep's update: one read-only row of snr_dim N(0,1) draws."""
+    rng = np.random.default_rng([seed, 7001])
+    h = rng.normal(0.0, 1.0, (1, _snr_dim(cfg)))
+    h.flags.writeable = False
+    return h
+
+
+def _privatized(h: np.ndarray, lat, spec, seed: int) -> np.ndarray:
+    """
+    separate's first stage, read-only: h through the ppn uplink at the
+    mechanism spec, its noise keyed [seed, 7002]. Its zeta depends on h
+    and the sub-vector count only, so it is the same at every rate.
+    """
+    private, _ = flsim.uplink("ppn", h, lat, spec, None, None,
+                              [[seed, 7002]], seed + 1)
+    private.flags.writeable = False
+    return private
+
+
+def snr_sweep_point(args, h=None, private=None) -> tuple:
+    """
+    One (rate, epsilon, baseline) SNR measurement on a synthetic update;
+    args is (cfg, rate, epsilon, baseline, seed). h is the sweep's update
+    (`_sweep_update`) and, for separate, private is h's privatization at
+    epsilon (`_privatized`): separate is sdq of it, as in `flsim.uplink`.
+    Either is drawn here when not given, so a point computed alone equals
+    its row of a sweep (`snr_sweep`), which passes both.
+    """
     cfg, rate, epsilon, baseline, seed = args
-    if baseline not in ("jopeq", "separate", "sdq"):
+    if baseline not in _SWEEP_BASELINES:
         raise ValueError(f"snr sweep supports jopeq/separate/sdq, "
                          f"not {baseline!r}")
     lat, spec = _section(cfg, "codec", rate=rate, epsilon=epsilon).build()
-    sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
-               if baseline == "jopeq" else None)
-    rng = np.random.default_rng([seed, 7001])
-    h = rng.normal(0.0, 1.0, (1, int(cfg["sweep.snr_dim"])))
-    ht, _ = flsim.uplink(baseline, h, lat, spec, sampler,
+    if h is None:
+        h = _sweep_update(cfg, seed)
+    sent, stage, sampler = h, baseline, None
+    if baseline == "separate":
+        if private is None:
+            private = _privatized(h, lat, spec, seed)
+        sent, stage = private, "sdq"
+    elif baseline == "jopeq":
+        sampler = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
+    ht, _ = flsim.uplink(stage, sent, lat, spec, sampler,
                          [SharedRandomness(seed=seed, user=0, round_index=0)],
-                         [[seed, 7002]], seed + 1)
-    value = codec.snr(h, ht)
-    return rate, epsilon, baseline, value
+                         None, seed + 1)
+    return rate, epsilon, baseline, codec.snr(h, ht)
+
+
+def snr_sweep(cfg: dict, seed: int, jobs: int = 1) -> list[tuple]:
+    """
+    The SNR-versus-rate study of cfg's sweep.* keys: one (rate, epsilon,
+    baseline, snr_db) row per point, rate-major, as the keys list them
+    (duplicates included).
+
+    The sweep draws once what its points share, and holds it for this
+    call only: the update, and separate's privatization once per epsilon
+    (it does not depend on the rate). The points run epsilon-major, each
+    distinct one through one `snr_sweep_point` call, in `jobs` spawned
+    worker processes when jobs > 1. Every sweep.* value is checked
+    (`_sweep_keys`, `_snr_dim`) before any point runs.
+    """
+    rates, epsilons, baselines = _sweep_keys(cfg)
+    h = _sweep_update(cfg, seed)
+
+    def calls():
+        for e in dict.fromkeys(epsilons):
+            private = None
+            for r in dict.fromkeys(rates):
+                for b in dict.fromkeys(baselines):
+                    if b == "separate" and private is None:
+                        lat, spec = _section(cfg, "codec", rate=r,
+                                             epsilon=e).build()
+                        private = _privatized(h, lat, spec, seed)
+                    yield ((cfg, r, e, b, seed), h,
+                           private if b == "separate" else None)
+
+    if jobs > 1:
+        with get_context("spawn").Pool(jobs) as pool:
+            rows = pool.starmap(snr_sweep_point, calls())
+    else:
+        rows = [snr_sweep_point(*call) for call in calls()]
+    by_point = {tuple(row[:3]): row for row in rows}
+    return [by_point[r, e, b]
+            for r in rates for e in epsilons for b in baselines]
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, seed: int, jobs: int) -> int:
-    """SNR-versus-rate and learning-curve studies; one CSV each."""
+    """
+    SNR-versus-rate (`snr_sweep`) and learning-curve studies; one CSV
+    each. The SNR sweep draws its update once and separate's
+    privatization once per epsilon, and checks its sweep.* values before
+    it writes anything.
+    """
+    rows = snr_sweep(cfg, seed, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rates = [int(r) for r in _floats(cfg["sweep.rates"])]
-    epsilons = _floats(cfg["sweep.epsilons"])
-    baselines = [b.strip() for b in cfg["sweep.baselines"].split(",")
-                 if b.strip()]
-
-    points = [(cfg, r, e, b, seed)
-              for r in rates for e in epsilons for b in baselines]
-    if jobs > 1:
-        with get_context("spawn").Pool(jobs) as pool:
-            rows = pool.map(snr_sweep_point, points)
-    else:
-        rows = [snr_sweep_point(p) for p in points]
 
     snr_path = out_dir / "snr_vs_rate.csv"
     with open(snr_path, "w") as fh:

@@ -512,8 +512,10 @@ def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
     elif baseline not in ("sdq", "jopeq"):
         raise ValueError(f"unknown baseline {baseline!r}")
     if _drawn is None:
-        # Reading the streams block by block keeps `cli.snr_sweep_point`'s
-        # one 200,000-coordinate row small: drawing its noise ahead with
+        # Reading the streams block by block keeps the SNR sweep's points
+        # small: `cli.snr_sweep_point` codes one 200,000-coordinate row,
+        # the sweep's update or its privatization, which the sweep draws
+        # once and holds while its points run. Drawing the noise ahead with
         # `codec._draw` raised `sweep` peak_rss_mb from 116.5-116.8 MB to
         # 118.7-120.5 MB (3 alternating pairs of runs, seeds 61-63, 2-vCPU
         # host).

@@ -467,6 +467,11 @@ def _refine_table(spec: MechanismSpec, lat: Lattice, n: int,
     shape = x.shape[:-1]
 
     target = _target_pdf(spec, x)
+    # The t density's gamma ratio is inf/inf = NaN once nu passes about
+    # 340; a NaN table would pass the clipped-mass guard below.
+    if not np.all(np.isfinite(target)):
+        raise InfeasibleParametersError(
+            f"target density of {spec} is not finite on the table grid")
     target_mass = float(target.sum() * cell_measure)
     cell_half = cell_cf(lat, tgrid)
 

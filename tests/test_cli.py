@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, sweeps, codec commands, verify."""
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,66 @@ class TestSweep:
         assert ((a / "snr_vs_rate.csv").read_bytes()
                 != (b / "snr_vs_rate.csv").read_bytes())
 
+    @pytest.mark.parametrize("key, value", [
+        ("sweep.rates", "1.5,4"), ("sweep.rates", "0,4"),
+        ("sweep.rates", "1,x"), ("sweep.epsilons", "3,0"),
+        ("sweep.epsilons", "nan"), ("sweep.baselines", "jopeq,plain"),
+        ("sweep.snr_dim", "0"), ("sweep.snr_dim", "1"),
+        ("sweep.snr_dim", "2.5")])
+    def test_bad_sweep_value_rejected_before_any_point(self, tmp_path,
+                                                       clean_env, key, value):
+        # Unchecked, rate 1.5 writes rows labelled rate 1, snr_dim 0 and 1
+        # nan and inf SNRs, and plain fails only when its first point runs.
+        def point(*args):
+            raise AssertionError("a sweep point ran")
+
+        clean_env.setattr(cli, "snr_sweep_point", point)
+        cfgp = tmp_path / "cfg"
+        cfgp.write_text(f"{SMALL_SWEEP}{key} = {value}\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(f"{key} = {value!r}")):
+            main(["sweep", "--config", str(cfgp), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, codec_keys, dim, epsilons, baselines", [
+        (0, {}, 2001, "3,4", "jopeq,separate,sdq"),
+        (7, {"codec.family": "square", "codec.mechanism": "t"}, 999,
+         "4,3,4", "separate,sdq"),
+        (12, {"codec.family": "hexagonal"}, 1000, "3.5", "sdq,separate")])
+    def test_rows_equal_points_computed_alone(self, clean_env, seed,
+                                              codec_keys, dim, epsilons,
+                                              baselines):
+        cfg = dict(load_config(None), **codec_keys)
+        cfg.update({"sweep.rates": "2,1,2", "sweep.epsilons": epsilons,
+                    "sweep.baselines": baselines, "sweep.snr_dim": str(dim)})
+        rows = cli.snr_sweep(cfg, seed)
+        assert [row[:3] for row in rows] == [
+            (r, float(e), b) for r in (2, 1, 2)
+            for e in epsilons.split(",") for b in baselines.split(",")]
+        for rate, eps, base, value in rows:
+            alone = snr_sweep_point((cfg, rate, eps, base, seed))
+            assert alone == (rate, eps, base, value)
+
+    def test_each_sweep_call_draws_its_own_inputs(self, clean_env):
+        # One update per call and one privatization per epsilon, keyed
+        # [seed, 7001] and [seed, 7002]; a second call draws them again.
+        cfg = dict(load_config(None), **{
+            "sweep.rates": "1,2,3", "sweep.epsilons": "3,4",
+            "sweep.baselines": "jopeq,separate,sdq",
+            "sweep.snr_dim": "1000"})
+        keys, default_rng = [], np.random.default_rng
+
+        def spy(seed=None):
+            if isinstance(seed, list) and seed[1:] in ([7001], [7002]):
+                keys.append(seed)
+            return default_rng(seed)
+
+        clean_env.setattr(np.random, "default_rng", spy)
+        first = cli.snr_sweep(cfg, 5)
+        assert keys == [[5, 7001], [5, 7002], [5, 7002]]
+        assert cli.snr_sweep(cfg, 5) == first
+        assert keys == 2 * [[5, 7001], [5, 7002], [5, 7002]]
+
     def test_sweep_point_rejects_unknown_baseline(self, clean_env):
         cfg = load_config(None)
         cfg["sweep.snr_dim"] = "1000"
@@ -314,7 +375,7 @@ class TestVerify:
         clean_env.setenv("JOPEQ_CODEC_NU", "5")
         seen = []
 
-        def point(args):
+        def point(args, h, private):
             cfg, rate, epsilon, baseline, seed = args
             seen.append((dict(cfg), seed))
             return rate, epsilon, baseline, 0.0

@@ -723,11 +723,16 @@ class TestUplink:
         assert np.array_equal(ht, self.H) and ov == 0
 
     def test_separate_is_sdq_of_ppn(self):
-        noisy, ov = self._send("ppn")
-        assert ov == 0 and not np.array_equal(noisy, self.H)
-        want = self._send("sdq", h=noisy)
-        got = self._send("separate")
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        # Three rows of an odd 501 coordinates, so the 2-D rows are padded.
+        # The SNR sweep codes separate this way from one ppn output.
+        for cspec in (CodecSpec(rate=3),
+                      CodecSpec("square", rate=3, epsilon=3.0, mechanism="t"),
+                      CodecSpec("hexagonal", rate=3, epsilon=3.0)):
+            noisy, ov = self._send("ppn", cspec=cspec)
+            assert ov == 0 and not np.array_equal(noisy, self.H)
+            want = self._send("sdq", h=noisy, cspec=cspec)
+            got = self._send("separate", cspec=cspec)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_jopeq_with_degenerate_sampler_is_sdq(self):
         # gamma eps / 2^R = 1.5 sqrt(24): the cell noise alone exceeds

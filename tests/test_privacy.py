@@ -143,6 +143,17 @@ class TestSamplerConstruction:
         assert np.array_equal(samp.sample(4, np.random.default_rng(0)),
                               np.zeros((4, 1)))
 
+    def test_non_finite_target_density_is_refused(self):
+        # At nu = 400 the t density's gamma ratio is inf/inf = NaN; the
+        # NaN table once built, its validity all NaN.
+        lat, spec = square_lattice(1000.0, 6), t_spec(3.0, 2, 400.0)
+        cached = set(privacy._TABLES)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_target_pdf(spec, np.zeros(2)))
+            with pytest.raises(InfeasibleParametersError, match="not finite"):
+                build_ppn_sampler(spec, lat)
+        assert set(privacy._TABLES) == cached
+
     def test_density_table_is_valid(self):
         lat = scalar_uniform(9.0, 4)
         samp = build_ppn_sampler(laplace_spec(1.0, 1), lat)

@@ -8,9 +8,12 @@ that a refactor can show its outputs are byte-identical to its parent's.
     diff parent.txt change.txt
 
 The outputs, all keyed on --seed:
-- `sweep.small.*` and `sweep.default.*`: both `jopeq sweep` CSVs, at the
-  benchmark's reduced config (rates 1,4, epsilon 3, 25 rounds) and at the
-  default config; JOPEQ_* environment variables apply as in the CLI.
+- `sweep.small.*`, `sweep.default.*` and `sweep.square.*`: both `jopeq
+  sweep` CSVs, at the benchmark's reduced config (rates 1,4, epsilon 3,
+  25 rounds), at the default config, and at SWEEP_SQUARE, a square t
+  codec's sweep of two epsilons, whose separate points share one 2-D
+  privatization per epsilon; JOPEQ_* environment variables apply as in
+  the CLI.
 - `fl.<baseline>`: every field of the 60 per-round metrics of each of the
   five baselines on the linear task.
 - `fl.decay.<baseline>`: the same for 60 rounds of the benchmark's
@@ -77,6 +80,15 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 SWEEP_SMALL = {"sweep.rates": "1,4", "sweep.epsilons": "3", "fl.rounds": "25"}
+# A 2-D sweep: square t codec, two epsilons, a repeated rate and an odd
+# update length, so a 2-D row is padded. The SNR points leave out jopeq,
+# whose 2-D PPN tables would cost about 1.4 s each; the learning curves'
+# jopeq run builds one. The curves run at codec.epsilon 32: at the sweep's
+# epsilons the t noise makes separate's runs diverge.
+SWEEP_SQUARE = {"codec.family": "square", "codec.mechanism": "t",
+                "codec.epsilon": "32", "sweep.rates": "3,1,3",
+                "sweep.epsilons": "3,4", "sweep.baselines": "separate,sdq",
+                "sweep.snr_dim": "20001", "fl.rounds": "25"}
 FL_ROUNDS = 60
 # Users of the `fl.d1` runs: 8 or more, so that a pairwise sum over them
 # would differ from the sum in user order.
@@ -108,7 +120,8 @@ def digest(*arrays) -> str:
 
 
 def sweep_digests(cli, seed: int):
-    for label, overrides in (("small", SWEEP_SMALL), ("default", {})):
+    for label, overrides in (("small", SWEEP_SMALL), ("default", {}),
+                             ("square", SWEEP_SQUARE)):
         cfg = dict(cli.load_config(None), **overrides)
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
