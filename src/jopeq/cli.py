@@ -117,15 +117,12 @@ def _fl_config(cfg: dict, baseline: str, seed: int) -> flsim.FlConfig:
                     seed=seed)
 
 
-_SWEEP_BASELINES = ("jopeq", "separate", "sdq")
-
-
 def _sweep_keys(cfg: dict) -> tuple:
     """
     The sweep's (rates, epsilons, baselines) lists, from its sweep.* keys.
     A value the sweep cannot run raises ValueError naming its key and
-    value: a rate that is not an integer >= 1, an epsilon that is not
-    finite and positive, or a baseline other than jopeq, separate and sdq.
+    value: an empty list, a rate that is not an integer >= 1, an epsilon
+    that is not finite and positive, or a baseline not in `flsim.CODING`.
     """
     rates = _sweep_list(cfg, "sweep.rates", float,
                         lambda r: r.is_integer() and r >= 1,
@@ -134,13 +131,13 @@ def _sweep_keys(cfg: dict) -> tuple:
                            lambda e: 0.0 < e < np.inf,
                            "finite and positive")
     baselines = _sweep_list(cfg, "sweep.baselines", str,
-                            lambda b: b in _SWEEP_BASELINES,
-                            "jopeq, separate or sdq")
+                            lambda b: b in flsim.CODING,
+                            "one of " + ", ".join(flsim.CODING))
     return [int(r) for r in rates], epsilons, baselines
 
 
 def _sweep_list(cfg: dict, key: str, parse, ok, need: str) -> list:
-    """The comma-separated values of key, each parsed and checked by ok."""
+    """The comma-separated values of key, at least one, each checked by ok."""
     values = []
     for text in cfg[key].split(","):
         text = text.strip()
@@ -153,66 +150,52 @@ def _sweep_list(cfg: dict, key: str, parse, ok, need: str) -> list:
         if value is None or not ok(value):
             raise ValueError(f"{key} = {cfg[key]!r}: {text!r} is not {need}")
         values.append(value)
+    if not values:
+        raise ValueError(f"{key} = {cfg[key]!r}: lists no value")
     return values
 
 
-def _snr_dim(cfg: dict) -> int:
+def _sweep_update(cfg: dict, seed: int) -> np.ndarray:
     """
-    sweep.snr_dim, the update's length: an integer >= 2 (one coordinate
-    has no variance, so no SNR), else ValueError naming key and value.
+    The SNR sweep's update: one read-only row of sweep.snr_dim N(0,1)
+    draws. snr_dim must be an integer >= 2 (one coordinate has no
+    variance, so no SNR), else ValueError naming key and value.
     """
     text = cfg["sweep.snr_dim"]
     if not text.strip().isdecimal() or int(text) < 2:
         raise ValueError(f"sweep.snr_dim = {text!r}: need an integer >= 2")
-    return int(text)
-
-
-def _sweep_update(cfg: dict, seed: int) -> np.ndarray:
-    """The SNR sweep's update: one read-only row of snr_dim N(0,1) draws."""
-    rng = np.random.default_rng([seed, 7001])
-    h = rng.normal(0.0, 1.0, (1, _snr_dim(cfg)))
+    h = np.random.default_rng([seed, 7001]).normal(0.0, 1.0, (1, int(text)))
     h.flags.writeable = False
     return h
 
 
-def _privatized(h: np.ndarray, lat, spec, seed: int) -> np.ndarray:
-    """
-    separate's first stage, read-only: h through the ppn uplink at the
-    mechanism spec, its noise keyed [seed, 7002]. Its zeta depends on h
-    and the sub-vector count only, so it is the same at every rate.
-    """
-    private, _ = flsim.uplink("ppn", h, lat, spec, None, None,
-                              [[seed, 7002]], seed + 1)
-    private.flags.writeable = False
-    return private
-
-
-def snr_sweep_point(args, h=None, private=None) -> tuple:
+def snr_sweep_point(args, h=None, sent=None) -> tuple:
     """
     One (rate, epsilon, baseline) SNR measurement on a synthetic update;
     args is (cfg, rate, epsilon, baseline, seed). h is the sweep's update
-    (`_sweep_update`) and, for separate, private is h's privatization at
-    epsilon (`_privatized`): separate is sdq of it, as in `flsim.uplink`.
-    Either is drawn here when not given, so a point computed alone equals
-    its row of a sweep (`snr_sweep`), which passes both.
+    (`_sweep_update`) and sent the row the baseline's code stage sends:
+    h, or for a baseline in `flsim.PRIVATIZING` h's privatize stage at
+    epsilon. The point runs the code stage (`flsim.code`) alone. Given no
+    h, it is a sweep of this one point (`snr_sweep`), so a point computed
+    alone equals its row of any sweep.
     """
     cfg, rate, epsilon, baseline, seed = args
-    if baseline not in _SWEEP_BASELINES:
-        raise ValueError(f"snr sweep supports jopeq/separate/sdq, "
-                         f"not {baseline!r}")
-    lat, spec = _section(cfg, "codec", rate=rate, epsilon=epsilon).build()
     if h is None:
-        h = _sweep_update(cfg, seed)
-    sent, stage, sampler = h, baseline, None
-    if baseline == "separate":
-        if private is None:
-            private = _privatized(h, lat, spec, seed)
-        sent, stage = private, "sdq"
-    elif baseline == "jopeq":
-        sampler = privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
-    ht, _ = flsim.uplink(stage, sent, lat, spec, sampler,
-                         [SharedRandomness(seed=seed, user=0, round_index=0)],
-                         None, seed + 1)
+        return snr_sweep(dict(cfg, **{
+            "sweep.rates": str(rate), "sweep.baselines": baseline,
+            "sweep.epsilons": str(float(epsilon))}), seed)[0]
+    lat, spec = _section(cfg, "codec", rate=rate, epsilon=epsilon).build()
+    sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
+               if baseline in flsim.PPN_CODING else None)
+    # The noise is read from the streams block by block: the point's row,
+    # the sweep's 200,000-coordinate update or privatization, is held for
+    # the whole sweep, and drawing its noise ahead with `codec._draw`
+    # raised `sweep` peak_rss_mb from 116.5-116.8 MB to 118.7-120.5 MB (3
+    # alternating pairs of runs, seeds 61-63, 2-vCPU host).
+    noise = codec._Streams([SharedRandomness(seed=seed)], lat,
+                           -(-sent.shape[1] // lat.dimension), sampler,
+                           seed + 1)
+    ht, _ = flsim.code(sent, lat, noise)
     return rate, epsilon, baseline, codec.snr(h, ht)
 
 
@@ -223,11 +206,13 @@ def snr_sweep(cfg: dict, seed: int, jobs: int = 1) -> list[tuple]:
     (duplicates included).
 
     The sweep draws once what its points share, and holds it for this
-    call only: the update, and separate's privatization once per epsilon
-    (it does not depend on the rate). The points run epsilon-major, each
-    distinct one through one `snr_sweep_point` call, in `jobs` spawned
-    worker processes when jobs > 1. Every sweep.* value is checked
-    (`_sweep_keys`, `_snr_dim`) before any point runs.
+    call only: the update, and, when a baseline privatizes, the privatize
+    stage's output once per epsilon, keyed [seed, 7002] (its zeta depends
+    on the update and the sub-vector count only, so not on the rate). The
+    points run epsilon-major, each distinct one through one
+    `snr_sweep_point` call, in `jobs` spawned worker processes when
+    jobs > 1. Every sweep.* value is checked (`_sweep_keys`,
+    `_sweep_update`) before any point runs.
     """
     rates, epsilons, baselines = _sweep_keys(cfg)
     h = _sweep_update(cfg, seed)
@@ -235,14 +220,15 @@ def snr_sweep(cfg: dict, seed: int, jobs: int = 1) -> list[tuple]:
     def calls():
         for e in dict.fromkeys(epsilons):
             private = None
+            if any(b in flsim.PRIVATIZING for b in baselines):
+                lat, spec = _section(cfg, "codec", rate=rates[0],
+                                     epsilon=e).build()
+                private = flsim.privatize(h, lat, spec, [[seed, 7002]])
+                private.flags.writeable = False
             for r in dict.fromkeys(rates):
                 for b in dict.fromkeys(baselines):
-                    if b == "separate" and private is None:
-                        lat, spec = _section(cfg, "codec", rate=r,
-                                             epsilon=e).build()
-                        private = _privatized(h, lat, spec, seed)
                     yield ((cfg, r, e, b, seed), h,
-                           private if b == "separate" else None)
+                           private if b in flsim.PRIVATIZING else h)
 
     if jobs > 1:
         with get_context("spawn").Pool(jobs) as pool:
@@ -257,10 +243,10 @@ def snr_sweep(cfg: dict, seed: int, jobs: int = 1) -> list[tuple]:
 def cmd_sweep(cfg: dict, out_dir: Path, seed: int, jobs: int) -> int:
     """
     SNR-versus-rate (`snr_sweep`) and learning-curve studies; one CSV
-    each. The SNR sweep draws its update once and separate's
-    privatization once per epsilon, and checks its sweep.* values before
-    it writes anything.
+    each. The SNR sweep draws its update once and its privatization once
+    per epsilon. The config's values are checked before anything runs.
     """
+    base_cfg = _fl_config(cfg, "plain", seed)
     rows = snr_sweep(cfg, seed, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -272,7 +258,6 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, jobs: int) -> int:
             fh.write(f"{rate},{eps:g},{base},{value:.6f}\n")
 
     # Learning curves at the configured (rate, epsilon) for every baseline.
-    base_cfg = _fl_config(cfg, "plain", seed)
     task = flsim.build_task(base_cfg.task, base_cfg.users,
                             base_cfg.alpha_vector(), seed)
     curve_path = out_dir / "learning_curves.csv"

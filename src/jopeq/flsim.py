@@ -2,11 +2,13 @@
 Deterministic federated-learning simulator.
 
 Local SGD at each user, federated averaging at the server, and a
-configurable uplink: plain transmission, quantization only, privacy noise
-only, separate noise-then-quantization, or the joint pipeline. Tasks are
-synthetic strongly convex problems (l2-regularized linear or logistic
-regression) with known optima so the loss gap, the heterogeneity gap and
-the theorem bounds are all computable.
+configurable uplink: plain transmission, quantization only (sdq), privacy
+noise only (ppn), separate noise-then-quantization (separate), or the
+joint pipeline (jopeq); each runs the stages whose lists name it
+(PRIVATIZING, CODING, PPN_CODING; see `uplink`). Tasks are synthetic
+strongly convex problems (l2-regularized linear or logistic regression)
+with known optima so the loss gap, the heterogeneity gap and the theorem
+bounds are all computable.
 
 All randomness derives from explicit seeds, so a rerun with the same
 configuration is bit-identical.
@@ -24,6 +26,9 @@ from .lattice import Lattice, hexagonal_lattice, scalar_uniform, square_lattice
 
 __all__ = [
     "BASELINES",
+    "PRIVATIZING",
+    "CODING",
+    "PPN_CODING",
     "TaskSpec",
     "Task",
     "CodecSpec",
@@ -37,11 +42,18 @@ __all__ = [
     "heterogeneity_gap",
     "calibrate_xi",
     "run_experiment",
+    "privatize",
+    "code",
     "uplink",
     "DivergenceError",
 ]
 
 BASELINES = ("plain", "sdq", "ppn", "separate", "jopeq")
+# The baselines that run each uplink stage: add mechanism noise
+# (`privatize`), code on the lattice (`code`), and add the PPN while coding.
+PRIVATIZING = ("ppn", "separate")
+CODING = ("sdq", "separate", "jopeq")
+PPN_CODING = ("jopeq",)
 
 # Entropy words of the data and ppn-noise generators, and the domain tag
 # of the keyed local-SGD stream (see jopeq.dither).
@@ -147,6 +159,10 @@ class FlConfig:
     def __post_init__(self):
         _require("baseline", self.baseline, BASELINES)
         _require("schedule", self.schedule, _SCHEDULES)
+        for name, low in (("users", 1), ("tau", 1), ("rounds", 1), ("eta", 0)):
+            value = getattr(self, name)
+            if not value >= low:
+                raise ValueError(f"{name} {value!r} is not >= {low}")
 
     def alpha_vector(self) -> np.ndarray:
         """Uniform aggregation weights 1/K."""
@@ -475,57 +491,46 @@ def calibrate_xi(task: Task, cfg: FlConfig) -> np.ndarray:
     return _XI_MARGIN * best
 
 
-def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, sampler,
-           srs, noise_keys, noise_seed: int, *, _drawn=None):
+def privatize(hs: np.ndarray, lat: Lattice, spec, noise_keys) -> np.ndarray:
+    """
+    The privatize stage: a (K, d) batch of updates with direct mechanism
+    noise added, row k's drawn from `default_rng(noise_keys[k])` at spec
+    and added to its zeta-scaled sub-vectors (a zero row at unit scale).
+    """
+    k, d = hs.shape
+    m = -(-d // lat.dimension)
+    zetas = codec.scale_rows(hs, m)
+    # No name holds the noise, so it is freed before a code stage runs.
+    return hs + np.stack([
+        privacy.mechanism_reference_sample(spec, m, np.random.default_rng(key))
+        for key in noise_keys]).reshape(k, -1)[:, :d] / zetas[:, None]
+
+
+def code(hs: np.ndarray, lat: Lattice, noise):
+    """
+    The code stage: a (K, d) batch encoded on lat and decoded with the
+    dither the encoder added, reading the rows' dither and any PPN from
+    `noise`: a `codec._Drawn` drawn ahead (as views, uncopied) or a
+    `codec._Streams`. Returns the (K, d) h_tilde and the overload count.
+    """
+    idx, zetas, overloaded = codec._encode(hs, lat, noise)
+    hts = codec._decode(idx, zetas, lat, noise, hs.shape[1])
+    return hts, int(np.count_nonzero(overloaded))
+
+
+def uplink(baseline: str, hs: np.ndarray, lat: Lattice, spec, noise_keys,
+           noise):
     """
     Send a round's (K, d) batch of updates, row k from user k, through a
-    baseline's uplink; returns the (K, d) h_tilde and the round's overload
-    count. Row k uses the shared stream srs[k] and the noise key
-    noise_keys[k], and comes out as it would if sent alone.
-
-    plain sends the rows as they are. ppn adds direct mechanism noise,
-    drawn from `default_rng(noise_keys[k])`, to the zeta-scaled sub-vectors
-    of row k (a zero row at unit scale). sdq quantizes the rows. separate
-    quantizes the ppn output as an opaque second stage (its own scaling),
-    which spends range on the noise. jopeq encodes the rows with the PPN
-    `sampler`, its noise keyed on `noise_seed`.
-
-    `run_experiment` passes _drawn, the round's dither and PPN drawn ahead
-    from those streams (`codec._draw`), and no srs: the quantizing
-    baselines then code with it, and the server decodes with the dither the
-    encoder added instead of drawing it again. The codec reads views of
-    those read-only draws and copies none of them.
+    baseline's uplink: `privatize` with spec and noise_keys if it is in
+    PRIVATIZING, then `code` with noise if it is in CODING (so separate
+    codes the noisy rows at their own scale). Returns the (K, d) h_tilde
+    and the overload count; each row comes out as it would if sent alone.
     """
-    if baseline == "plain":
-        return hs, 0
-    k, d = hs.shape
-    if baseline in ("ppn", "separate"):
-        m = -(-d // lat.dimension)
-        zetas = codec.scale_rows(hs, m)
-        # No name holds the noise, so it is freed before the sdq stage.
-        hs = hs + np.stack([
-            privacy.mechanism_reference_sample(spec, m,
-                                               np.random.default_rng(key))
-            for key in noise_keys]).reshape(k, -1)[:, :d] / zetas[:, None]
-        if baseline == "ppn":
-            return hs, 0
-    elif baseline not in ("sdq", "jopeq"):
-        raise ValueError(f"unknown baseline {baseline!r}")
-    if _drawn is None:
-        # Reading the streams block by block keeps the SNR sweep's points
-        # small: `cli.snr_sweep_point` codes one 200,000-coordinate row,
-        # the sweep's update or its privatization, which the sweep draws
-        # once and holds while its points run. Drawing the noise ahead with
-        # `codec._draw` raised `sweep` peak_rss_mb from 116.5-116.8 MB to
-        # 118.7-120.5 MB (3 alternating pairs of runs, seeds 61-63, 2-vCPU
-        # host).
-        idx, zetas, overloaded = codec.encode_rows(
-            hs, lat, sampler if baseline == "jopeq" else None, srs, noise_seed)
-        hts = codec.decode_rows(idx, zetas, lat, srs, d)
-    else:
-        idx, zetas, overloaded = codec._encode(hs, lat, _drawn)
-        hts = codec._decode(idx, zetas, lat, _drawn, d)
-    return hts, int(np.count_nonzero(overloaded))
+    _require("baseline", baseline, BASELINES)
+    if baseline in PRIVATIZING:
+        hs = privatize(hs, lat, spec, noise_keys)
+    return code(hs, lat, noise) if baseline in CODING else (hs, 0)
 
 
 def _round_chunks(cfg: FlConfig, lat: Lattice, sampler, users: int,
@@ -535,14 +540,14 @@ def _round_chunks(cfg: FlConfig, lat: Lattice, sampler, users: int,
     chunks of as many rounds as keep each noise array within `codec._BLOCK`
     coordinates (at least one round). Yields (rounds, noise) per chunk,
     noise one `codec._Drawn` per round, its rows the users', cut from one
-    `codec._draw` over the chunk's rows, for the quantizing baselines, or
+    `codec._draw` over the chunk's rows, for the baselines in CODING, or
     None per round for the others.
     """
     m = -(-dim // lat.dimension)
     per = max(1, codec._BLOCK // (users * m * lat.dimension))
     for r0 in range(0, cfg.rounds, per):
         rounds = range(r0, min(r0 + per, cfg.rounds))
-        if cfg.baseline not in ("sdq", "separate", "jopeq"):
+        if cfg.baseline not in CODING:
             yield rounds, [None] * len(rounds)
             continue
         drawn = codec._draw(_KeyedStreams.grid(cfg.seed, users, rounds),
@@ -563,17 +568,16 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     a per-user floor on xi. Pass a prebuilt task to share it across
     baselines.
 
-    The rounds run a chunk at a time (`_round_chunks`). The quantizing
-    baselines (sdq, separate, jopeq) take their dither and jopeq its PPN
-    from one draw per chunk; the server decodes with the dither the users
-    added. A round computes only what the next needs: local SGD, uplink,
-    aggregate and loss gap. Its `local_sgd` steps all users at once on
-    the round's picked samples, gathered once (`_picked_samples`), with
-    the step sizes of the list the Theorem-6 bound takes. The SNR, true
-    aggregate and weights distortion of a chunk's rounds are computed at
-    its end, and the bounds of every round after the last. Each row
-    reads its own keyed stream, of (seed, user, round), so no output
-    depends on the chunk size.
+    The rounds run a chunk at a time (`_round_chunks`). The baselines in
+    CODING take their dither and jopeq its PPN from one draw per chunk;
+    the server decodes with the dither the users added. A round computes
+    only what the next needs: local SGD, uplink, aggregate and loss gap.
+    Its `local_sgd` steps all users at once on the round's picked samples,
+    gathered once (`_picked_samples`), with the step sizes of the list the
+    Theorem-6 bound takes. The SNR, true aggregate and weights distortion
+    of a chunk's rounds are computed at its end, and the bounds of every
+    round after the last. Each row reads its own keyed stream, of (seed,
+    user, round), so no output depends on the chunk size.
     """
     alphas = cfg.alpha_vector()
     if task is None:
@@ -582,9 +586,10 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
 
     lat, spec = cfg.codec.build()
     sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
-               if cfg.baseline == "jopeq" else None)
+               if cfg.baseline in PPN_CODING else None)
     sigma2_bound = (spec.variance
-                    if cfg.baseline in ("ppn", "separate", "jopeq") else 0.0)
+                    if cfg.baseline in PRIVATIZING + PPN_CODING else 0.0)
+    privatize_spec = spec if cfg.baseline in PRIVATIZING else None
 
     w = np.zeros(task.model_dim)
     w0_dist2 = float(np.sum((w - task.w_opt) ** 2))
@@ -604,9 +609,9 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
         for i, r in enumerate(rounds):
             hs[i] = h = local_sgd(task, *next(samples), w, steps[r], norms)
             keys = ([[cfg.seed, _TAG_PPN_ONLY, k, r] for k in users]
-                    if cfg.baseline in ("ppn", "separate") else None)
-            hts[i], ov = uplink(cfg.baseline, h, lat, spec, sampler, None,
-                                keys, cfg.seed + 1, _drawn=noise[i])
+                    if privatize_spec is not None else None)
+            hts[i], ov = uplink(cfg.baseline, h, lat, privatize_spec, keys,
+                                noise[i])
             ws[i + 1] = w = fedavg_round(w, hts[i], alphas)
             gap = task.loss(w) - task.f_opt
             if not math.isfinite(gap) or gap > 1e6:
@@ -617,8 +622,7 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
             ovs.append(ov)
         w_true = fedavg_round(ws[:-1], hs, alphas)
         dists += np.sum((ws[1:] - w_true) ** 2, axis=-1).tolist()
-        snrs += (codec.snr(hs, hts) if cfg.baseline != "plain" else
-                 [float("inf")] * len(rounds))
+        snrs += codec.snr(hs, hts)
 
     xis = np.maximum(0.0 if xis is None else xis, _XI_MARGIN * norms)
     thm6 = theorem6_bound(sigma2_bound, etas, alphas, xis, cfg.tau)

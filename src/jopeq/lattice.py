@@ -390,11 +390,21 @@ def quantize_clipped(lat: Lattice, x: np.ndarray, *, out=None,
         _index_into(lat, coords, idx[rows], overloaded[rows], spare)
     if np.count_nonzero(overloaded):  # without ndarray.any's wrapper
         # The nearest codebook point by brute force, by the sum of squared
-        # per-axis differences: each row's distances are its own.
-        bad = flat[overloaded]
-        d2 = sum((bad[:, a, None] - lat.codebook[:, a]) ** 2
-                 for a in range(lat.dimension))
-        idx[overloaded] = np.argmin(d2, axis=1)
+        # per-axis differences, a chunk of rows at a time in the spent
+        # scratch: each row's distances are its own, as is its argmin.
+        points = len(lat.codebook)
+        buf = scratch if len(scratch) >= 2 * points else np.empty(2 * points)
+        far = np.flatnonzero(overloaded)
+        step = len(buf) // (2 * points)
+        for lo in range(0, len(far), step):
+            bad = flat[far[lo:lo + step]]
+            d2, sq = buf[:2 * len(bad) * points].reshape(2, len(bad), -1)
+            np.subtract(bad[:, 0, None], lat.codebook[:, 0], out=d2)
+            np.square(d2, out=d2)
+            for a in range(1, lat.dimension):
+                np.subtract(bad[:, a, None], lat.codebook[:, a], out=sq)
+                d2 += np.square(sq, out=sq)
+            idx[far[lo:lo + step]] = np.argmin(d2, axis=1)
     if out is not None:
         return None, idx, overloaded
     # np.take copies the rows several times faster than codebook[idx].

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jopeq import checks, cli, flsim, privacy
+from jopeq import checks, cli, codec, flsim, privacy
+from jopeq.dither import SharedRandomness
 from jopeq.cli import CSV_VERSION, load_config, main, snr_sweep_point
 from jopeq.stattests import TestReport as Report
 
@@ -241,11 +242,13 @@ class TestSweep:
         ("sweep.rates", "1,x"), ("sweep.epsilons", "3,0"),
         ("sweep.epsilons", "nan"), ("sweep.baselines", "jopeq,plain"),
         ("sweep.snr_dim", "0"), ("sweep.snr_dim", "1"),
-        ("sweep.snr_dim", "2.5")])
+        ("sweep.snr_dim", "2.5"), ("sweep.rates", ""),
+        ("sweep.epsilons", ""), ("sweep.baselines", ",")])
     def test_bad_sweep_value_rejected_before_any_point(self, tmp_path,
                                                        clean_env, key, value):
         # Unchecked, rate 1.5 writes rows labelled rate 1, snr_dim 0 and 1
-        # nan and inf SNRs, and plain fails only when its first point runs.
+        # nan and inf SNRs, plain fails only when its first point runs,
+        # and an empty list writes a header-only CSV.
         def point(*args):
             raise AssertionError("a sweep point ran")
 
@@ -295,6 +298,68 @@ class TestSweep:
         assert keys == [[5, 7001], [5, 7002], [5, 7002]]
         assert cli.snr_sweep(cfg, 5) == first
         assert keys == 2 * [[5, 7001], [5, 7002], [5, 7002]]
+
+    @pytest.mark.parametrize("key, value", [
+        ("fl.users", "0"), ("fl.tau", "0"), ("fl.rounds", "0"),
+        ("fl.eta", "-0.05")])
+    def test_bad_fl_value_rejected_before_any_point(self, tmp_path,
+                                                    clean_env, key, value):
+        # FlConfig refuses a value that makes no run, whether it comes from
+        # a config file or a JOPEQ_* variable.
+        def point(*args):
+            raise AssertionError("a sweep point ran")
+
+        clean_env.setattr(cli, "snr_sweep_point", point)
+        clean_env.setenv("JOPEQ_" + key.upper().replace(".", "_"), value)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{key[3:]} {value} is not"):
+            main(["sweep", "--out", str(out)])
+        assert not out.exists()
+
+    def test_sweep_takes_exactly_the_coding_baselines(self, clean_env):
+        # A baseline without a code stage has no point to measure.
+        clean_env.setattr(cli, "snr_sweep_point",
+                          lambda args, h, sent: args[1:4] + (0.0,))
+        cfg = dict(load_config(None), **{"sweep.rates": "1",
+                                         "sweep.epsilons": "3"})
+        taken = []
+        for baseline in flsim.BASELINES:
+            cfg["sweep.baselines"] = baseline
+            try:
+                cli.snr_sweep(cfg, 0)
+                taken.append(baseline)
+            except ValueError as exc:
+                assert "sweep.baselines" in str(exc)
+        assert taken == list(flsim.CODING) == ["sdq", "separate", "jopeq"]
+
+    @pytest.mark.parametrize("seed, codec_keys, dim, rates, epsilons", [
+        (3, {}, 1001, "2,3", "3,4"),
+        (8, {"codec.family": "hexagonal"}, 999, "2", "3.5")])
+    def test_rows_equal_uplink_of_the_update(self, clean_env, seed,
+                                             codec_keys, dim, rates,
+                                             epsilons):
+        # The sweep runs a privatize stage once per epsilon and each point
+        # a code stage alone; a row equals the update sent alone through
+        # flsim.uplink, with the sweep's keys and streams.
+        cfg = dict(load_config(None), **codec_keys)
+        cfg.update({"sweep.rates": rates, "sweep.epsilons": epsilons,
+                    "sweep.baselines": ",".join(flsim.CODING),
+                    "sweep.snr_dim": str(dim)})
+        h = np.random.default_rng([seed, 7001]).normal(0.0, 1.0, (1, dim))
+        rows = cli.snr_sweep(cfg, seed)
+        assert len(rows) == 3 * len(rates.split(",")) * len(
+            epsilons.split(","))
+        for rate, eps, base, value in rows:
+            lat, spec = cli._section(cfg, "codec", rate=rate,
+                                     epsilon=eps).build()
+            sampler = (privacy.build_ppn_sampler(spec, lat,
+                                                 allow_degenerate=True)
+                       if base in flsim.PPN_CODING else None)
+            noise = codec._Streams(
+                [SharedRandomness(seed=seed, user=0, round_index=0)], lat,
+                -(-dim // lat.dimension), sampler, seed + 1)
+            ht, _ = flsim.uplink(base, h, lat, spec, [[seed, 7002]], noise)
+            assert value == codec.snr(h, ht)
 
     def test_sweep_point_rejects_unknown_baseline(self, clean_env):
         cfg = load_config(None)

@@ -671,6 +671,24 @@ class TestBlockMemory:
         # blocks hold whole rows, and `dither._philox_random` draws them.
         self.check(family, monkeypatch, 10)
 
+    @pytest.mark.parametrize("make", [square_lattice, hexagonal_lattice])
+    def test_overloaded_blocks_at_most_three_blocks(self, make, monkeypatch):
+        # At support radius 0.6 about 4% of a N(0,1) row's scaled 2-D
+        # sub-vectors, some 1,300 a block, lie outside the codebook (797
+        # square or 1,027 hexagonal points), and each is searched against
+        # all of it: with all their distances held at once, the peak was
+        # 19 and 23 MB.
+        monkeypatch.setattr(codec, "_cpus", lambda: 1)
+        lat = make(0.6, 5)
+        hs = np.random.default_rng(12).normal(0.0, 1.0, (1, 2 * codec._BLOCK))
+        srs = [SharedRandomness(seed=7)]
+        encode_rows(hs, lat, None, srs)  # warm: first-call caches
+        peak, (idx, zetas, overloaded) = self.peak(
+            lambda: encode_rows(hs, lat, None, srs))
+        assert 0.03 < overloaded.mean() < 0.05
+        outputs = idx.nbytes + zetas.nbytes + overloaded.nbytes
+        assert peak - outputs <= 3 * codec._BLOCK * 8
+
 
 # Sub-vectors per row of the long batches below: two blocks and a tail.
 LONG = 2 * BLOCK + 3

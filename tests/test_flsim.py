@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from jopeq import codec, flsim
 from jopeq.codec import decode, encode, scale_rows
 from jopeq.dither import SharedRandomness, dither_block
-from jopeq.flsim import (BASELINES, CodecSpec, DivergenceError, FlConfig,
-                         TaskSpec, build_task, calibrate_xi, fedavg_round,
+from jopeq.flsim import (BASELINES, CODING, PPN_CODING, PRIVATIZING,
+                         CodecSpec, DivergenceError, FlConfig, TaskSpec,
+                         build_task, calibrate_xi, fedavg_round,
                          heterogeneity_gap, local_sgd, run_experiment,
                          theorem6_bound, theorem7_bound, uplink)
 from jopeq.privacy import build_ppn_sampler, mechanism_reference_sample
@@ -611,6 +612,26 @@ class TestConfigChoices:
         with pytest.raises(ValueError, match="'fixed', 'decay'"):
             replace(FlConfig(), schedule=schedule)
 
+    @pytest.mark.parametrize("name, value", [
+        ("users", 0), ("users", -3), ("tau", 0), ("tau", -1),
+        ("rounds", 0), ("rounds", -1), ("eta", -0.05),
+        ("eta", float("nan"))])
+    def test_value_that_makes_no_run_rejected(self, name, value):
+        # Unchecked, 0 users divides by zero, tau 0 runs rounds with no
+        # local step, whose bounds read 0 and inf, 0 rounds return no
+        # metrics, and -1 rounds fail in numpy without naming the field.
+        with pytest.raises(ValueError, match=f"^{name} {value!r} is not"):
+            FlConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} {value!r} is not"):
+            replace(FlConfig(), **{name: value})
+
+    def test_baselines_and_their_stages(self):
+        # The paper's five uplinks in their order, and each one's stages.
+        assert BASELINES == ("plain", "sdq", "ppn", "separate", "jopeq")
+        assert PRIVATIZING == ("ppn", "separate")
+        assert CODING == ("sdq", "separate", "jopeq")
+        assert PPN_CODING == ("jopeq",)
+
 
 def _uplink_alone(baseline, h, lat, spec, sampler, sr, noise_key,
                   noise_seed):
@@ -632,6 +653,17 @@ def _uplink_alone(baseline, h, lat, spec, sampler, sr, noise_key,
     enc = encode(h, lat, sampler if baseline == "jopeq" else None, sr,
                  noise_seed=noise_seed)
     return decode(enc, lat, sr), enc.overloads
+
+
+def _streams(baseline, srs, lat, d, sampler, noise_seed):
+    """
+    The noise of a baseline's code stage for rows of d coordinates, read
+    from their keyed streams: jopeq's with the PPN sampler, the others'
+    without.
+    """
+    return codec._Streams(srs, lat, -(-d // lat.dimension),
+                          sampler if baseline in PPN_CODING else None,
+                          noise_seed)
 
 
 def _rounds_one_user_at_a_time(cfg, task, xis):
@@ -715,8 +747,10 @@ class TestUplink:
 
     def _send(self, baseline, h=None, cspec=CodecSpec(rate=3), sampler=None):
         lat, spec = cspec.build()
-        return uplink(baseline, self.H if h is None else h, lat, spec,
-                      sampler, self.SRS, self.KEYS, 4)
+        h = self.H if h is None else h
+        return uplink(baseline, h, lat, spec, self.KEYS,
+                      _streams(baseline, self.SRS, lat, h.shape[1], sampler,
+                               4))
 
     def test_plain_is_identity(self):
         ht, ov = self._send("plain")
@@ -761,7 +795,8 @@ class TestUplink:
             srs = [SharedRandomness(seed=5, user=k, round_index=d)
                    for k in range(users)]
             keys = [[5, k, d] for k in range(users)]
-            hts, ovs = uplink(baseline, hs, lat, spec, samp, srs, keys, 6)
+            hts, ovs = uplink(baseline, hs, lat, spec, keys,
+                              _streams(baseline, srs, lat, d, samp, 6))
             assert hts.shape == hs.shape
             alone = [_uplink_alone(baseline, h, lat, spec, samp, sr, key, 6)
                      for h, sr, key in zip(hs, srs, keys)]
@@ -776,8 +811,9 @@ class TestUplink:
         lat, spec, samp = _codec("scalar")
         hs = self.H.copy()
         hs[1] = 0.0
-        hts, ovs = uplink(baseline, hs, lat, spec, samp, self.SRS,
-                          self.KEYS, 4)
+        hts, ovs = uplink(baseline, hs, lat, spec, self.KEYS,
+                          _streams(baseline, self.SRS, lat, hs.shape[1],
+                                   samp, 4))
         alone = [_uplink_alone(baseline, h, lat, spec, samp, sr, key, 4)
                  for h, sr, key in zip(hs, self.SRS, self.KEYS)]
         for ht, (want, _) in zip(hts, alone):
@@ -1072,8 +1108,7 @@ class TestChunkedNoise:
         hs = np.random.default_rng(d).normal(0.0, 1.0, (cfg.users, d))
         hs[1] = 0.0
         keys = [[cfg.seed, k, 1] for k in range(cfg.users)]
-        first, again = (uplink(baseline, hs, lat, spec, samp, None, keys,
-                               cfg.seed + 1, _drawn=drawn)
+        first, again = (uplink(baseline, hs, lat, spec, keys, drawn)
                         for _ in range(2))
         assert np.array_equal(first[0], again[0]) and first[1] == again[1]
         assert [a.tobytes() for a in arrays] == before
@@ -1099,9 +1134,8 @@ class TestChunkedNoise:
             srs = [SharedRandomness(seed=cfg.seed, user=k, round_index=r)
                    for k in range(cfg.users)]
             keys = [[cfg.seed, k, r] for k in range(cfg.users)]
-            want = uplink(baseline, hs, lat, spec, samp, srs, keys,
-                          cfg.seed + 1)
-            got = uplink(baseline, hs, lat, spec, samp, None, keys,
-                         cfg.seed + 1, _drawn=drawn)
+            want = uplink(baseline, hs, lat, spec, keys,
+                          _streams(baseline, srs, lat, d, samp, cfg.seed + 1))
+            got = uplink(baseline, hs, lat, spec, keys, drawn)
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         assert r == cfg.rounds - 1

@@ -8,12 +8,13 @@ that a refactor can show its outputs are byte-identical to its parent's.
     diff parent.txt change.txt
 
 The outputs, all keyed on --seed:
-- `sweep.small.*`, `sweep.default.*` and `sweep.square.*`: both `jopeq
-  sweep` CSVs, at the benchmark's reduced config (rates 1,4, epsilon 3,
-  25 rounds), at the default config, and at SWEEP_SQUARE, a square t
-  codec's sweep of two epsilons, whose separate points share one 2-D
-  privatization per epsilon; JOPEQ_* environment variables apply as in
-  the CLI.
+- `sweep.small.*`, `sweep.default.*`, `sweep.square.*` and
+  `sweep.scalar.*`: both `jopeq sweep` CSVs, at the benchmark's reduced
+  config (rates 1,4, epsilon 3, 25 rounds), at the default config, at
+  SWEEP_SQUARE, a square t codec's sweep of two epsilons, whose separate
+  points share one 2-D privatization per epsilon, and at SWEEP_SCALAR, a
+  small scalar sweep of every baseline the sweep codes; JOPEQ_*
+  environment variables apply as in the CLI.
 - `fl.<baseline>`: every field of the 60 per-round metrics of each of the
   five baselines on the linear task.
 - `fl.decay.<baseline>`: the same for 60 rounds of the benchmark's
@@ -89,6 +90,12 @@ SWEEP_SQUARE = {"codec.family": "square", "codec.mechanism": "t",
                 "codec.epsilon": "32", "sweep.rates": "3,1,3",
                 "sweep.epsilons": "3,4", "sweep.baselines": "separate,sdq",
                 "sweep.snr_dim": "20001", "fl.rounds": "25"}
+# A scalar sweep of all three coding baselines (jopeq, separate and sdq),
+# so that the scalar sdq point is digested too: the default sweep leaves
+# sdq out, and SWEEP_SQUARE is 2-D.
+SWEEP_SCALAR = {"sweep.rates": "1,4", "sweep.epsilons": "3,4",
+                "sweep.baselines": "jopeq,separate,sdq",
+                "sweep.snr_dim": "20000", "fl.rounds": "25"}
 FL_ROUNDS = 60
 # Users of the `fl.d1` runs: 8 or more, so that a pairwise sum over them
 # would differ from the sum in user order.
@@ -121,7 +128,8 @@ def digest(*arrays) -> str:
 
 def sweep_digests(cli, seed: int):
     for label, overrides in (("small", SWEEP_SMALL), ("default", {}),
-                             ("square", SWEEP_SQUARE)):
+                             ("square", SWEEP_SQUARE),
+                             ("scalar", SWEEP_SCALAR)):
         cfg = dict(cli.load_config(None), **overrides)
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
