@@ -45,13 +45,17 @@ _HEADER = struct.Struct(">HBBdI")
 
 # Most coordinates `encode_rows` and `decode_rows` code in one block
 # (2^16 scalar or 2^15 two-dimensional sub-vectors), a measured choice.
-# With the blocks run on both CPUs of a 2-vCPU x86 host, encode plus
-# decode of one 2^20-coordinate scalar update took 31 ms in blocks of
-# 2^14 coordinates, 25-26 ms in blocks of 2^15, 24 ms in blocks of 2^16,
-# 23-24 ms in blocks of 2^17 and 25 ms in blocks of 2^18, against 46 ms as
-# one whole row, and 40 ms in blocks of 2^16 on one CPU (medians of 6
-# rounds, two processes); a 2^18-coordinate hexagonal update took 12.7 ms
-# in blocks of 2^15 coordinates and 10.2 ms in blocks of 2^16. A running
+# With the blocks run on both CPUs of a 2-vCPU x86 VM (2026-10-20),
+# encode plus decode of one 2^20-coordinate scalar update took 31 ms in
+# blocks of 2^14 coordinates, 25-26 ms in blocks of 2^15, 24 ms in blocks
+# of 2^16, 23-24 ms in blocks of 2^17 and 25 ms in blocks of 2^18,
+# against 46 ms as one whole row, and 40 ms in blocks of 2^16 on one CPU
+# (medians of 6 rounds, two processes); a 2^18-coordinate hexagonal
+# update took 12.7 ms in blocks of 2^15 coordinates and 10.2 ms in blocks
+# of 2^16. On such a VM under other tenants' load (2026-10-21), one
+# process running one and two block threads in turn read 53-113 ms
+# against 50-86 ms for that scalar update, and 23.5-26.5 ms against
+# 23.8-26.7 ms for a 2^18-coordinate hexagonal one. A running
 # block holds its sum, `lattice._scratch_size` floats of scratch and a
 # few small buffers, and writes its indices and overload flags in place:
 # tracemalloc saw 2.0 to 2.75 times the block's bytes at its peak
@@ -335,32 +339,6 @@ class _Streams:
                                     scratch=scratch)
 
 
-class _Drawn:
-    """
-    The noise of a batch's rows drawn ahead by `_draw`: dith and ppn are
-    read-only (K, M, L) arrays of each row's dithers and PPN (ppn None
-    when there is no PPN). `dither` and `ppn` return a block's part as an
-    (n, L) view and leave out and scratch alone, so a batch coded with
-    them comes out as it does with the streams they were drawn from.
-    `rows(r0, r1)` is the noise of rows r0, ..., r1-1 alone.
-    """
-
-    def __init__(self, dith: np.ndarray, ppn: np.ndarray | None):
-        self._dith, self._ppn = dith, ppn
-        self.has_ppn = ppn is not None
-
-    def rows(self, r0: int, r1: int) -> "_Drawn":
-        return _Drawn(self._dith[r0:r1],
-                      None if self._ppn is None else self._ppn[r0:r1])
-
-    def dither(self, r0, r1, lo, hi, out=None, scratch=None):
-        # A block's rows are whole rows or a slice of one, so contiguous.
-        return self._dith[r0:r1, lo:hi].reshape(-1, self._dith.shape[-1])
-
-    def ppn(self, r0, r1, lo, hi, out=None, scratch=None):
-        return self._ppn[r0:r1, lo:hi].reshape(-1, self._ppn.shape[-1])
-
-
 def _check_sampler(sampler: PpnSampler | None, lat: Lattice) -> None:
     """
     Refuse a sampler built for a lattice of another family or generator
@@ -379,15 +357,18 @@ def _check_sampler(sampler: PpnSampler | None, lat: Lattice) -> None:
 
 
 def _draw(srs, lat: Lattice, sampler: PpnSampler | None,
-          noise_seed: int | None, m: int) -> _Drawn:
+          noise_seed: int | None, m: int):
     """
     The noise that `encode_rows(hs, lat, sampler, srs, noise_seed)` adds to
     a batch of len(srs) rows of m sub-vectors (srs a sequence of
     SharedRandomness or a `_KeyedStreams`), and that `decode_rows`
     subtracts, drawn ahead: one `dither_block` call and one
     `PpnSampler.sample` call for each of `_blocks`' blocks, run as
-    `_run_blocks` runs them. A sampler must suit lat (ValueError). Coding
-    the rows with the result gives what encode_rows and decode_rows give.
+    `_run_blocks` runs them. A sampler must suit lat (ValueError).
+
+    Returns the read-only (K, M, L) dither and PPN arrays, the PPN None
+    when there is none. `_round_trip` codes rows with them as
+    encode_rows and decode_rows code the rows with their streams.
     """
     _check_sampler(sampler, lat)
     streams = _Streams(srs, lat, m, sampler, noise_seed)
@@ -401,11 +382,53 @@ def _draw(srs, lat: Lattice, sampler: PpnSampler | None,
             streams.ppn(r0, r1, lo, hi, ppn[r0:r1, lo:hi].reshape(-1, dim))
 
     _run_blocks(code, _blocks(k, m, dim))
-    # Blocks read views of these arrays: a stray write raises.
+    # Coding reads the draws and never writes them: a stray write raises.
     for noise in (dith, ppn):
         if noise is not None:
             noise.flags.writeable = False
-    return _Drawn(dith, ppn)
+    return dith, ppn
+
+
+def _round_trip(hs: np.ndarray, lat: Lattice, dith: np.ndarray,
+                ppn: np.ndarray | None):
+    """
+    Encode the (K, d) batch hs with the (K, M, L) dither and PPN of
+    `_draw` (ppn None for none), then decode it with that dither, each as
+    one whole-array pass: x = (dither + zeta h) + PPN, a padded tail
+    taking the dither alone, quantized in one `quantize_clipped` call; a
+    zero row sent as the zero-point sentinel; and h_tilde = (codebook[index]
+    - dither) / zeta on the first d coordinates. Each value is computed by
+    the operations, in the order, of `_encode`'s and `_decode`'s blocks,
+    so the outputs are theirs byte for byte.
+
+    Returns the (K, d) h_tilde and the (K, M) overload flags.
+    """
+    hs = np.ascontiguousarray(hs, dtype=float)
+    k, d = hs.shape
+    m, dim = dith.shape[1], lat.dimension
+    zetas, zeros = _scale(hs, m)
+    col = zetas[:, None]
+    # x holds the sum and, once quantized, the decoded points; head is
+    # the first d coordinates of each row.
+    x = np.empty((k * m, dim))
+    head = x.reshape(k, -1)[:, :d]
+    flat = dith.reshape(k, -1)
+    np.multiply(col, hs, out=head)
+    np.add(flat[:, :d], head, out=head)
+    if d < m * dim:  # a padded row's tail takes the dither alone
+        x.reshape(k, -1)[:, d:] = flat[:, d:]
+    if ppn is not None:
+        x += ppn.reshape(-1, dim)
+    idx = np.empty((k, m), dtype=np.intp)
+    overloaded = np.empty((k, m), dtype=bool)
+    quantize_clipped(lat, x, out=(idx.reshape(-1), overloaded.reshape(-1)))
+    if zeros:
+        idx[zeros] = lat.zero_index
+        overloaded[zeros] = False
+    # as codebook[idx]; every index is in range.
+    lat.codebook.take(idx.reshape(-1), axis=0, out=x, mode="clip")
+    x -= dith.reshape(-1, dim)
+    return np.divide(head, col), overloaded
 
 
 def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
@@ -434,11 +457,9 @@ def encode_rows(hs, lat: Lattice, sampler: PpnSampler | None, srs,
 
 def _encode(hs: np.ndarray, lat: Lattice, noise):
     """
-    `encode_rows` of the (K, d) float batch hs with the noise of `noise`,
-    a `_Streams` or `_Drawn` of its K rows: each sub-vector is quantized
-    as (dither + zeta h) + PPN. A block takes its noise as the arrays
-    `noise` returns, drawn into the block's buffers or views of the draws
-    ahead, and copies none of it.
+    `encode_rows` of the (K, d) float batch hs with the noise of the
+    `_Streams` of its K rows: each sub-vector is quantized as (dither +
+    zeta h) + PPN, the noise drawn into the block's own buffers.
     """
     k, d = hs.shape
     dim = lat.dimension
@@ -466,14 +487,13 @@ def _encode(hs: np.ndarray, lat: Lattice, noise):
         if noise.has_ppn and dim == 1:
             ppn = noise.ppn(r0, r1, lo, hi, x, (scratch, cells, mask))
             s, draws = scratch.reshape(x.shape), cells.view(np.float64)
-        dith = noise.dither(r0, r1, lo, hi, s, draws).reshape(rows, -1)
+        noise.dither(r0, r1, lo, hi, s, draws)
         zh = draws[:size].reshape(rows, -1)[:, :width]
         np.multiply(zetas[r0:r1, None], hs[r0:r1, lo * dim:lo * dim + width],
                     out=zh)
-        first = s.reshape(rows, -1)
-        np.add(dith[:, :width], zh, out=first[:, :width])
-        if width < n * dim:  # a padded row's tail takes the dither alone
-            first[:, width:] = dith[:, width:]
+        # A padded row's tail keeps the dither alone.
+        first = s.reshape(rows, -1)[:, :width]
+        np.add(first, zh, out=first)
         if noise.has_ppn:
             if s is x:
                 ppn = noise.ppn(r0, r1, lo, hi,
@@ -537,9 +557,8 @@ def _decode(idx: np.ndarray, zetas: np.ndarray, lat: Lattice, noise,
             original_dim: int) -> np.ndarray:
     """
     `decode_rows` of indices in the codebook's range, with the dither of
-    `noise`, a `_Streams` or `_Drawn` of their K rows: each sub-vector
-    decodes to (codebook[index] - dither) / zeta, the dither drawn into a
-    new array or a view of the draws ahead.
+    the `_Streams` of their K rows: each sub-vector decodes to
+    (codebook[index] - dither) / zeta, the dither drawn into a new array.
     """
     k, m = idx.shape
     dim = lat.dimension

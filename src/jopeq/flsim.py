@@ -74,6 +74,14 @@ def _require(name: str, value, allowed) -> None:
                          f"{', '.join(map(repr, allowed))}")
 
 
+def _require_at_least(spec, bounds) -> None:
+    """Raise ValueError naming the first field of spec below its bound."""
+    for name, low in bounds:
+        value = getattr(spec, name)
+        if not value >= low:
+            raise ValueError(f"{name} {value!r} is not >= {low}")
+
+
 class DivergenceError(RuntimeError):
     """Training diverged (loss gap above the abort threshold)."""
 
@@ -96,6 +104,7 @@ class TaskSpec:
 
     def __post_init__(self):
         _require("task kind", self.kind, _TASK_KINDS)
+        _require_at_least(self, (("model_dim", 1), ("samples_per_user", 1)))
 
 
 @dataclass(frozen=True)
@@ -159,10 +168,8 @@ class FlConfig:
     def __post_init__(self):
         _require("baseline", self.baseline, BASELINES)
         _require("schedule", self.schedule, _SCHEDULES)
-        for name, low in (("users", 1), ("tau", 1), ("rounds", 1), ("eta", 0)):
-            value = getattr(self, name)
-            if not value >= low:
-                raise ValueError(f"{name} {value!r} is not >= {low}")
+        _require_at_least(self, (("users", 1), ("tau", 1), ("rounds", 1),
+                                 ("eta", 0)))
 
     def alpha_vector(self) -> np.ndarray:
         """Uniform aggregation weights 1/K."""
@@ -510,11 +517,16 @@ def code(hs: np.ndarray, lat: Lattice, noise):
     """
     The code stage: a (K, d) batch encoded on lat and decoded with the
     dither the encoder added, reading the rows' dither and any PPN from
-    `noise`: a `codec._Drawn` drawn ahead (as views, uncopied) or a
-    `codec._Streams`. Returns the (K, d) h_tilde and the overload count.
+    `noise`: the (dither, PPN) arrays of `codec._draw` drawn ahead, coded
+    in one whole-array pass (`codec._round_trip`), or a `codec._Streams`
+    read block by block. Returns the (K, d) h_tilde and the overload
+    count.
     """
-    idx, zetas, overloaded = codec._encode(hs, lat, noise)
-    hts = codec._decode(idx, zetas, lat, noise, hs.shape[1])
+    if isinstance(noise, codec._Streams):
+        idx, zetas, overloaded = codec._encode(hs, lat, noise)
+        hts = codec._decode(idx, zetas, lat, noise, hs.shape[1])
+    else:
+        hts, overloaded = codec._round_trip(hs, lat, *noise)
     return hts, int(np.count_nonzero(overloaded))
 
 
@@ -539,9 +551,9 @@ def _round_chunks(cfg: FlConfig, lat: Lattice, sampler, users: int,
     The rounds of a run of `users` updates of dim coordinates each, in
     chunks of as many rounds as keep each noise array within `codec._BLOCK`
     coordinates (at least one round). Yields (rounds, noise) per chunk,
-    noise one `codec._Drawn` per round, its rows the users', cut from one
-    `codec._draw` over the chunk's rows, for the baselines in CODING, or
-    None per round for the others.
+    noise one (dither, PPN) pair per round, the users' rows of the arrays
+    of one `codec._draw` over the chunk's rows, for the baselines in
+    CODING, or None per round for the others.
     """
     m = -(-dim // lat.dimension)
     per = max(1, codec._BLOCK // (users * m * lat.dimension))
@@ -550,10 +562,11 @@ def _round_chunks(cfg: FlConfig, lat: Lattice, sampler, users: int,
         if cfg.baseline not in CODING:
             yield rounds, [None] * len(rounds)
             continue
-        drawn = codec._draw(_KeyedStreams.grid(cfg.seed, users, rounds),
-                            lat, sampler, cfg.seed + 1, m)
-        yield rounds, [drawn.rows(i * users, (i + 1) * users)
-                       for i in range(len(rounds))]
+        dith, ppn = codec._draw(_KeyedStreams.grid(cfg.seed, users, rounds),
+                                lat, sampler, cfg.seed + 1, m)
+        yield rounds, [
+            (dith[i:i + users], None if ppn is None else ppn[i:i + users])
+            for i in range(0, len(rounds) * users, users)]
 
 
 def run_experiment(cfg: FlConfig, task: Task | None = None,

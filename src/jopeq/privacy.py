@@ -360,7 +360,9 @@ def _cell_lookup_into(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray,
     guide[floor(u G)] counts the CDF entries at or below floor(u G) / G <=
     u, so it is a lower bound of the answer, and the answer itself wherever
     its CDF entry exceeds u. Other lanes step one cell, again a lower
-    bound; only those still short are searched. The CDF entries are
+    bound; only those still short are searched, in the order of their u:
+    np.searchsorted narrows each search by the one before when its keys
+    ascend, and an answer depends only on its own u. The CDF entries are
     gathered _LOOKUP_CHUNK lanes at a time, so the scratch stays small.
     """
     np.multiply(u, len(guide), out=cells, casting="unsafe")
@@ -374,6 +376,7 @@ def _cell_lookup_into(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray,
     cells += mask
     miss = np.flatnonzero(mask)
     miss = miss[cdf[cells[miss]] <= u[miss]]
+    miss = miss[np.argsort(u[miss])]
     cells[miss] = np.searchsorted(cdf, u[miss], side="right")
 
 

@@ -301,18 +301,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("key, value", [
         ("fl.users", "0"), ("fl.tau", "0"), ("fl.rounds", "0"),
-        ("fl.eta", "-0.05")])
+        ("fl.eta", "-0.05"), ("task.model_dim", "0"),
+        ("task.samples_per_user", "0")])
     def test_bad_fl_value_rejected_before_any_point(self, tmp_path,
                                                     clean_env, key, value):
-        # FlConfig refuses a value that makes no run, whether it comes from
-        # a config file or a JOPEQ_* variable.
+        # FlConfig and TaskSpec refuse a value that makes no run, whether
+        # it comes from a config file or a JOPEQ_* variable.
         def point(*args):
             raise AssertionError("a sweep point ran")
 
         clean_env.setattr(cli, "snr_sweep_point", point)
         clean_env.setenv("JOPEQ_" + key.upper().replace(".", "_"), value)
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=f"^{key[3:]} {value} is not"):
+        name = key.split(".")[1]
+        with pytest.raises(ValueError, match=f"^{name} {value} is not"):
             main(["sweep", "--out", str(out)])
         assert not out.exists()
 

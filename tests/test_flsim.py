@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jopeq import codec, flsim
+from jopeq import codec, flsim, lattice
 from jopeq.codec import decode, encode, scale_rows
 from jopeq.dither import SharedRandomness, dither_block
 from jopeq.flsim import (BASELINES, CODING, PPN_CODING, PRIVATIZING,
@@ -347,6 +348,28 @@ class TestLocalSgd:
         calibrate_xi(task, cfg)
         assert len(calls) == 6 and all(t is task for t in calls[3:])
 
+    @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])
+    def test_code_stage_quantizes_through_quantize_clipped(self, baseline,
+                                                           monkeypatch):
+        # A run's code stage quantizes each round in one call of
+        # lattice.quantize_clipped, looked up by name wherever the package
+        # binds it; the benchmark's tracer counts its calls there.
+        calls = []
+        real = lattice.quantize_clipped
+
+        def counting(lat, x, **kwargs):
+            calls.append(len(x))
+            return real(lat, x, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "jopeq"
+                    and getattr(module, "quantize_clipped", None) is real):
+                monkeypatch.setattr(module, "quantize_clipped", counting)
+        cfg = FlConfig(task=TaskSpec(model_dim=5, samples_per_user=10),
+                       users=3, rounds=4, baseline=baseline)
+        run_experiment(cfg)
+        assert calls == [cfg.users * cfg.task.model_dim] * cfg.rounds
+
     @pytest.mark.parametrize("n", [2, 3, 50, 2 ** 31 - 1, 2 ** 32,
                                    2 ** 32 + 1, 2 ** 40])
     def test_sized_picks_equal_scalar_picks(self, n):
@@ -624,6 +647,20 @@ class TestConfigChoices:
             FlConfig(**{name: value})
         with pytest.raises(ValueError, match=f"^{name} {value!r} is not"):
             replace(FlConfig(), **{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("model_dim", 0), ("model_dim", -2), ("samples_per_user", 0),
+        ("samples_per_user", -1)])
+    def test_task_size_that_makes_no_run_rejected(self, name, value):
+        # Unchecked, model dimension 0 fails in run_experiment with an
+        # IndexError, and 0 samples a user give NaN losses.
+        with pytest.raises(ValueError, match=f"^{name} {value!r} is not"):
+            FlConfig(task=TaskSpec(**{name: value}))
+        with pytest.raises(ValueError, match=f"^{name} {value!r} is not"):
+            replace(FlConfig(), task=replace(TaskSpec(), **{name: value}))
+        # One is the least size that makes a run.
+        run_experiment(FlConfig(task=TaskSpec(**{name: 1}), users=2,
+                                rounds=2, baseline="sdq"))
 
     def test_baselines_and_their_stages(self):
         # The paper's five uplinks in their order, and each one's stages.
@@ -1090,30 +1127,73 @@ class TestChunkedNoise:
     @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
     @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])
     def test_drawn_noise_is_left_as_drawn(self, baseline, family):
-        # Blocks read views of the drawn noise, which is read-only: a round
-        # coded twice with the same draws (one row zero, sent at the
-        # sentinel) gives the same outputs and leaves the draws as they
-        # were.
+        # A round's noise is the read-only rows of the chunk's draws: a
+        # round coded twice with them (one row zero, sent at the sentinel)
+        # gives the same outputs and leaves the draws as they were.
         lat, spec = CodecSpec(family, rate=4, epsilon=3.0).build()
         samp = build_ppn_sampler(spec, lat, grid_points=64, refine_iters=5)
         cfg = FlConfig(users=3, rounds=2, seed=6)
         d = 9
+        m = -(-d // lat.dimension)
         (_, noise), = flsim._round_chunks(
             cfg, lat, samp if baseline == "jopeq" else None, cfg.users, d)
-        drawn = noise[1]
-        arrays = [a for a in (drawn._dith, drawn._ppn) if a is not None]
-        assert len(arrays) == (2 if baseline == "jopeq" else 1)
-        assert not any(a.flags.writeable for a in arrays)
+        dith, ppn = noise[1]
+        assert (ppn is not None) == (baseline == "jopeq")
+        arrays = [a for a in (dith, ppn) if a is not None]
+        for a in arrays:
+            assert a.shape == (cfg.users, m, lat.dimension)
+            assert a.dtype == np.float64 and not a.flags.writeable
         before = [a.tobytes() for a in arrays]
         hs = np.random.default_rng(d).normal(0.0, 1.0, (cfg.users, d))
         hs[1] = 0.0
         keys = [[cfg.seed, k, 1] for k in range(cfg.users)]
-        first, again = (uplink(baseline, hs, lat, spec, keys, drawn)
+        first, again = (uplink(baseline, hs, lat, spec, keys, (dith, ppn))
                         for _ in range(2))
         assert np.array_equal(first[0], again[0]) and first[1] == again[1]
         assert [a.tobytes() for a in arrays] == before
-        with pytest.raises(ValueError):
-            arrays[0][0, 0, 0] = 1.0
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
+    @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])
+    def test_whole_array_pass_equals_streamed_blocks(self, baseline, family,
+                                                     monkeypatch):
+        # A round spans several blocks of its chunk's draw, each a slice of
+        # a row (8 sub-vectors, rows of 21 or 41); d is odd, so the 2-D
+        # rows end in a padded sub-vector; one row of the coded batch is
+        # zero, and a spike in each other row overloads sub-vectors of a
+        # codebook of radius 1. The whole-array pass gives the streamed
+        # blocks' outputs bit for bit, overload flags included.
+        lat, spec = CodecSpec(family, rate=3, epsilon=3.0, gamma=1.0).build()
+        samp = build_ppn_sampler(spec, lat, allow_degenerate=True,
+                                 grid_points=64, refine_iters=5)
+        sampler = samp if baseline in PPN_CODING else None
+        small_blocks(monkeypatch, lat.dimension, 8)
+        cfg = FlConfig(users=3, rounds=3, seed=9)
+        d = 41
+        m = -(-d // lat.dimension)
+        chunks = list(flsim._round_chunks(cfg, lat, sampler, cfg.users, d))
+        assert [len(rounds) for rounds, _ in chunks] == [1] * cfg.rounds
+        assert len(list(codec._blocks(cfg.users, m, lat.dimension))) > 6
+        rng = np.random.default_rng(d)
+        for (rounds, (noise,)) in chunks:
+            r = rounds[0]
+            hs = rng.normal(0.0, 1.0, (cfg.users, d))
+            if baseline in PRIVATIZING:
+                keys = [[cfg.seed, k, r] for k in range(cfg.users)]
+                hs = flsim.privatize(hs, lat, spec, keys)
+            hs[:, 3] *= 40.0
+            hs[r % cfg.users] = 0.0
+            srs = [SharedRandomness(seed=cfg.seed, user=k, round_index=r)
+                   for k in range(cfg.users)]
+            streams = _streams(baseline, srs, lat, d, samp, cfg.seed + 1)
+            idx, zetas, want_ov = codec._encode(hs, lat, streams)
+            want = codec._decode(idx, zetas, lat, streams, d)
+            got, got_ov = codec._round_trip(hs, lat, *noise)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got_ov.tobytes() == want_ov.tobytes()
+            assert want_ov.any()
 
     @pytest.mark.parametrize("family", ["scalar", "square", "hexagonal"])
     @pytest.mark.parametrize("baseline", ["sdq", "separate", "jopeq"])
