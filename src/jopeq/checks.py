@@ -1,12 +1,13 @@
 """
 The invariant checks of acceptance criteria 1-8, run by both the
 acceptance suite and `jopeq verify`. `CHECKS` lists them in criterion
-order. Each takes only a seed and returns its `TestReport`s; every seed
-it uses is a fixed pin plus `seed`, so seed 0 draws the acceptance
-suite's samples.
+order, then criterion 5's check on the sdq and ppn baselines. Each takes
+only a seed and returns its `TestReport`s; every seed it uses is a fixed
+pin plus `seed`, so seed 0 draws the acceptance suite's samples.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -143,24 +144,32 @@ def privacy_for_free_threshold(seed: int) -> list[TestReport]:
             for name, ok in conditions.items()]
 
 
-def weights_distortion_bound(seed: int) -> list[TestReport]:
+def weights_distortion_bound(seed: int,
+                             baselines=("jopeq",)) -> list[TestReport]:
     """
     Criterion 5: on a 200-round jopeq run, ||w_tilde - w||^2 is at most
     the Theorem-6 bound in every round and on average over the rounds.
+    Given other baselines, the same on a run of each, the baseline named
+    at the end of its reports' names.
     """
-    cfg = flsim.FlConfig(task=_TASK_LINEAR, codec=_CODEC_SCALAR,
-                         baseline="jopeq", users=10, tau=4, rounds=200,
-                         eta=0.05, schedule="fixed", seed=seed)
-    ms = flsim.run_experiment(cfg)
-    per_round = max(m.weights_distortion / m.thm6_rhs for m in ms)
-    mean_ratio = (np.mean([m.weights_distortion for m in ms])
-                  / np.mean([m.thm6_rhs for m in ms]))
-    return [
-        TestReport("thm6-round-bound", per_round, 1.0, len(ms),
-                   per_round <= 1.0),
-        TestReport("thm6-mean-bound", float(mean_ratio), 1.0, len(ms),
-                   mean_ratio <= 1.0),
-    ]
+    reports = []
+    for baseline in baselines:
+        cfg = flsim.FlConfig(task=_TASK_LINEAR, codec=_CODEC_SCALAR,
+                             baseline=baseline, users=10, tau=4,
+                             rounds=200, eta=0.05, schedule="fixed",
+                             seed=seed)
+        ms = flsim.run_experiment(cfg)
+        per_round = max(m.weights_distortion / m.thm6_rhs for m in ms)
+        mean_ratio = (np.mean([m.weights_distortion for m in ms])
+                      / np.mean([m.thm6_rhs for m in ms]))
+        tag = "" if baseline == "jopeq" else f"-{baseline}"
+        reports += [
+            TestReport(f"thm6-round-bound{tag}", per_round, 1.0, len(ms),
+                       per_round <= 1.0),
+            TestReport(f"thm6-mean-bound{tag}", float(mean_ratio), 1.0,
+                       len(ms), mean_ratio <= 1.0),
+        ]
+    return reports
 
 
 def convergence_bound_and_rate(seed: int) -> list[TestReport]:
@@ -273,4 +282,7 @@ CHECKS = {
     "convergence-bound-and-rate": convergence_bound_and_rate,
     "snr-figure-shape": snr_figure_shape,
     "learning-figure-spirit": learning_figure_spirit,
+    # sdq's sigma^2 is the cell error's, ppn's the mechanism's variance.
+    "weights-distortion-bound-sdq-ppn": partial(weights_distortion_bound,
+                                                baselines=("sdq", "ppn")),
 }

@@ -3,9 +3,10 @@ Experiment runner: configure, run, verify, and emit plot-ready CSV data.
 
 Commands
 --------
-verify              run acceptance criteria 1-8 (`jopeq.checks`) with every
-                    pinned seed shifted by --seed; one line per report,
-                    nonzero exit on any failure.
+verify              run acceptance criteria 1-8 and criterion 5's check on
+                    sdq and ppn (`jopeq.checks`) with every pinned seed
+                    shifted by --seed; one line per report, nonzero exit
+                    on any failure.
 sweep               run the SNR-versus-rate and learning-curve studies
                     described by the config file; writes versioned CSVs.
 codec-encode/-decode  stand-alone codec on the documented byte layout.

@@ -201,7 +201,10 @@ def _scale(hs: np.ndarray, m_subvectors: int):
     with np.errstate(all="ignore"):
         sq = np.matmul(hs[:, None, :], hs[:, :, None])[:, 0, 0]
         zetas = math.sqrt(m_subvectors) / (3.0 * np.sqrt(sq))
-        if len(sq) and 0.0 < sq.min() and sq.max() < math.inf:
+        # zeta sq = sqrt(M sq) / 3 is positive and finite for a positive,
+        # finite sum of squares, and NaN for a sum that is 0, inf or NaN:
+        # so one dot product tells whether every row is fine.
+        if zetas @ sq > 0.0:
             return zetas, []
         zeros = []
         for k in np.flatnonzero((sq == 0.0) | ~np.isfinite(sq)).tolist():

@@ -22,7 +22,8 @@ from scipy import optimize
 
 from . import codec, privacy
 from .dither import _KeyedStreams
-from .lattice import Lattice, hexagonal_lattice, scalar_uniform, square_lattice
+from .lattice import (Lattice, cell_variance_per_coord, hexagonal_lattice,
+                      scalar_uniform, square_lattice)
 
 __all__ = [
     "BASELINES",
@@ -471,6 +472,23 @@ def theorem7_bound(sigma2: float, psi: float, rho_s: float, rho_c: float,
     return float(out) if np.ndim(t) == 0 else out
 
 
+def _sigma2(baseline: str, lat: Lattice, spec) -> float:
+    """
+    The sigma^2 of a baseline's Theorem-6 and -7 bounds, read from its
+    stages: the mechanism's variance per sub-vector for a privatize stage
+    alone or a PPN code stage, the cell error's for a code stage alone, 0
+    for none. Separate codes the privatized row at a second scale, which
+    the theorems' one zeta does not cover: NaN.
+    """
+    if baseline in PRIVATIZING and baseline in CODING:
+        return math.nan
+    if baseline in PRIVATIZING + PPN_CODING:
+        return spec.variance
+    if baseline in CODING:
+        return lat.dimension * cell_variance_per_coord(lat)
+    return 0.0
+
+
 def _step_sizes(cfg: FlConfig, task: Task) -> np.ndarray:
     """The (rounds, tau) step sizes of a run (`FlConfig.schedule`)."""
     if cfg.schedule == "fixed":
@@ -600,8 +618,7 @@ def run_experiment(cfg: FlConfig, task: Task | None = None,
     lat, spec = cfg.codec.build()
     sampler = (privacy.build_ppn_sampler(spec, lat, allow_degenerate=True)
                if cfg.baseline in PPN_CODING else None)
-    sigma2_bound = (spec.variance
-                    if cfg.baseline in PRIVATIZING + PPN_CODING else 0.0)
+    sigma2_bound = _sigma2(cfg.baseline, lat, spec)
     privatize_spec = spec if cfg.baseline in PRIVATIZING else None
 
     w = np.zeros(task.model_dim)
